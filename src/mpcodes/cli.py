@@ -22,9 +22,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .gf import FieldMismatchError
-from .lincode import DistanceBudget, DistanceResult, LinearCode, UndefinedDistanceError
-from .matgf import MatGF, RankDeficientError
+from .lincode import DistanceBudget, DistanceResult, LinearCode
 from .mpcode import (
     MPCode,
     Verdict,
@@ -134,32 +132,20 @@ def _write_out(cfg: RunConfig, text: str, what: str):
         sys.stdout.write(text)
 
 
-def _load_mp(path: str, *, strict: bool = True):
-    try:
-        return fmt.load_mp(_read(path), strict=strict)
-    except fmt.ParseError as exc:
-        raise _CliError(EXIT_USAGE, f"{path}: {exc}") from None
-    except (ValueError, FieldMismatchError) as exc:
-        raise _CliError(EXIT_VALIDATION, f"{path}: {exc}") from None
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
 def cmd_info(args) -> int:
     cfg = _config(args)
-    try:
-        code = fmt.load_code(_read(args.codefile))
-    except fmt.ParseError as exc:
-        raise _CliError(EXIT_USAGE, f"{args.codefile}: {exc}") from None
+    code = fmt.load_code(_read(args.codefile))
     _print_params(code, cfg)
     return EXIT_HOLDS
 
 
 def cmd_mp(args) -> int:
     cfg = _config(args)
-    mp, _ = _load_mp(args.mpfile)
+    mp, _ = fmt.load_mp(_read(args.mpfile))
     code = expand(mp)
     _print_params(code, cfg)
     _write_out(cfg, fmt.dump_code(code), "code")
@@ -168,7 +154,7 @@ def cmd_mp(args) -> int:
 
 def cmd_dual(args) -> int:
     cfg = _config(args)
-    mp, _ = _load_mp(args.mpfile)
+    mp, _ = fmt.load_mp(_read(args.mpfile))
     a = mp.defmatrix
     if a.rank() == a.rows:
         dual_mp, dual_code = dual_full_rank(mp, cfg.ell)
@@ -194,14 +180,11 @@ def cmd_dual(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = _config(args)
-    mp, _ = _load_mp(args.mpfile)
-    try:
-        if args.mode == "so":
-            report = check_self_orthogonal(mp, cfg.ell)
-        else:
-            report = check_dual_containing_general(mp, cfg.ell)
-    except ValueError as exc:
-        raise _CliError(EXIT_VALIDATION, str(exc)) from None
+    mp, _ = fmt.load_mp(_read(args.mpfile))
+    if args.mode == "so":
+        report = check_self_orthogonal(mp, cfg.ell)
+    else:
+        report = check_dual_containing_general(mp, cfg.ell)
     for line in fmt.report_lines(report):
         print(line)
     return _VERDICT_EXIT[report.verdict]
@@ -209,7 +192,7 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config(args)
-    mp, claims = _load_mp(args.mpfile, strict=False)
+    mp, claims = fmt.load_mp(_read(args.mpfile), strict=False)
     lines: list[tuple[str, str]] = []  # (check name, agree|disagree|skip ...)
 
     for i, (_, declared_k, actual_k) in enumerate(claims.constituent_claims, 1):
@@ -289,10 +272,7 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = _config(args)
-    try:
-        a = fmt.load_matrix(_read(args.matrix))
-    except fmt.ParseError as exc:
-        raise _CliError(EXIT_USAGE, f"{args.matrix}: {exc}") from None
+    a = fmt.load_matrix(_read(args.matrix))
     dims = tuple(int(x) for x in args.dims.split(","))
     req = SearchRequest(
         mode=args.mode,
@@ -310,8 +290,6 @@ def cmd_search(args) -> int:
     except InfeasibleSearchError as exc:
         print(f"infeasible: {exc}")
         return EXIT_INFEASIBLE
-    except ValueError as exc:
-        raise _CliError(EXIT_VALIDATION, str(exc)) from None
     for idx, hit in enumerate(hits, start=1):
         big = expand(hit.mp)
         print(f"candidate {idx}: [{big.n},{big.k},{hit.distance}] attempt {hit.attempt}")
@@ -422,10 +400,10 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except RankDeficientError as exc:
+    except fmt.ParseError as exc:  # a ValueError, so caught first
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except UndefinedDistanceError as exc:
+        return EXIT_USAGE
+    except ValueError as exc:  # validation, rank-deficiency, undefined distance
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # internal errors still honour the >=10 contract

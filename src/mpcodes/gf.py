@@ -13,6 +13,9 @@ modulus, so correctness does not depend on any lookup table.  Bulk
 (numpy) operations use lazily built antilog/log tables; those tables are
 generated from the scalar path, so both paths are identical by
 construction (and the test suite asserts bit-for-bit agreement).
+Scalar inversion in extension fields reads the same tables; the
+extended-Euclid ``_inv_direct`` serves fields too large for them and is
+the test reference.
 
 The default modulus table uses Conway polynomials, so for instance
 GF(4) is built with x^2+x+1, GF(8) with x^3+x+1 and GF(9) with
@@ -342,7 +345,13 @@ class FieldSpec:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         if self.e == 1:
             return pow(a, -1, self.p)
-        # extended Euclid on (a, modulus): find s with s*a = gcd = const
+        if self.q <= _TABLE_LIMIT:
+            exp, log = self._tables()
+            return int(exp[self.q - 1 - log[a]])
+        return self._inv_direct(a)
+
+    def _inv_direct(self, a: int) -> int:
+        # a != 0; extended Euclid on (a, modulus): find s with s*a = gcd = const
         p = self.p
         r0, r1 = _poly_trim(self._digits(a)), list(self.modulus)
         s0, s1 = [1], []

@@ -199,10 +199,6 @@ class MatGF:
         prods = spec.mul_arr(self.data[:, :, None], other.data[None, :, :])
         return MatGF(spec, spec.sum_arr(prods, axis=1))
 
-    def scale(self, c) -> "MatGF":
-        enc = c.enc if isinstance(c, FieldElement) else self.spec.check(int(c))
-        return MatGF(self.spec, self.spec.mul_arr(np.int64(enc), self.data))
-
     def kron(self, other: "MatGF") -> "MatGF":
         """Kronecker product, (rows*rows') x (cols*cols')."""
         self._check_same_field(other)
@@ -279,15 +275,16 @@ class MatGF:
         """Rows form a basis of the right kernel {x : self @ x^T = 0}."""
         red, pivots = self.rref()
         n = self.cols
-        piv0 = [p - 1 for p in pivots]
-        free0 = [j for j in range(n) if j + 1 not in pivots]
-        spec = self.spec
-        out = np.zeros((len(free0), n), dtype=np.int64)
-        for row, f in enumerate(free0):
-            out[row, f] = 1
-            for r, pc in enumerate(piv0):
-                out[row, pc] = spec.neg(int(red.data[r, f]))
-        return MatGF(spec, out)
+        piv0 = np.array(pivots, dtype=np.intp) - 1
+        is_free = np.ones(n, dtype=bool)
+        is_free[piv0] = False
+        free0 = np.flatnonzero(is_free)
+        out = np.zeros((free0.size, n), dtype=np.int64)
+        out[np.arange(free0.size), free0] = 1
+        # x_pivot = -(RREF entry in the free column), one free column per row
+        block = red.data[: piv0.size][:, free0]
+        out[:, piv0] = self.spec.neg_arr(block).T
+        return MatGF(self.spec, out)
 
     # -- row selection and completion ------------------------------------------
 

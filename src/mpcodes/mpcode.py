@@ -1,10 +1,12 @@
 """Matrix-product codes: construction, duals, and structural checks.
 
 An MP code mixes M constituent codes of common length n through an
-M x N defining matrix A: its generator is diag[G_1 .. G_M] (A kron I_n).
+M x N defining matrix A: its generator is diag[G_1 .. G_M] (A kron I_n),
+whose row block i is a_i kron G_i = [a_i1 G_i | .. | a_iN G_i].
 This module provides
 
 * ``expand``: the mixed code as a plain :class:`~mpcodes.lincode.LinearCode`,
+  built by stacking the row blocks a_i kron G_i,
 * closed-form l-Galois duals (``dual_full_rank`` for full-row-rank A,
   ``dual_general`` via a row partition otherwise),
 * exact self-orthogonality and dual-containment checkers driven by the
@@ -179,11 +181,19 @@ class CheckSearchConfig:
 # ----------------------------------------------------------------------
 
 def expand(mp: MPCode) -> LinearCode:
-    """The MP code as a canonical linear code of length n*N."""
-    spec = mp.spec
-    diag = MatGF.block_diag(spec, [c.gen for c in mp.constituents])
-    big = diag @ mp.defmatrix.kron(MatGF.identity(spec, mp.n))
-    return LinearCode.from_generator(big)
+    """The MP code as a canonical linear code of length n*N.
+
+    By definition the generator is diag[G_1 .. G_M] (A kron I_n).  Its
+    row block i is a_i kron G_i = [a_i1 G_i | .. | a_iN G_i], so the
+    blocks are built one at a time and stacked; no intermediate is
+    larger than the generator itself.
+    """
+    a = mp.defmatrix
+    blocks = [
+        a.row_submatrix([i]).kron(c.gen)
+        for i, c in enumerate(mp.constituents, start=1)
+    ]
+    return LinearCode.from_generator(MatGF.vstack(blocks))
 
 
 def dual_full_rank(

@@ -105,9 +105,10 @@ def dual_vectors_by_definition(
 ) -> list[tuple[int, ...]]:
     """All vectors whose l-Galois product with every codeword vanishes.
 
-    For tiny instances this scans the whole ambient space against the
-    full codeword list; otherwise it solves the defining relations with
-    an elimination routine local to this module.
+    When the scan's work, q^n candidates times q^k codewords, fits under
+    ``cap`` this scans the whole ambient space against the full codeword
+    list; otherwise it solves the defining relations with an elimination
+    routine local to this module.
     """
     spec = code.spec
     q = spec.q
@@ -115,7 +116,7 @@ def dual_vectors_by_definition(
     if not 0 <= ell < spec.e:
         raise ValueError(f"ell={ell} out of range [0, {spec.e})")
     expected = q ** (n - code.k)
-    if q**n <= cap and q**code.k <= cap:
+    if q ** (n + code.k) <= cap:
         words = enumerate_codewords(code, cap).words
         out = []
         add, mul, frob = spec.add, spec.mul, spec.frobenius

@@ -48,6 +48,38 @@ def test_info_parse_error_exit_code(tmp_path):
     assert rc == 10
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["info", "{bad_header}"], 11),
+        (["dual", "{f2}", "--ell", "3"], 11),
+        (["verify", "{f2}", "--ell", "1"], 11),
+        (["search", "--matrix", "{mat}", "--mode", "so", "--n", "4", "--dims", "1,x"], 11),
+        (["check", "{f2}", "--mode", "so", "--ell", "1"], 11),
+        (["mp", "{bad_entry}"], 10),
+        (["info", "{missing}"], 10),
+    ],
+)
+def test_bad_input_exit_codes(tmp_path, argv, expected):
+    # parse errors exit 10, other validation errors 11, never 20
+    bad_header = tmp_path / "bad_header.code"
+    bad_header.write_text("field p=x e=1\ncode 3 1\n1 1 1\n")
+    bad_entry = tmp_path / "bad_entry.mp"
+    bad_entry.write_text(
+        "field p=2 e=1\ndefmatrix\nmatrix 1 1\n1\n"
+        "constituent 1\ncode 3 1\n1 7 1\n"
+    )
+    paths = {
+        "bad_header": str(bad_header),
+        "bad_entry": str(bad_entry),
+        "missing": str(tmp_path / "missing.code"),
+        "f2": fixture("f2_2x5_so.mp"),
+        "mat": fixture("f2_2x5_so_matrix.mat"),
+    }
+    rc, _ = run_cli(*(a.format(**paths) for a in argv))
+    assert rc == expected
+
+
 def test_usage_error_exit_code():
     rc, _ = run_cli("check", fixture("f4_2x4_so.mp"))  # --mode missing
     assert rc == 10

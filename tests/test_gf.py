@@ -97,6 +97,13 @@ def test_inverse_errors_and_identities():
         f4.inv(0)
 
 
+@pytest.mark.parametrize("q", [q for q in ALL_Q if field(q).e > 1])
+def test_table_inverse_matches_euclid(q):
+    f = field(q)
+    for a in range(1, q):
+        assert f.inv(a) == f._inv_direct(a)
+
+
 def test_primitive_elements():
     assert field(4).primitive_element().enc == 2
     assert field(2).primitive_element().enc == 1

@@ -212,6 +212,21 @@ def test_kernel_basis_randomized(rng):
             assert k.rank() == k.rows
 
 
+def test_kernel_basis_matches_entrywise_reference(rng):
+    for _ in range(40):
+        f = field(rng.choice([2, 3, 4, 5, 8, 9]))
+        a = random_matrix(f, rng.randint(1, 5), rng.randint(1, 6), rng)
+        red, pivots = a.rref()
+        free = [j for j in range(1, a.cols + 1) if j not in pivots]
+        ref = [[0] * a.cols for _ in free]
+        for row, fc in enumerate(free):
+            ref[row][fc - 1] = 1
+            for r, pc in enumerate(pivots):
+                ref[row][pc - 1] = f.neg(int(red.data[r, fc - 1]))
+        ref = np.array(ref, dtype=np.int64).reshape(len(free), a.cols)
+        assert a.kernel_basis() == MatGF(f, ref)
+
+
 def test_entry_and_immutability():
     f4 = field(4)
     a = MatGF.from_rows(f4, [[0, 1], [2, 3]])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -78,6 +79,63 @@ def test_expand_zero_constituent():
     f2 = field(2)
     mp = MPCode([LinearCode.zero(f2, 3)], MatGF.from_rows(f2, [[1]]))
     assert expand(mp).is_zero
+
+
+def _expand_by_definition(mp):
+    """The generator diag[G_1 .. G_M] (A kron I_n), canonicalised."""
+    spec = mp.spec
+    diag = MatGF.block_diag(spec, [c.gen for c in mp.constituents])
+    return LinearCode.from_generator(
+        diag @ mp.defmatrix.kron(MatGF.identity(spec, mp.n))
+    )
+
+
+def test_expand_matches_definition(rng):
+    cases = []
+    for q in (2, 3, 4, 9):
+        f = field(q)
+        for _ in range(8):
+            cases.append(_random_mp(rng, q_choices=(q,)))
+        n = rng.randint(1, 4)
+        # more rows than columns: A is rank-deficient
+        a = random_matrix(f, 4, 2, rng)
+        cases.append(MPCode([random_code(f, n, n, rng) for _ in range(4)], a))
+        # a zero row in A, and a zero constituent (k_i = 0)
+        rows = [list(r) for r in random_matrix(f, 3, 3, rng).data]
+        rows[1] = [0, 0, 0]
+        cons = [random_code(f, n, n, rng), random_code(f, n, 1, rng),
+                LinearCode.zero(f, n)]
+        cases.append(MPCode(cons, MatGF(f, rows)))
+    kinds = {"wide": 0, "rankdef": 0, "zero_row": 0, "zero_code": 0}
+    for mp in cases:
+        a = mp.defmatrix
+        kinds["wide"] += a.rows > a.cols
+        kinds["rankdef"] += a.rank() < a.rows
+        kinds["zero_row"] += any(not row.any() for row in a.data)
+        kinds["zero_code"] += any(c.k == 0 for c in mp.constituents)
+        assert expand(mp) == _expand_by_definition(mp)
+    assert all(kinds.values()), kinds
+
+
+@pytest.mark.parametrize("q", [2, 9])
+def test_expand_memory_stays_near_output_size(q):
+    f = field(q)
+    rng = random.Random(q)
+    m = n_cols = 4
+    n, k = 64, 32
+    cons = [random_code(f, n, k, rng) for _ in range(m)]
+    a = random_completion(random_matrix(f, 1, n_cols, rng), rng)
+    mp = MPCode(cons, a)
+    expand(MPCode(cons[:1], a.row_submatrix([1])))  # build the field tables
+    out_bytes = sum(c.k for c in cons) * n_cols * n * 8
+    tracemalloc.start()
+    try:
+        big = expand(mp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert big.n == n_cols * n
+    assert peak < 16 * out_bytes, (peak, out_bytes)
 
 
 def test_dual_full_rank_identity_matrix_gives_dual_sum(rng):

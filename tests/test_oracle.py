@@ -48,6 +48,13 @@ def test_dual_by_definition_small_identities():
     assert oracle.dual_by_definition(even, 0) == even
 
 
+def test_dual_of_whole_space_skips_the_ambient_scan():
+    # q^n = 2^18 fits the default cap, but scanning it against all q^k
+    # codewords would not; the dual is found by elimination instead
+    f8 = field(8)
+    assert oracle.dual_by_definition(LinearCode.full(f8, 6)) == LinearCode.zero(f8, 6)
+
+
 def test_dual_by_definition_matches_structured(rng):
     for _ in range(40):
         q = rng.choice([2, 3, 4])
