@@ -8,14 +8,14 @@ the coefficients of the residue polynomial ``d_0 + d_1*x + ... +
 d_{e-1}*x^(e-1)``.  With this encoding zero is ``0``, one is ``1``, and
 the prime subfield occupies the encodings ``0 .. p-1``.
 
-Scalar multiplication is a direct polynomial product reduced by the
-modulus, so correctness does not depend on any lookup table.  Bulk
-(numpy) operations use lazily built antilog/log tables; those tables are
-generated from the scalar path, so both paths are identical by
-construction (and the test suite asserts bit-for-bit agreement).
-Scalar inversion in extension fields reads the same tables; the
-extended-Euclid ``_inv_direct`` serves fields too large for them and is
-the test reference.
+Every operation reads one set of lookup tables (add, sub, mul, neg,
+inv and Frobenius), built once in ``FieldSpec.__init__``.  The tables are
+generated from direct polynomial arithmetic (``_add_direct`` and
+``_mul_direct``), which is kept only as that generator and as the test
+reference.  Bulk (numpy) operations index uint8 copies of the tables and
+scalar operations index plain-list copies; characteristic-2 bulk
+addition is XOR, the same function.  Fields are limited to q <= 256, the
+largest size whose q x q tables fit in uint8 (64 KiB each).
 
 The default modulus table uses Conway polynomials, so for instance
 GF(4) is built with x^2+x+1, GF(8) with x^3+x+1 and GF(9) with
@@ -62,14 +62,8 @@ DEFAULT_MODULI: dict[int, tuple[int, ...]] = {
     32: (1, 0, 1, 0, 0, 1),
 }
 
-# Largest q for which antilog/log tables are built; larger fields keep
-# working through the scalar path but refuse bulk array operations.
-_TABLE_LIMIT = 1 << 16
-
-# Largest q for which full scalar add/mul lookup tables are kept.  The
-# tables are generated from the direct polynomial arithmetic, so they
-# are bit-identical to it by construction.
-_SCALAR_TABLE_LIMIT = 64
+# Largest supported field size: every encoding and table entry is a uint8.
+_MAX_Q = 256
 
 
 def _is_prime(n: int) -> bool:
@@ -179,20 +173,34 @@ class FieldSpec:
         "e",
         "q",
         "modulus",
-        "_exp",
-        "_log",
-        "_frob",
         "_prim",
-        "_ppow",
-        "_add_tab",
-        "_mul_tab",
+        # uint8 numpy tables, read by the bulk operations
+        "_ADD",
+        "_SUB",
+        "_MUL",
+        "_NEG",
+        "_FROB",
+        # the same tables as nested lists, read by the scalar operations
+        "_add",
+        "_sub",
+        "_mul",
+        "_neg",
+        "_inv",
+        "_frob",
+        "_log",
     )
 
     def __init__(self, p: int, e: int = 1, modulus: Iterable[int] | None = None):
-        if not _is_prime(p):
-            raise ValueError(f"p={p} is not prime")
         if e < 1:
             raise ValueError(f"extension degree e={e} must be >= 1")
+        # before the primality test, which is slow for a huge p; as p >= 2,
+        # any e > 8 is too large already and min() keeps the power small
+        if p ** min(e, 9) > _MAX_Q:
+            raise ValueError(
+                f"{p}^{e} is too large: fields are limited to q <= {_MAX_Q}"
+            )
+        if not _is_prime(p):
+            raise ValueError(f"p={p} is not prime")
         q = p**e
         if modulus is None:
             if q in DEFAULT_MODULI:
@@ -215,20 +223,11 @@ class FieldSpec:
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "_exp", None)
-        object.__setattr__(self, "_log", None)
-        object.__setattr__(self, "_frob", {})
-        object.__setattr__(self, "_prim", None)
-        object.__setattr__(self, "_ppow", tuple(p**i for i in range(e + 1)))
-        object.__setattr__(self, "_add_tab", None)
-        object.__setattr__(self, "_mul_tab", None)
         self._check_irreducible()
+        self._build_tables()
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FieldSpec is immutable")
-
-    def _set(self, name, value):
-        object.__setattr__(self, name, value)
 
     def _check_irreducible(self) -> None:
         if self.e == 1:
@@ -247,6 +246,44 @@ class FieldSpec:
                     f"modulus {self.modulus} is reducible over GF({p})"
                 )
 
+    def _build_tables(self) -> None:
+        """Build every lookup table from the polynomial reference."""
+        p, e, q = self.p, self.e, self.q
+        n = q - 1
+        # exp table: the powers of the smallest element of order q-1
+        for g in range(2, q) if q > 2 else (1,):
+            powers = [1]
+            x = self._mul_direct(1, g)
+            while x != 1:
+                powers.append(x)
+                x = self._mul_direct(x, g)
+            if len(powers) == n:
+                break
+        exp = np.array(powers, dtype=np.int64)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(n)
+        lg = log[1:]
+        # add and neg act digit-wise on the base-p digits
+        weights = p ** np.arange(e)
+        digits = (np.arange(q)[:, None] // weights) % p
+        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
+        neg = (-digits % p) @ weights
+        mul = np.zeros((q, q), dtype=np.int64)
+        mul[1:, 1:] = exp[(lg[:, None] + lg[None, :]) % n]
+        inv = np.zeros(q, dtype=np.int64)
+        inv[1:] = exp[-lg % n]
+        # row ell of frob is sigma^ell: a -> a^(p^ell)
+        frob = np.zeros((e, q), dtype=np.int64)
+        frob[:, 1:] = exp[(lg[None, :] * (p ** np.arange(e))[:, None]) % n]
+        sub = add[:, neg]
+        tables = {"ADD": add, "SUB": sub, "MUL": mul, "NEG": neg, "FROB": frob}
+        for name, tab in tables.items():
+            object.__setattr__(self, f"_{name}", tab.astype(np.uint8))
+            object.__setattr__(self, f"_{name.lower()}", tab.tolist())
+        object.__setattr__(self, "_inv", inv.tolist())
+        object.__setattr__(self, "_log", log.tolist())
+        object.__setattr__(self, "_prim", g)
+
     # -- value semantics -------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -263,7 +300,7 @@ class FieldSpec:
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, e={self.e}, modulus={self.modulus})"
 
-    # -- scalar arithmetic on encodings ----------------------------------
+    # -- polynomial reference: the table generator -----------------------
 
     def _digits(self, a: int) -> list[int]:
         p = self.p
@@ -275,100 +312,46 @@ class FieldSpec:
 
     def _encode(self, digits: list[int]) -> int:
         out = 0
-        for c, w in zip(digits, self._ppow):
-            out += c * w
+        for c in reversed(digits):
+            out = out * self.p + c
         return out
-
-    def check(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            raise ValueError(f"encoding {a} out of range for GF({self.q})")
-        return a
 
     def _add_direct(self, a: int, b: int) -> int:
         p = self.p
-        out = 0
-        for w in self._ppow[:-1]:
-            out += ((a // w + b // w) % p) * w
-        return out
-
-    def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        tab = self._add_tab
-        if tab is not None:
-            return tab[a][b]
-        if self.q <= _SCALAR_TABLE_LIMIT:
-            tab = [
-                [self._add_direct(x, y) for y in range(self.q)]
-                for x in range(self.q)
-            ]
-            self._set("_add_tab", tab)
-            return tab[a][b]
-        return self._add_direct(a, b)
-
-    def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        for w in self._ppow[:-1]:
-            out += ((-(a // w)) % p) * w
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._encode(
+            [(x + y) % p for x, y in zip(self._digits(a), self._digits(b))]
+        )
 
     def _mul_direct(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         prod = _poly_mul(self._digits(a), self._digits(b), self.p)
         prod = _poly_mod(prod, list(self.modulus), self.p)
-        return self._encode(prod + [0] * (self.e - len(prod)))
+        return self._encode(prod)
+
+    # -- scalar arithmetic on encodings ----------------------------------
+
+    def check(self, a: int) -> int:
+        if not 0 <= a < self.q:
+            raise ValueError(f"encoding {a} out of range for GF({self.q})")
+        return a
+
+    def add(self, a: int, b: int) -> int:
+        return self._add[a][b]
+
+    def neg(self, a: int) -> int:
+        return self._neg[a]
+
+    def sub(self, a: int, b: int) -> int:
+        return self._sub[a][b]
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        tab = self._mul_tab
-        if tab is not None:
-            return tab[a][b]
-        if self.q <= _SCALAR_TABLE_LIMIT:
-            tab = [
-                [self._mul_direct(x, y) for y in range(self.q)]
-                for x in range(self.q)
-            ]
-            self._set("_mul_tab", tab)
-            return tab[a][b]
-        return self._mul_direct(a, b)
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self.e == 1:
-            return pow(a, -1, self.p)
-        if self.q <= _TABLE_LIMIT:
-            exp, log = self._tables()
-            return int(exp[self.q - 1 - log[a]])
-        return self._inv_direct(a)
-
-    def _inv_direct(self, a: int) -> int:
-        # a != 0; extended Euclid on (a, modulus): find s with s*a = gcd = const
-        p = self.p
-        r0, r1 = _poly_trim(self._digits(a)), list(self.modulus)
-        s0, s1 = [1], []
-        while r1:
-            q_poly, rem = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_trim(
-                [
-                    (c0 - c1) % p
-                    for c0, c1 in _zip_pad(s0, _poly_mul(q_poly, s1, p))
-                ]
-            )
-        # r0 is a nonzero constant; scale s0 to make s0*a = 1
-        c = pow(r0[-1], -1, p)
-        s0 = [(x * c) % p for x in s0]
-        s0 = _poly_mod(s0, list(self.modulus), p)
-        return self._encode(s0 + [0] * (self.e - len(s0)))
+        return self._inv[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -388,18 +371,7 @@ class FieldSpec:
         """a^(p^ell); ell is reduced modulo e."""
         if ell < 0:
             raise ValueError("Frobenius power must be non-negative")
-        ell %= self.e
-        if ell == 0:
-            return a
-        if self.q <= _TABLE_LIMIT:
-            tab = self._frob.get(ell)
-            if tab is None:
-                self.frobenius_arr(np.arange(1), ell)  # builds and caches
-                tab = self._frob[ell]
-            return int(tab[a])
-        for _ in range(ell):
-            a = self.pow(a, self.p)
-        return a
+        return self._frob[ell % self.e][a]
 
     # -- element helpers --------------------------------------------------
 
@@ -417,136 +389,41 @@ class FieldSpec:
 
     def primitive_element(self) -> "FieldElement":
         """Smallest encoding of multiplicative order q-1."""
-        if self._prim is None:
-            if self.q == 2:
-                self._set("_prim", 1)
-            else:
-                factors = _prime_factors(self.q - 1)
-                for cand in range(2, self.q):
-                    if all(
-                        self.pow(cand, (self.q - 1) // f) != 1 for f in factors
-                    ):
-                        self._set("_prim", cand)
-                        break
         return FieldElement(self, self._prim)
 
     # -- bulk (numpy) operations on encoding arrays -----------------------
 
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._exp is None:
-            if self.q > _TABLE_LIMIT:
-                raise ValueError(
-                    f"bulk operations unsupported for q={self.q} > {_TABLE_LIMIT}"
-                )
-            g = self.primitive_element().enc
-            n = self.q - 1
-            exp = np.zeros(max(2 * n, 1), dtype=np.int64)
-            log = np.zeros(self.q, dtype=np.int64)
-            x = 1
-            for i in range(n):
-                exp[i] = x
-                log[x] = i
-                x = self.mul(x, g)
-            exp[n : 2 * n] = exp[:n]
-            self._set("_exp", exp)
-            self._set("_log", log)
-        return self._exp, self._log
-
     def add_arr(self, a, b) -> np.ndarray:
-        a = np.asarray(a)
-        b = np.asarray(b)
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        if self.e == 1:
-            return (a + b) % self.p
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        for w in self._ppow[:-1]:
-            out += ((a // w + b // w) % self.p) * w
-        return out
+        return self._ADD[a, b]
 
     def neg_arr(self, a) -> np.ndarray:
-        a = np.asarray(a)
-        if self.p == 2:
-            return a.copy()
-        if self.e == 1:
-            return (-a) % self.p
-        out = np.zeros(a.shape, dtype=np.int64)
-        for w in self._ppow[:-1]:
-            out += ((-(a // w)) % self.p) * w
-        return out
+        return self._NEG[a]
 
     def sub_arr(self, a, b) -> np.ndarray:
         if self.p == 2:
-            return np.bitwise_xor(np.asarray(a), np.asarray(b))
-        return self.add_arr(a, self.neg_arr(b))
+            return np.bitwise_xor(a, b)
+        return self._SUB[a, b]
 
     def mul_arr(self, a, b) -> np.ndarray:
-        exp, log = self._tables()
-        a = np.asarray(a)
-        b = np.asarray(b)
-        res = exp[log[a] + log[b]]
-        return np.where((a == 0) | (b == 0), 0, res)
+        return self._MUL[a, b]
 
     def sum_arr(self, a, axis: int) -> np.ndarray:
         """Field sum along one axis of an encoding array."""
         a = np.asarray(a)
         if self.p == 2:
             return np.bitwise_xor.reduce(a, axis=axis)
-        if self.e == 1:
-            return a.sum(axis=axis) % self.p
-        out = None
-        for w in self._ppow[:-1]:
-            digit = ((a // w) % self.p).sum(axis=axis) % self.p
-            term = digit * w
-            out = term if out is None else out + term
+        parts = np.moveaxis(a, axis, 0)
+        out = np.zeros(parts.shape[1:], dtype=np.uint8)
+        for part in parts:
+            out = self._ADD[out, part]
         return out
 
     def frobenius_arr(self, a, ell: int) -> np.ndarray:
         if ell < 0:
             raise ValueError("Frobenius power must be non-negative")
-        ell %= self.e
-        a = np.asarray(a)
-        if ell == 0:
-            return a.copy()
-        tab = self._frob.get(ell)
-        if tab is None:
-            if self.q > _TABLE_LIMIT:
-                raise ValueError(
-                    f"bulk operations unsupported for q={self.q} > {_TABLE_LIMIT}"
-                )
-            base = self._frob.get(1)
-            if base is None:
-                base = np.array(
-                    [self.pow(x, self.p) for x in range(self.q)], dtype=np.int64
-                )
-                self._frob[1] = base
-            tab = base
-            for _ in range(ell - 1):
-                tab = base[tab]
-            self._frob[ell] = tab
-        return tab[a]
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    quot = [0] * max(1, len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], -1, p)
-    while a and len(a) >= len(b):
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        if c:
-            quot[shift] = c
-            for t in range(len(b)):
-                a[shift + t] = (a[shift + t] - c * b[t]) % p
-        a.pop()
-    return _poly_trim(quot), _poly_trim(a)
+        return self._FROB[ell % self.e][a]
 
 
 class FieldElement:
@@ -684,6 +561,5 @@ def format_element(x: FieldElement) -> str:
     spec = x.spec
     if spec.e == 1 or x.enc in (0, 1):
         return str(x.enc)
-    _, log = spec._tables()
-    k = int(log[x.enc])
+    k = spec._log[x.enc]
     return "a" if k == 1 else f"a^{k}"

@@ -107,6 +107,13 @@ def field_header(spec: FieldSpec) -> str:
     return base + " mod=" + ",".join(str(c) for c in spec.modulus)
 
 
+def _int(tok: str, lineno: int, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(lineno, f"bad {what} {tok!r}") from None
+
+
 def parse_field_header(line: str, lineno: int = 1) -> FieldSpec:
     parts = line.split()
     if not parts or parts[0] != "field":
@@ -115,11 +122,13 @@ def parse_field_header(line: str, lineno: int = 1) -> FieldSpec:
     modulus = None
     for tok in parts[1:]:
         if tok.startswith("p="):
-            p = int(tok[2:])
+            p = _int(tok[2:], lineno, "field characteristic")
         elif tok.startswith("e="):
-            e = int(tok[2:])
+            e = _int(tok[2:], lineno, "extension degree")
         elif tok.startswith("mod="):
-            modulus = tuple(int(c) for c in tok[4:].split(","))
+            modulus = tuple(
+                _int(c, lineno, "modulus coefficient") for c in tok[4:].split(",")
+            )
         else:
             raise ParseError(lineno, f"unknown field attribute {tok!r}")
     if p is None or e is None:
@@ -155,10 +164,7 @@ def _parse_matrix_body(lines: _Lines, spec: FieldSpec) -> MatGF:
     parts = line.split()
     if len(parts) != 3 or parts[0] != "matrix":
         raise ParseError(lineno, f"expected 'matrix <rows> <cols>', got {line!r}")
-    try:
-        rows, cols = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(lineno, f"bad matrix dimensions in {line!r}") from None
+    rows, cols = (_int(t, lineno, "matrix dimension") for t in parts[1:])
     if rows < 0 or cols < 0:
         raise ParseError(lineno, "matrix dimensions must be non-negative")
     data = []
@@ -215,10 +221,7 @@ def _parse_code_body(
     parts = line.split()
     if len(parts) != 3 or parts[0] != "code":
         raise ParseError(lineno, f"expected 'code <n> <k>', got {line!r}")
-    try:
-        n, k = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(lineno, f"bad code dimensions in {line!r}") from None
+    n, k = (_int(t, lineno, "code parameter") for t in parts[1:])
     if n < 1 or k < 0 or k > n:
         raise ParseError(lineno, f"invalid code parameters [{n},{k}]")
     rows = []
@@ -299,7 +302,7 @@ def load_mp(text: str, *, strict: bool = True) -> tuple[MPCode, MPFileClaims]:
         parts = line.split()
         if len(parts) != 2 or parts[0] != "constituent":
             raise ParseError(lineno, f"expected 'constituent {want}', got {line!r}")
-        if int(parts[1]) != want:
+        if _int(parts[1], lineno, "constituent index") != want:
             raise ParseError(
                 lineno, f"constituent sections out of order: expected {want}"
             )

@@ -274,25 +274,16 @@ def galois_inner_product(a, b, ell: int = 0, *, spec: FieldSpec | None = None) -
 # distance strategies
 # ----------------------------------------------------------------------
 
-def _compact_dtype(q: int):
-    if q <= 255:
-        return np.uint8
-    if q <= 32767:
-        return np.int16
-    return np.int64
-
-
 def _span_table(spec: FieldSpec, gen: np.ndarray) -> np.ndarray:
     """All q^k combinations of the given generator rows (k small)."""
     q = spec.q
     n = gen.shape[1]
-    dt = _compact_dtype(q)
-    table = np.zeros((1, n), dtype=dt)
+    table = np.zeros((1, n), dtype=np.uint8)
     for row in gen:
         blocks = [table]
         for lam in range(1, q):
             scaled = spec.mul_arr(np.int64(lam), row)
-            blocks.append(spec.add_arr(table, scaled[None, :]).astype(dt))
+            blocks.append(spec.add_arr(table, scaled[None, :]))
         table = np.vstack(blocks)
     return table
 
@@ -358,13 +349,13 @@ def _has_weight_w_codeword(spec: FieldSpec, parity: np.ndarray, n: int, w: int) 
     r = parity.shape[0]
     if r == 0:
         return True  # whole space: weight-w words exist for every w <= n
-    # all (q-1)^w value patterns, shape (w, V)
+    # value patterns with first value 1, shape (w, V): by linearity every
+    # weight-w codeword on a support is a nonzero multiple of one of them
     vals = np.array(
-        list(product(range(1, q), repeat=w)), dtype=np.int64
-    ).T.reshape(w, -1)
+        [(1,) + rest for rest in product(range(1, q), repeat=w - 1)], dtype=np.uint8
+    ).T
     for support in combinations(range(n), w):
         cols = parity[:, support]  # r x w
-        acc = np.zeros((r, vals.shape[1]), dtype=np.int64)
         prods = spec.mul_arr(cols[:, :, None], vals[None, :, :])  # r x w x V
         acc = spec.sum_arr(prods, axis=1)
         if bool(np.any(~acc.any(axis=0))):

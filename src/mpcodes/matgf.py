@@ -191,13 +191,13 @@ class MatGF:
             raise DimensionError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        if self.rows == 0 or other.cols == 0:
-            return MatGF.zeros(self.spec, self.rows, other.cols)
-        if self.cols == 0:
-            return MatGF.zeros(self.spec, self.rows, other.cols)
+        # fold over the inner axis: no temporary beyond one rows x cols block
         spec = self.spec
-        prods = spec.mul_arr(self.data[:, :, None], other.data[None, :, :])
-        return MatGF(spec, spec.sum_arr(prods, axis=1))
+        a, b = self.data, other.data
+        acc = np.zeros((self.rows, other.cols), dtype=np.uint8)
+        for k in range(self.cols):
+            acc = spec.add_arr(acc, spec.mul_arr(a[:, k : k + 1], b[k : k + 1]))
+        return MatGF(spec, acc)
 
     def kron(self, other: "MatGF") -> "MatGF":
         """Kronecker product, (rows*rows') x (cols*cols')."""

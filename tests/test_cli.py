@@ -51,13 +51,15 @@ def test_info_parse_error_exit_code(tmp_path):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["info", "{bad_header}"], 11),
+        (["info", "{bad_header}"], 10),
         (["dual", "{f2}", "--ell", "3"], 11),
         (["verify", "{f2}", "--ell", "1"], 11),
         (["search", "--matrix", "{mat}", "--mode", "so", "--n", "4", "--dims", "1,x"], 11),
         (["check", "{f2}", "--mode", "so", "--ell", "1"], 11),
         (["mp", "{bad_entry}"], 10),
         (["info", "{missing}"], 10),
+        (["mp", "{bad_index}"], 10),
+        (["info", "{big_field}"], 10),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, argv, expected):
@@ -69,9 +71,18 @@ def test_bad_input_exit_codes(tmp_path, argv, expected):
         "field p=2 e=1\ndefmatrix\nmatrix 1 1\n1\n"
         "constituent 1\ncode 3 1\n1 7 1\n"
     )
+    bad_index = tmp_path / "bad_index.mp"
+    bad_index.write_text(
+        "field p=2 e=1\ndefmatrix\nmatrix 1 1\n1\n"
+        "constituent one\ncode 3 1\n1 1 1\n"
+    )
+    big_field = tmp_path / "big_field.code"
+    big_field.write_text("field p=257 e=1\ncode 3 1\n1 1 1\n")
     paths = {
         "bad_header": str(bad_header),
         "bad_entry": str(bad_entry),
+        "bad_index": str(bad_index),
+        "big_field": str(big_field),
         "missing": str(tmp_path / "missing.code"),
         "f2": fixture("f2_2x5_so.mp"),
         "mat": fixture("f2_2x5_so_matrix.mat"),

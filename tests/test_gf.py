@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from mpcodes import (
     format_element,
     parse_element,
 )
+from mpcodes.gf import _poly_mul
 
 ALL_Q = sorted(DEFAULT_MODULI)
 
@@ -97,11 +100,39 @@ def test_inverse_errors_and_identities():
         f4.inv(0)
 
 
+def _trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _euclid_inverse(f, a):
+    """a^-1 by extended Euclid on (modulus, a); digit-list polynomials."""
+    p = f.p
+    r0, r1 = list(f.modulus), _trim(f._digits(a))
+    s0, s1 = [], [1]  # invariant: s_i * a = r_i modulo the modulus
+    while r1:
+        rem, quot = list(r0), [0] * len(r0)
+        while len(rem) >= len(r1):
+            c, shift = rem[-1] * pow(r1[-1], -1, p) % p, len(rem) - len(r1)
+            quot[shift] = c
+            for i, x in enumerate(r1):
+                rem[shift + i] = (rem[shift + i] - c * x) % p
+            _trim(rem)
+        prod = _poly_mul(_trim(quot), s1, p)
+        diff = [
+            (x - y) % p for x, y in zip_longest(s0, prod, fillvalue=0)
+        ]
+        r0, r1, s0, s1 = r1, rem, s1, _trim(diff)
+    scale = pow(r0[0], -1, p)  # r0 is a nonzero constant
+    return f._encode([x * scale % p for x in s0])
+
+
 @pytest.mark.parametrize("q", [q for q in ALL_Q if field(q).e > 1])
 def test_table_inverse_matches_euclid(q):
     f = field(q)
     for a in range(1, q):
-        assert f.inv(a) == f._inv_direct(a)
+        assert f.inv(a) == _euclid_inverse(f, a)
 
 
 def test_primitive_elements():
@@ -181,22 +212,52 @@ def test_element_operators_and_mismatch():
     assert bool(f4.zero()) is False and bool(t) is True
 
 
-@pytest.mark.parametrize("q", ALL_Q)
-def test_bulk_ops_bit_identical_to_scalar(q):
-    f = field(q)
+# Every default field, plus x^2+1 over GF(3), x^4+x^3+x^2+x+1 over GF(2)
+# (x has order 5, so the exp-table walk must skip candidate 2) and the
+# largest supported sizes.
+REFERENCE_FIELDS = {str(q): (q, None) for q in ALL_Q} | {
+    "9-x2+1": (9, (1, 0, 1)),
+    "16-x4+x3+x2+x+1": (16, (1, 1, 1, 1, 1)),
+    "251": (251, None),
+    "256": (256, (1, 0, 1, 1, 1, 0, 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_FIELDS)
+def test_bulk_ops_bit_identical_to_scalar(name):
+    # scalar and bulk ops read the same tables, so both are checked
+    # against the polynomial reference rather than against each other
+    f = field(*REFERENCE_FIELDS[name])
+    q, p = f.q, f.p
     xs = np.repeat(np.arange(q), q)
     ys = np.tile(np.arange(q), q)
-    add_v = f.add_arr(xs, ys)
-    mul_v = f.mul_arr(xs, ys)
-    sub_v = f.sub_arr(xs, ys)
-    for x, y, a, m, s in zip(xs, ys, add_v, mul_v, sub_v):
-        assert int(a) == f.add(int(x), int(y))
-        assert int(m) == f.mul(int(x), int(y))
-        assert int(s) == f.sub(int(x), int(y))
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    neg = [f._mul_direct(p - 1, y) for y in range(q)]  # -y = (p-1)*y
+    ref = {
+        "add": [f._add_direct(x, y) for x, y in pairs],
+        "sub": [f._add_direct(x, neg[y]) for x, y in pairs],
+        "mul": [f._mul_direct(x, y) for x, y in pairs],
+    }
+    for op, want in ref.items():
+        assert [getattr(f, op)(x, y) for x, y in pairs] == want, op
+        assert getattr(f, op + "_arr")(xs, ys).tolist() == want, op
+    assert [f.neg(y) for y in range(q)] == neg
+    assert f.neg_arr(np.arange(q)).tolist() == neg
+    for a in range(1, q):
+        assert f._mul_direct(a, f.inv(a)) == 1
+    conj = list(range(q))  # sigma^ell by repeated reference products
     for ell in range(f.e):
-        fr = f.frobenius_arr(np.arange(q), ell)
-        for x, v in zip(range(q), fr):
-            assert int(v) == f.frobenius(x, ell)
+        assert [f.frobenius(x, ell) for x in range(q)] == conj
+        assert f.frobenius_arr(np.arange(q), ell).tolist() == conj
+        conj = [reduce(lambda acc, _: f._mul_direct(acc, x), range(p), 1) for x in conj]
+
+
+def test_field_size_cap():
+    # every table entry is a uint8, so q is limited to 256
+    with pytest.raises(ValueError, match="q <= 256"):
+        field(257)
+    with pytest.raises(ValueError, match="q <= 256"):
+        FieldSpec(3, 6, (2, 1, 0, 0, 0, 0, 1))
 
 
 def test_sum_arr_matches_scalar_fold():

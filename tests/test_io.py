@@ -28,6 +28,11 @@ def test_field_header_errors():
         fmt.parse_field_header("field p=2 e=2 mod=1,0,1")  # reducible
     with pytest.raises(fmt.ParseError):
         fmt.parse_field_header("field p=2 e=2 bogus=1")
+    for bad in ("field p=x e=1", "field p=2 e=one", "field p=2 e=2 mod=1,x,1"):
+        with pytest.raises(fmt.ParseError, match="line 3"):
+            fmt.parse_field_header(bad, 3)
+    with pytest.raises(fmt.ParseError, match="q <= 256"):
+        fmt.parse_field_header("field p=257 e=1")
 
 
 def test_matrix_roundtrip(rng):
@@ -107,6 +112,8 @@ def test_mp_structure_errors():
         fmt.load_mp(base)
     with pytest.raises(fmt.ParseError, match="out of order"):
         fmt.load_mp(base + "constituent 2\ncode 2 1\n1 1\n")
+    with pytest.raises(fmt.ParseError, match="line 6"):
+        fmt.load_mp(base + "constituent one\ncode 2 1\n1 1\n")
     # constituent length mismatch
     bad = (
         base

@@ -153,7 +153,7 @@ def test_min_distance_repetition_and_errors():
 
 def test_min_distance_strategies_agree(rng):
     for _ in range(25):
-        q = rng.choice([2, 3, 4])
+        q = rng.choice([2, 3, 4, 5, 8, 9])
         f = field(q)
         n = rng.randint(2, 10)
         c = random_code(f, n, rng.randint(1, min(n, 5)), rng)

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -32,6 +34,43 @@ def test_matmul_mismatches():
         _ = a @ MatGF.identity(f3, 2)
     with pytest.raises(DimensionError):
         _ = a @ MatGF.zeros(f2, 3, 1)
+
+
+def test_matmul_matches_scalar_fold():
+    for q in (2, 3, 4, 9):
+        f = field(q)
+        gen = np.random.default_rng(q)
+        for rows, inner, cols in [(3, 0, 4), (2, 1, 5), (4, 3, 1), (5, 7, 6)]:
+            a = MatGF(f, gen.integers(0, q, (rows, inner)))
+            b = MatGF(f, gen.integers(0, q, (inner, cols)))
+            want = [
+                [
+                    reduce(f.add, (f.mul(int(a.data[i, k]), int(b.data[k, j]))
+                                   for k in range(inner)), 0)
+                    for j in range(cols)
+                ]
+                for i in range(rows)
+            ]
+            got = a @ b
+            assert got.shape == (rows, cols)
+            assert got.data.tolist() == want
+
+
+@pytest.mark.parametrize("q", [2, 9])
+def test_matmul_memory_is_bounded(q):
+    # the product folds over the inner axis instead of materialising a
+    # rows x inner x cols tensor (16 MiB here at one byte per entry)
+    f = field(q)
+    gen = np.random.default_rng(q)
+    a = MatGF(f, gen.integers(0, q, (64, 512)))
+    b = MatGF(f, gen.integers(0, q, (512, 64)))
+    tracemalloc.start()
+    try:
+        a @ b
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024, peak
 
 
 def test_rref_basics():
