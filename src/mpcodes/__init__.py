@@ -26,7 +26,6 @@ from .lincode import (
 from .matgf import DimensionError, MatGF, RankDeficientError, SingularMatrixError
 from .mpcode import (
     CheckReport,
-    CheckSearchConfig,
     MPCode,
     RowPartition,
     Verdict,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_MODULI",
     "CheckReport",
-    "CheckSearchConfig",
     "DimensionError",
     "DistanceBudget",
     "DistanceResult",

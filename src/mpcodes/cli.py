@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .lincode import DistanceBudget, DistanceResult, LinearCode
 from .mpcode import (
@@ -53,23 +52,6 @@ _VERDICT_EXIT = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Flags shared by the subcommands."""
-
-    ell: int = 0
-    enum_cap: int = DistanceBudget.enum_cap
-    lw_cap: int = DistanceBudget.lw_cap
-    search_cap: int = 2000
-    seed: int = 0
-    machine: bool = False
-    out: str | None = None
-
-    @property
-    def budget(self) -> DistanceBudget:
-        return DistanceBudget(enum_cap=self.enum_cap, lw_cap=self.lw_cap)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 10, not argparse's default 2
         self.print_usage(sys.stderr)
@@ -89,15 +71,13 @@ def _params_str(n: int, k: int, dist: DistanceResult | None) -> str:
     return f"[{n},{k},{dist}]"
 
 
-def _distance(code: LinearCode, cfg: RunConfig) -> DistanceResult | None:
-    if code.k == 0:
-        return None
-    return code.min_distance(cfg.budget)
+def _budget(args) -> DistanceBudget:
+    return DistanceBudget(enum_cap=args.enum_cap, lw_cap=args.lw_cap)
 
 
-def _print_params(code: LinearCode, cfg: RunConfig, prefix: str = "parameters"):
-    dist = _distance(code, cfg)
-    if cfg.machine:
+def _print_params(code: LinearCode, args, prefix: str = "parameters"):
+    dist = None if code.k == 0 else code.min_distance(_budget(args))
+    if args.machine:
         print(f"n: {code.n}")
         print(f"k: {code.k}")
         if dist is None:
@@ -123,11 +103,11 @@ def _read(path: str) -> str:
         raise _CliError(EXIT_USAGE, f"cannot read {path}: {exc}") from None
 
 
-def _write_out(cfg: RunConfig, text: str, what: str):
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _write_out(args, text: str, what: str):
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"{what}: {cfg.out}" if cfg.machine else f"wrote {what} to {cfg.out}")
+        print(f"{what}: {args.out}" if args.machine else f"wrote {what} to {args.out}")
     else:
         sys.stdout.write(text)
 
@@ -137,61 +117,56 @@ def _write_out(cfg: RunConfig, text: str, what: str):
 # ----------------------------------------------------------------------
 
 def cmd_info(args) -> int:
-    cfg = _config(args)
     code = fmt.load_code(_read(args.codefile))
-    _print_params(code, cfg)
+    _print_params(code, args)
     return EXIT_HOLDS
 
 
 def cmd_mp(args) -> int:
-    cfg = _config(args)
     mp, _ = fmt.load_mp(_read(args.mpfile))
     code = expand(mp)
-    _print_params(code, cfg)
-    _write_out(cfg, fmt.dump_code(code), "code")
+    _print_params(code, args)
+    _write_out(args, fmt.dump_code(code), "code")
     return EXIT_HOLDS
 
 
 def cmd_dual(args) -> int:
-    cfg = _config(args)
     mp, _ = fmt.load_mp(_read(args.mpfile))
     a = mp.defmatrix
     if a.rank() == a.rows:
-        dual_mp, dual_code = dual_full_rank(mp, cfg.ell)
+        dual_mp, dual_code = dual_full_rank(mp, args.ell)
         path = "full-rank"
     else:
-        dual_code = dual_general(mp, cfg.ell)
+        dual_code = dual_general(mp, args.ell)
         dual_mp = None
         blocks = row_partition(a).blocks
         path = "partition{" + "|".join(
             ",".join(str(i) for i in b) for b in blocks
         ) + "}"
     print(f"path: {path}")
-    _print_params(dual_code, cfg, prefix="dual-parameters")
-    if dual_mp is not None and not cfg.machine:
+    _print_params(dual_code, args, prefix="dual-parameters")
+    if dual_mp is not None and not args.machine:
         print("dual MP form: constituent duals "
               + " ".join(f"[{c.n},{c.k}]" for c in dual_mp.constituents)
               + " mixed by:")
         for line in fmt.dump_matrix(dual_mp.defmatrix).splitlines()[1:]:
             print("  " + line)
-    _write_out(cfg, fmt.dump_code(dual_code), "dual code")
+    _write_out(args, fmt.dump_code(dual_code), "dual code")
     return EXIT_HOLDS
 
 
 def cmd_check(args) -> int:
-    cfg = _config(args)
     mp, _ = fmt.load_mp(_read(args.mpfile))
     if args.mode == "so":
-        report = check_self_orthogonal(mp, cfg.ell)
+        report = check_self_orthogonal(mp, args.ell)
     else:
-        report = check_dual_containing_general(mp, cfg.ell)
+        report = check_dual_containing_general(mp, args.ell)
     for line in fmt.report_lines(report):
         print(line)
     return _VERDICT_EXIT[report.verdict]
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
     mp, claims = fmt.load_mp(_read(args.mpfile), strict=False)
     lines: list[tuple[str, str]] = []  # (check name, agree|disagree|skip ...)
 
@@ -206,7 +181,7 @@ def cmd_verify(args) -> int:
 
     code = expand(mp)
     spec = mp.spec
-    dual = dual_general(mp, cfg.ell)
+    dual = dual_general(mp, args.ell)
 
     # dual correctness by definition: dimensions complementary and every
     # basis vector orthogonal (in the l-Galois product) to every
@@ -217,7 +192,7 @@ def cmd_verify(args) -> int:
             spec,
             [int(x) for x in g],
             [int(y) for y in h],
-            cfg.ell,
+            args.ell,
         )
         == 0
         for g in code.gen.data
@@ -229,15 +204,15 @@ def cmd_verify(args) -> int:
 
     # full set-level oracle comparison when within cap
     try:
-        brute = oracle.dual_by_definition(code, cfg.ell, cap=args.oracle_cap)
+        brute = oracle.dual_by_definition(code, args.ell, cap=args.oracle_cap)
         lines.append(
             ("dual oracle", "agree" if brute == dual else "disagree")
         )
     except oracle.OracleCapError as exc:
         lines.append(("dual oracle", f"skip ({exc})"))
 
-    so_report = check_self_orthogonal(mp, cfg.ell)
-    so_truth = oracle.so_by_definition(code, cfg.ell, cap=args.oracle_cap)
+    so_report = check_self_orthogonal(mp, args.ell)
+    so_truth = oracle.so_by_definition(code, args.ell, cap=args.oracle_cap)
     lines.append(
         (
             "self-orthogonal",
@@ -245,7 +220,7 @@ def cmd_verify(args) -> int:
         )
     )
 
-    dc_report = check_dual_containing_general(mp, cfg.ell)
+    dc_report = check_dual_containing_general(mp, args.ell)
     containment = dual.is_subcode(code)
     if dc_report.verdict is Verdict.INCONCLUSIVE:
         lines.append(("dual-containing", f"skip (inconclusive; containment={containment})"))
@@ -271,19 +246,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg = _config(args)
     a = fmt.load_matrix(_read(args.matrix))
     dims = tuple(int(x) for x in args.dims.split(","))
     req = SearchRequest(
         mode=args.mode,
-        ell=cfg.ell,
+        ell=args.ell,
         n=args.n,
         dims=dims,
         target=args.target,
-        seed=cfg.seed,
+        seed=args.seed,
         count=args.count,
-        max_candidates=cfg.search_cap,
-        budget=cfg.budget,
+        max_candidates=args.search_cap,
+        budget=_budget(args),
     )
     try:
         hits = search_mp_codes(a, req)
@@ -294,8 +268,8 @@ def cmd_search(args) -> int:
         big = expand(hit.mp)
         print(f"candidate {idx}: [{big.n},{big.k},{hit.distance}] attempt {hit.attempt}")
         text = fmt.dump_mp(hit.mp)
-        if cfg.out:
-            path = f"{cfg.out}{idx}.mp"
+        if args.out:
+            path = f"{args.out}{idx}.mp"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             print(f"file: {path}")
@@ -310,18 +284,6 @@ def cmd_search(args) -> int:
 # ----------------------------------------------------------------------
 # wiring
 # ----------------------------------------------------------------------
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        ell=getattr(args, "ell", 0),
-        enum_cap=getattr(args, "enum_cap", DistanceBudget.enum_cap),
-        lw_cap=getattr(args, "lw_cap", DistanceBudget.lw_cap),
-        search_cap=getattr(args, "search_cap", 2000),
-        seed=getattr(args, "seed", 0),
-        machine=getattr(args, "machine", False),
-        out=getattr(args, "out", None),
-    )
-
 
 def _add_common(p: argparse.ArgumentParser, *, ell: bool = True):
     if ell:

@@ -336,6 +336,11 @@ class FieldSpec:
             raise ValueError(f"encoding {a} out of range for GF({self.q})")
         return a
 
+    def check_ell(self, ell: int) -> None:
+        """Refuse a Galois level outside 0 <= ell < e."""
+        if not 0 <= ell < self.e:
+            raise ValueError(f"ell={ell} out of range [0, {self.e})")
+
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 

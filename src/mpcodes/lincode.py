@@ -1,8 +1,9 @@
 """Linear codes over GF(p^e): canonical form, duals, lattice, distance.
 
 A :class:`LinearCode` is stored in canonical form (RREF generator with
-no zero rows), which makes equality, subcode tests and file output
-stable.  Duals come in Euclidean and l-Galois flavours; the Galois dual
+no zero rows), which makes equality and file output stable.  A code
+X lies in Y iff G_X @ H_Y^T = 0, with H_Y spanning the Euclidean dual
+of Y.  Duals come in Euclidean and l-Galois flavours; the Galois dual
 is computed through the Euclidean dual by one Frobenius map.
 
 Minimum distance supports three strategies:
@@ -166,8 +167,7 @@ class LinearCode:
         row = MatGF.from_rows(self.spec, [list(vec)])
         if row.cols != self.n:
             raise DimensionError(f"vector length {row.cols}, expected {self.n}")
-        stacked = MatGF.vstack([self.gen, row])
-        return stacked.rank() == self.k
+        return (row @ self.gen.kernel_basis().T).is_zero()
 
     # -- duals ---------------------------------------------------------------
 
@@ -178,21 +178,20 @@ class LinearCode:
     def galois_dual(self, ell: int) -> "LinearCode":
         """The l-Galois dual: the Frobenius power e-l applied to the
         Euclidean dual (ell = 0 gives the Euclidean dual itself)."""
-        if not 0 <= ell < self.spec.e:
-            raise ValueError(f"ell={ell} out of range [0, {self.spec.e})")
+        self.spec.check_ell(ell)
         dual = self.euclidean_dual()
         if ell == 0:
             return dual
+        # sigma fixes 0 and 1 and maps nonzero entries to nonzero ones, so
+        # it keeps a canonical generator canonical, with the same pivots
         mapped = dual.gen.frobenius_map(self.spec.e - ell)
-        return LinearCode.from_generator(mapped)
+        return LinearCode(self.spec, self.n, mapped, _canonical=True)
 
     def is_subcode(self, other: "LinearCode") -> bool:
-        """True iff self is contained in other."""
+        """True iff self is contained in other: G_self @ H_other^T = 0,
+        with H_other spanning the Euclidean dual of other."""
         self._check_compatible(other)
-        if self.k == 0:
-            return True
-        stacked = MatGF.vstack([other.gen, self.gen])
-        return stacked.rank() == other.k
+        return (self.gen @ other.gen.kernel_basis().T).is_zero()
 
     def __add__(self, other: "LinearCode") -> "LinearCode":
         """Sum of codes: the span of both generating sets."""
@@ -206,12 +205,8 @@ class LinearCode:
 
     def is_galois_self_orthogonal(self, ell: int) -> bool:
         """True iff the code is contained in its own l-Galois dual."""
-        if not 0 <= ell < self.spec.e:
-            raise ValueError(f"ell={ell} out of range [0, {self.spec.e})")
-        if self.k == 0:
-            return True
-        prod = self.gen @ self.gen.frobenius_map(ell).T
-        return prod.is_zero()
+        self.spec.check_ell(ell)
+        return (self.gen @ self.gen.frobenius_map(ell).T).is_zero()
 
     # -- minimum distance -----------------------------------------------------
 
@@ -260,8 +255,7 @@ def galois_inner_product(a, b, ell: int = 0, *, spec: FieldSpec | None = None) -
                 raise FieldMismatchError("elements from different fields")
     if spec is None:
         raise ValueError("spec required when passing raw encodings")
-    if not 0 <= ell < spec.e:
-        raise ValueError(f"ell={ell} out of range [0, {spec.e})")
+    spec.check_ell(ell)
     enc_a = [x.enc if isinstance(x, FieldElement) else spec.check(int(x)) for x in a]
     enc_b = [x.enc if isinstance(x, FieldElement) else spec.check(int(x)) for x in b]
     acc = 0

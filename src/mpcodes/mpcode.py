@@ -20,6 +20,7 @@ rest of the package.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
@@ -31,7 +32,6 @@ from .matgf import DimensionError, MatGF, RankDeficientError
 
 __all__ = [
     "CheckReport",
-    "CheckSearchConfig",
     "MPCode",
     "RowPartition",
     "Verdict",
@@ -168,12 +168,9 @@ class CheckReport:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CheckSearchConfig:
-    """Caps for the sufficient-only dual-containment search."""
-
-    max_pairs: int = 64
-    max_submatrices: int = 128
+# caps for the sufficient-only dual-containment search
+MAX_PAIRS = 64
+MAX_SUBMATRICES = 128
 
 
 # ----------------------------------------------------------------------
@@ -208,8 +205,7 @@ def dual_full_rank(
     code; pass one explicitly to reproduce a specific presentation.
     """
     spec = mp.spec
-    if not 0 <= ell < spec.e:
-        raise ValueError(f"ell={ell} out of range [0, {spec.e})")
+    spec.check_ell(ell)
     a = mp.defmatrix
     m, n_cols = a.rows, a.cols
     if completion is None:
@@ -281,8 +277,7 @@ def dual_general(mp: MPCode, ell: int = 0) -> LinearCode:
     the expansion of :func:`dual_full_rank`.
     """
     spec = mp.spec
-    if not 0 <= ell < spec.e:
-        raise ValueError(f"ell={ell} out of range [0, {spec.e})")
+    spec.check_ell(ell)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         part = row_partition(mp.defmatrix)
@@ -306,23 +301,19 @@ def check_self_orthogonal(mp: MPCode, ell: int = 0) -> CheckReport:
 
     The condition matrix is the twisted Gram product of the defining
     matrix with itself; for each nonzero (i, j) entry, constituent i
-    must lie in the l-Galois dual of constituent j.  The verdict is an
-    if-and-only-if.
+    must lie in the l-Galois dual of constituent j, that is
+    sigma^l(G_i) @ G_j^T = 0.  The verdict is an if-and-only-if.
     """
-    spec = mp.spec
-    if not 0 <= ell < spec.e:
-        raise ValueError(f"ell={ell} out of range [0, {spec.e})")
+    mp.spec.check_ell(ell)
     a = mp.defmatrix
     cond = a.frobenius_map(ell) @ a.T
+    twisted = [c.gen.frobenius_map(ell) for c in mp.constituents]
     witnesses = []
-    dual_cache: dict[int, LinearCode] = {}
     for i in range(1, a.rows + 1):
         for j in range(1, a.rows + 1):
             if cond.data[i - 1, j - 1] == 0:
                 continue
-            if j not in dual_cache:
-                dual_cache[j] = mp.constituents[j - 1].galois_dual(ell)
-            ok = mp.constituents[i - 1].is_subcode(dual_cache[j])
+            ok = (twisted[i - 1] @ mp.constituents[j - 1].gen.T).is_zero()
             witnesses.append(
                 Witness(i, j, f"C{i}<=dual_{ell}(C{j})", ok)
             )
@@ -346,15 +337,16 @@ def _dc_witnesses(
     zeta, for a (left, right) pair of full-row-rank sub-MP codes.
 
     Condition strings name original constituent indices; the (i, j)
-    coordinates address zeta itself.
+    coordinates address zeta itself.  With H spanning a constituent's
+    Euclidean dual, dual_l(C_i) <= C_j iff sigma^(e-l)(H_i) @ H_j^T = 0.
     """
-    spec = left.spec
     m_left = left.num_constituents
     m_right = right.num_constituents
     n_cols = zeta.rows
-    full = LinearCode.full(spec, left.n)
+    twist = left.spec.e - ell
+    # each H is built at most once: left and right may share constituents
+    parity = functools.cache(lambda code: code.gen.kernel_basis())
     out: list[Witness] = []
-    dual_cache: dict[int, LinearCode] = {}
     for i in range(1, n_cols + 1):
         for j in range(1, n_cols + 1):
             if zeta.data[i - 1, j - 1] == 0:
@@ -363,18 +355,13 @@ def _dc_witnesses(
                 out.append(Witness(i, j, f"zeta[{i},{j}]=0", False))
             elif i <= m_left and j > m_right:
                 ci = left.constituents[i - 1]
-                out.append(
-                    Witness(i, j, f"C{left_rows[i - 1]}=F", ci == full)
-                )
+                out.append(Witness(i, j, f"C{left_rows[i - 1]}=F", ci.is_full))
             elif i > m_left and j <= m_right:
                 cj = right.constituents[j - 1]
-                out.append(
-                    Witness(i, j, f"C{right_rows[j - 1]}=F", cj == full)
-                )
+                out.append(Witness(i, j, f"C{right_rows[j - 1]}=F", cj.is_full))
             else:
-                if i not in dual_cache:
-                    dual_cache[i] = left.constituents[i - 1].galois_dual(ell)
-                ok = dual_cache[i].is_subcode(right.constituents[j - 1])
+                h_i = parity(left.constituents[i - 1]).frobenius_map(twist)
+                ok = (h_i @ parity(right.constituents[j - 1]).T).is_zero()
                 out.append(
                     Witness(
                         i,
@@ -397,9 +384,7 @@ def check_dual_containing_full_rank(
     on the completion (zeta itself may); pass one to reproduce a
     specific zeta.
     """
-    spec = mp.spec
-    if not 0 <= ell < spec.e:
-        raise ValueError(f"ell={ell} out of range [0, {spec.e})")
+    mp.spec.check_ell(ell)
     a = mp.defmatrix
     if completion is None:
         completion = a.complete_to_invertible()  # raises if rank-deficient
@@ -412,13 +397,12 @@ def check_dual_containing_full_rank(
     return CheckReport(verdict, zeta, "zeta", tuple(wit))
 
 
-def check_dual_containing_general(
-    mp: MPCode, ell: int = 0, config: CheckSearchConfig | None = None
-) -> CheckReport:
+def check_dual_containing_general(mp: MPCode, ell: int = 0) -> CheckReport:
     """Sufficient l-Galois dual-containment test for any defining matrix.
 
     For a full-row-rank defining matrix this delegates to the exact
-    checker.  Otherwise it searches, within the configured caps, over
+    checker.  Otherwise it searches, within MAX_PAIRS block pairs and
+    MAX_SUBMATRICES submatrices, over
     ordered pairs of row-partition blocks and (when the matrix has full
     column rank) over invertible N-row submatrices; if some candidate
     satisfies all four conditions the code is certainly dual-containing,
@@ -426,10 +410,7 @@ def check_dual_containing_general(
     sufficient only).
     """
     spec = mp.spec
-    if not 0 <= ell < spec.e:
-        raise ValueError(f"ell={ell} out of range [0, {spec.e})")
-    if config is None:
-        config = CheckSearchConfig()
+    spec.check_ell(ell)
     a = mp.defmatrix
     rank = a.rank()
     if rank == a.rows:
@@ -449,13 +430,13 @@ def check_dual_containing_general(
     for bi in part.blocks:
         for bj in part.blocks:
             candidates.append((bi, bj))
-    capped = len(candidates) > config.max_pairs
-    candidates = candidates[: config.max_pairs]
+    capped = len(candidates) > MAX_PAIRS
+    candidates = candidates[:MAX_PAIRS]
 
     sub_count = 0
     if rank == a.cols:
         for rows_sel in combinations(range(1, a.rows + 1), a.cols):
-            if sub_count >= config.max_submatrices:
+            if sub_count >= MAX_SUBMATRICES:
                 capped = True
                 break
             sub = a.row_submatrix(list(rows_sel))

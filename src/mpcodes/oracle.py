@@ -7,8 +7,24 @@ counting.  Only scalar field arithmetic is shared with the structured
 modules; none of the row-reduction or kernel machinery is reused, so a
 bug there cannot hide from a cross-check against this module.
 
+Containment is decided as everywhere else in the package, X <= Y iff
+every word of X is orthogonal to a basis of Y's dual, but with the
+elimination and the inner products of this module.
+
 All operations are capped; exceeding a cap raises
-:class:`OracleCapError` rather than silently degrading.
+:class:`OracleCapError` rather than silently degrading.  What ``cap``
+bounds:
+
+* ``enumerate_codewords``, ``min_distance_exhaustive``: the q^k
+  codewords listed;
+* ``dual_vectors_by_definition``, ``dual_by_definition``: the ambient
+  scan runs only when its work, q^n candidates times q^k codewords, fits;
+  otherwise the dual's q^(n-k) vectors must fit (the first lists them
+  all, the second builds the code from the n - k basis rows alone);
+* ``so_by_definition``: pairs of codewords are tested only when
+  q^k <= min(64, cap);
+* ``is_subset_by_enumeration(a, b)``: the q^k words of ``a``, the only
+  code enumerated.
 """
 
 from __future__ import annotations
@@ -100,6 +116,51 @@ def scalar_inner(spec: FieldSpec, a, b, ell: int) -> int:
     return acc
 
 
+def _scan_fits(code: LinearCode, cap: int) -> bool:
+    """Whether the ambient scan's work, q^n candidates times q^k
+    codewords, fits under ``cap``."""
+    return code.spec.q ** (code.n + code.k) <= cap
+
+
+def _scan_dual(code: LinearCode, ell: int, cap: int) -> list[tuple[int, ...]]:
+    """The l-Galois dual's vectors, by testing every ambient vector
+    against the full codeword list."""
+    spec = code.spec
+    q = spec.q
+    words = enumerate_codewords(code, cap).words
+    out = []
+    add, mul, frob = spec.add, spec.mul, spec.frobenius
+    for cand in product(range(q), repeat=code.n):
+        fcand = [frob(x, ell) for x in cand]
+        hit = True
+        for w in words:
+            acc = 0
+            for x, y in zip(w, fcand):
+                acc = add(acc, mul(x, y))
+            if acc != 0:
+                hit = False
+                break
+        if hit:
+            out.append(cand)
+    expected = q ** (code.n - code.k)
+    if len(out) != expected:
+        raise AssertionError(
+            f"definition scan found {len(out)} vectors, expected {expected}"
+        )
+    return out
+
+
+def _dual_basis(code: LinearCode, ell: int, cap: int) -> list[list[int]]:
+    """A basis of the l-Galois dual by local elimination, refused when
+    the dual has more than ``cap`` vectors."""
+    expected = code.spec.q ** (code.n - code.k)
+    if expected > cap:
+        raise OracleCapError(
+            f"dual has q^(n-k) = {expected} vectors, exceeds cap {cap}"
+        )
+    return _solve_orthogonal_basis(code.spec, _gen_rows(code), code.n, ell)
+
+
 def dual_vectors_by_definition(
     code: LinearCode, ell: int = 0, cap: int = DEFAULT_CAP
 ) -> list[tuple[int, ...]]:
@@ -107,50 +168,23 @@ def dual_vectors_by_definition(
 
     When the scan's work, q^n candidates times q^k codewords, fits under
     ``cap`` this scans the whole ambient space against the full codeword
-    list; otherwise it solves the defining relations with an elimination
-    routine local to this module.
+    list; otherwise it spans the basis solved by an elimination routine
+    local to this module.
     """
     spec = code.spec
+    spec.check_ell(ell)
+    if _scan_fits(code, cap):
+        return _scan_dual(code, ell, cap)
     q = spec.q
-    n = code.n
-    if not 0 <= ell < spec.e:
-        raise ValueError(f"ell={ell} out of range [0, {spec.e})")
-    expected = q ** (n - code.k)
-    if q ** (n + code.k) <= cap:
-        words = enumerate_codewords(code, cap).words
-        out = []
-        add, mul, frob = spec.add, spec.mul, spec.frobenius
-        for cand in product(range(q), repeat=n):
-            fcand = [frob(x, ell) for x in cand]
-            hit = True
-            for w in words:
-                acc = 0
-                for x, y in zip(w, fcand):
-                    acc = add(acc, mul(x, y))
-                if acc != 0:
-                    hit = False
-                    break
-            if hit:
-                out.append(cand)
-        if len(out) != expected:
-            raise AssertionError(
-                f"definition scan found {len(out)} vectors, expected {expected}"
-            )
-        return out
-    if expected > cap:
-        raise OracleCapError(
-            f"dual has q^(n-k) = {expected} vectors, exceeds cap {cap}"
-        )
-    basis = _solve_orthogonal_basis(spec, _gen_rows(code), n, ell)
-    out = [tuple([0] * n)]
-    for row in basis:
+    out = [tuple([0] * code.n)]
+    for row in _dual_basis(code, ell, cap):
         new = []
         for lam in range(1, q):
             scaled = tuple(spec.mul(lam, x) for x in row)
             for w in out:
                 new.append(tuple(spec.add(a, b) for a, b in zip(w, scaled)))
         out.extend(new)
-    if len(set(out)) != expected:
+    if len(set(out)) != q ** (code.n - code.k):
         raise AssertionError("orthogonal span has wrong size")
     return sorted(set(out))
 
@@ -203,13 +237,19 @@ def _solve_orthogonal_basis(
 def dual_by_definition(
     code: LinearCode, ell: int = 0, cap: int = DEFAULT_CAP
 ) -> LinearCode:
-    """The l-Galois dual, packaged as a canonical LinearCode."""
-    vectors = dual_vectors_by_definition(code, ell, cap)
-    nonzero = [v for v in vectors if any(v)]
-    if not nonzero:
+    """The l-Galois dual, packaged as a canonical LinearCode.
+
+    It is built from the scanned vectors when the ambient scan fits
+    under ``cap``, else from the n - k rows of the solved basis.
+    """
+    code.spec.check_ell(ell)
+    if _scan_fits(code, cap):
+        rows = [v for v in _scan_dual(code, ell, cap) if any(v)]
+    else:
+        rows = _dual_basis(code, ell, cap)
+    if not rows:
         return LinearCode.zero(code.spec, code.n)
-    gen = MatGF.from_rows(code.spec, nonzero)
-    return LinearCode.from_generator(gen)
+    return LinearCode.from_generator(MatGF.from_rows(code.spec, rows))
 
 
 def so_by_definition(code: LinearCode, ell: int = 0, cap: int = DEFAULT_CAP) -> bool:
@@ -219,8 +259,7 @@ def so_by_definition(code: LinearCode, ell: int = 0, cap: int = DEFAULT_CAP) -> 
     the generator product, evaluated with scalar arithmetic.
     """
     spec = code.spec
-    if not 0 <= ell < spec.e:
-        raise ValueError(f"ell={ell} out of range [0, {spec.e})")
+    spec.check_ell(ell)
     if code.k == 0:
         return True
     if spec.q**code.k <= min(_PAIRWISE_LIMIT, cap):
@@ -242,9 +281,14 @@ def so_by_definition(code: LinearCode, ell: int = 0, cap: int = DEFAULT_CAP) -> 
 def is_subset_by_enumeration(
     a: LinearCode, b: LinearCode, cap: int = DEFAULT_CAP
 ) -> bool:
-    """Set-level containment check: every codeword of a is one of b."""
+    """Set-level containment check: every codeword of a is orthogonal to
+    a basis of b's Euclidean dual, so lies in b.  Only a is enumerated."""
     if a.spec != b.spec or a.n != b.n:
         raise ValueError("codes are not comparable")
-    words_a = enumerate_codewords(a, cap).as_set()
-    words_b = enumerate_codewords(b, cap).as_set()
-    return words_a <= words_b
+    spec = a.spec
+    checks = _solve_orthogonal_basis(spec, _gen_rows(b), b.n, 0)
+    return all(
+        scalar_inner(spec, w, h, 0) == 0
+        for w in enumerate_codewords(a, cap).words
+        for h in checks
+    )

@@ -180,6 +180,14 @@ def test_verify_fixture_and_negative_control():
     assert "disagree" in out
 
 
+def test_verify_checks_dual_containment_of_a_large_code():
+    # [20,17] over GF(9): the oracle lists only the 9^3 dual words
+    rc, out = run_cli("verify", fixture("f9_4x4_dc.mp"), "--ell", "1")
+    assert rc == 0
+    assert "check dual-containing oracle: agree" in out.splitlines()
+    assert "result: all-agree" in out
+
+
 def test_verify_skip_lines_on_cap():
     rc, out = run_cli("verify", fixture("f5_3x4_nsc.mp"), "--oracle-cap", "10")
     assert rc == 0

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 import warnings
 
@@ -242,6 +243,62 @@ def test_check_self_orthogonal_witness_order(rng):
     rep = check_self_orthogonal(MPCode(cons, a), 1)
     coords = [(w.i, w.j) for w in rep.witnesses]
     assert coords == sorted(coords)
+
+
+def _contained(x, y):
+    """x <= y decided by sums, independently of is_subcode."""
+    return x + y == y
+
+
+def _witness_truth(mp, w, ell):
+    """The containment a witness's condition string names, decided by sums
+    with duals from galois_dual."""
+    cons = mp.constituents
+    if m := re.fullmatch(r"C(\d+)<=dual_(\d+)\(C(\d+)\)", w.condition):
+        assert int(m[2]) == ell
+        return "so", _contained(cons[int(m[1]) - 1], cons[int(m[3]) - 1].galois_dual(ell))
+    if m := re.fullmatch(r"dual_(\d+)\(C(\d+)\)<=C(\d+)", w.condition):
+        assert int(m[1]) == ell
+        return "dc", _contained(cons[int(m[2]) - 1].galois_dual(ell), cons[int(m[3]) - 1])
+    if m := re.fullmatch(r"C(\d+)=F", w.condition):
+        c = cons[int(m[1]) - 1]
+        return "full", c == LinearCode.full(c.spec, c.n)
+    assert re.fullmatch(r"zeta\[\d+,\d+\]=0", w.condition), w.condition
+    return "zeta", False
+
+
+def _related_constituents(f, n, m, ell, rng):
+    """m constituents drawn mostly from one code's l-Galois lattice, so
+    that containments hold often enough to test both outcomes."""
+    e = random_code(f, n, rng.randint(0, n), rng)
+    d = e.galois_dual(ell)
+    pool = [e, d, e + d, e & d, LinearCode.zero(f, n), LinearCode.full(f, n)]
+    return [
+        rng.choice(pool) if rng.random() < 0.75 else random_code(f, n, rng.randint(0, n), rng)
+        for _ in range(m)
+    ]
+
+
+def test_every_witness_matches_containment_by_sums():
+    # each witness's ok, not only the verdict, must equal the containment
+    # its condition names; SO and DC (full-rank and partition paths)
+    rng = random.Random(5150)
+    seen = {}
+    for q in (2, 3, 4, 8, 9):
+        f = field(q)
+        for _ in range(30):
+            m, ncols = rng.randint(1, 4), rng.randint(1, 4)
+            a = random_matrix(f, m, ncols, rng)
+            n = rng.randint(1, 4)
+            for ell in range(f.e):
+                mp = MPCode(_related_constituents(f, n, m, ell, rng), a)
+                for rep in (check_self_orthogonal(mp, ell), check_dual_containing_general(mp, ell)):
+                    for w in rep.witnesses:
+                        kind, truth = _witness_truth(mp, w, ell)
+                        assert w.ok == truth, (q, ell, w)
+                        seen[kind, truth] = seen.get((kind, truth), 0) + 1
+    for kind in ("so", "dc", "full"):
+        assert seen.get((kind, True), 0) >= 20 and seen.get((kind, False), 0) >= 20, seen
 
 
 def test_check_dc_full_rank_iff_containment(rng):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 
-from mpcodes import LinearCode, MatGF, field
+from mpcodes import LinearCode, MatGF, expand, field
+from mpcodes import io as fmt
 from mpcodes import oracle
 
-from conftest import code, random_code
+from conftest import FIXTURES, code, random_code
 
 
 def test_enumerate_basics():
@@ -77,6 +80,24 @@ def test_dual_by_definition_kernel_path(rng):
         oracle.dual_by_definition(big, 0, cap=1 << 10)
 
 
+def test_dual_by_definition_keeps_to_the_basis_rows(rng):
+    # a random [15,5] GF(4) code has 4^10 dual words; the dual is built
+    # from its 10 solved basis rows without listing them
+    f4 = field(4)
+    c = random_code(f4, 15, 5, rng)
+    while c.k != 5:
+        c = random_code(f4, 15, 5, rng)
+    for ell in range(2):
+        tracemalloc.start()
+        try:
+            got = oracle.dual_by_definition(c, ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == c.galois_dual(ell)
+        assert peak < 4 << 20, peak
+
+
 def test_so_by_definition():
     f4 = field(4)
     assert oracle.so_by_definition(LinearCode.zero(f4, 4), 1) is True
@@ -114,6 +135,19 @@ def test_is_subset_by_enumeration():
     b = code(f2, ["1 1 0 0", "0 0 1 1"])
     assert oracle.is_subset_by_enumeration(a, b)
     assert not oracle.is_subset_by_enumeration(b, a)
+
+
+def test_is_subset_enumerates_only_the_first_code():
+    # f9_4x4_dc.mp expands to a 1-Galois dual-containing [20,17] code over
+    # GF(9): 9^17 codewords, far over the cap, but its dual has 9^3
+    mp, _ = fmt.load_mp((FIXTURES / "f9_4x4_dc.mp").read_text())
+    big = expand(mp)
+    dual1, dual0 = big.galois_dual(1), big.galois_dual(0)
+    assert oracle.is_subset_by_enumeration(dual1, big)
+    assert dual0 != dual1 and dual0.k == dual1.k
+    assert not oracle.is_subset_by_enumeration(dual1, dual0)
+    with pytest.raises(oracle.OracleCapError):
+        oracle.is_subset_by_enumeration(big, dual1)
 
 
 def test_scalar_inner():
