@@ -290,10 +290,13 @@ def _add_common(p: argparse.ArgumentParser, *, ell: bool = True):
         p.add_argument("--ell", type=int, default=0, help="Galois level (0 = Euclidean)")
     p.add_argument("--enum-cap", dest="enum_cap", type=int,
                    default=DistanceBudget.enum_cap,
-                   help="max q^k for full codeword enumeration")
+                   help="max q^k for which the distance enumeration runs "
+                        "without a cap (strategy enum)")
     p.add_argument("--lw-cap", dest="lw_cap", type=int,
                    default=DistanceBudget.lw_cap,
-                   help="max membership tests in the low-weight search")
+                   help="above --enum-cap: max codewords the information-set "
+                        "enumeration lists, or membership tests the low-weight "
+                        "search makes, before settling for bounds")
     p.add_argument("--machine", action="store_true",
                    help="machine-readable one-fact-per-line output")
     p.add_argument("--out", default=None, help="output file path")

@@ -6,12 +6,21 @@ X lies in Y iff G_X @ H_Y^T = 0, with H_Y spanning the Euclidean dual
 of Y.  Duals come in Euclidean and l-Galois flavours; the Galois dual
 is computed through the Euclidean dual by one Frobenius map.
 
-Minimum distance supports three strategies:
+Minimum distance is decided by one information-set enumerator
+(Brouwer-Zimmermann): the columns are split greedily into disjoint
+information sets, messages of weight 1, 2, ... are listed on each set's
+systematic generator (first nonzero coefficient 1), and the sum over the
+sets of the weight an unlisted codeword must still have there is a
+certified lower bound.  The ``strategy`` of a result says how it was
+obtained:
 
-* full enumeration of the q^k codewords (exact),
-* low-weight search: test all vectors of weight w = 1, 2, ... for
-  membership against the parity relations (exact once a hit is found),
-* otherwise certified (lower, upper) bounds.
+* ``enum``: q^k <= ``enum_cap``; the enumerator runs uncapped (exact),
+* ``info-sets``: q^k > ``enum_cap`` and at least two sets have rank k;
+  the enumerator certified d within ``lw_cap`` codewords (exact),
+* ``low-weight``: fewer than two full-rank sets; every vector of weight
+  w = 1, 2, ... is tested against the parity relations within
+  ``lw_cap`` tests (exact once a hit is found),
+* ``bounds``: a cap ran out first; certified (lower, upper) bounds.
 
 Strategy selection and caps live in :class:`DistanceBudget`.
 """
@@ -19,9 +28,9 @@ Strategy selection and caps live in :class:`DistanceBudget`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -41,16 +50,13 @@ class UndefinedDistanceError(ValueError):
     """Minimum distance is undefined (the zero code has no nonzero word)."""
 
 
-class CapExceededError(RuntimeError):
-    """An enumeration or search cap was exceeded."""
-
-
 @dataclass(frozen=True)
 class DistanceBudget:
     """Caps controlling how hard minimum-distance computation may work.
 
-    enum_cap: largest q^k for which full codeword enumeration runs.
-    lw_cap: total membership tests allowed for the low-weight search.
+    enum_cap: largest q^k for which the enumerator runs without a cap.
+    lw_cap: above ``enum_cap``, the codewords the enumerator may list,
+        or the membership tests the low-weight search may make.
     chunk: codewords held in memory at once during enumeration.
     """
 
@@ -70,7 +76,11 @@ class DistanceResult:
 
     lower: int
     upper: int
-    strategy: str  # "enum" | "low-weight" | "bounds"
+    # "enum": uncapped enumeration, q^k <= enum_cap; "info-sets":
+    # enumeration certified within lw_cap; "low-weight": parity search
+    # hit, for codes with fewer than two full-rank information sets;
+    # "bounds": a cap ran out, lower < upper
+    strategy: str
 
     @property
     def exact(self) -> bool:
@@ -219,9 +229,16 @@ class LinearCode:
             budget = DistanceBudget()
         if self.k == 0:
             raise UndefinedDistanceError("the zero code has no minimum distance")
-        q = self.spec.q
-        if q**self.k <= budget.enum_cap:
-            return DistanceResult(*(2 * (_min_weight_enum(self, budget),)), "enum")
+        k = self.k
+        sets = _information_sets(self)
+        if self.spec.q**k <= budget.enum_cap:
+            d, _ = _info_set_search(self, sets, budget.chunk)
+            return DistanceResult(d, d, "enum")
+        # two full-rank sets need n >= 2k; below that skip the elimination
+        head = list(islice(sets, 2)) if 2 * k <= self.n else []
+        if len(head) == 2 and head[1][0] == k:
+            lower, upper = _info_set_search(self, chain(head, sets), budget.chunk, budget.lw_cap)
+            return DistanceResult(lower, upper, "info-sets" if lower == upper else "bounds")
         found, searched_to = _low_weight_search(self, budget)
         if found is not None:
             return DistanceResult(found, found, "low-weight")
@@ -268,49 +285,143 @@ def galois_inner_product(a, b, ell: int = 0, *, spec: FieldSpec | None = None) -
 # distance strategies
 # ----------------------------------------------------------------------
 
-def _span_table(spec: FieldSpec, gen: np.ndarray) -> np.ndarray:
-    """All q^k combinations of the given generator rows (k small)."""
-    q = spec.q
-    n = gen.shape[1]
-    table = np.zeros((1, n), dtype=np.uint8)
-    for row in gen:
-        blocks = [table]
-        for lam in range(1, q):
-            scaled = spec.mul_arr(np.int64(lam), row)
-            blocks.append(spec.add_arr(table, scaled[None, :]))
-        table = np.vstack(blocks)
-    return table
+# Listing this many more words on the first set, which then certifies
+# d on its own, costs less time than building one more information set.
+_FINISH_WORDS = 1 << 10
 
 
-def _min_weight_enum(code: LinearCode, budget: DistanceBudget) -> int:
-    """Exact minimum weight by chunked enumeration of all codewords."""
+def _information_sets(code: LinearCode) -> Iterator[tuple[int, np.ndarray]]:
+    """Greedy disjoint information sets, built one at a time, each as
+    (rank r, systematic generator).
+
+    The first is the pivot columns of the canonical generator, at no
+    cost.  Each further set is the pivots that one RREF, with the unused
+    columns first, finds among those columns; a set with r < k is
+    completed by k - r pivots among the columns already used.  Every
+    generator has an identity on its k pivot columns, so message m gives
+    the codeword that reads m there.  Stops when the unused columns have
+    rank 0.
+    """
     spec = code.spec
-    q = spec.q
-    gen = code.gen.data
+    gen = code.gen.data.astype(np.uint8)
     k, n = gen.shape
-    # inner block: as many trailing generators as fit in one chunk
-    k_in = 0
-    while k_in < k and q ** (k_in + 1) <= budget.chunk:
-        k_in += 1
-    k_in = max(k_in, 1) if k else 0
-    inner = _span_table(spec, gen[k - k_in :])
-    outer_gens = gen[: k - k_in]
-    best = n + 1
-    for msg in product(range(q), repeat=k - k_in):
-        word = np.zeros(n, dtype=np.int64)
-        for coef, row in zip(msg, outer_gens):
-            if coef:
-                word = spec.add_arr(word, spec.mul_arr(np.int64(coef), row))
-        block = spec.add_arr(inner, word.astype(inner.dtype)[None, :])
-        w = np.count_nonzero(block, axis=1)
-        nz = w[w > 0]
-        if nz.size:
-            m = int(nz.min())
-            if m < best:
-                best = m
-                if best == 1:
-                    return 1
-    return best
+    yield k, gen
+    used = [int(np.flatnonzero(row)[0]) for row in gen]
+    taken = set(used)
+    unused = [c for c in range(n) if c not in taken]
+    while unused:
+        order = unused + used
+        red, pivots = MatGF(spec, gen[:, order]).rref()
+        cols = [order[p - 1] for p in pivots if p <= len(unused)]
+        if not cols:
+            return
+        systematic = np.empty((k, n), dtype=np.uint8)
+        systematic[:, order] = red.data
+        yield len(cols), systematic
+        used += cols
+        taken = set(cols)
+        unused = [c for c in unused if c not in taken]
+
+
+def _message_blocks(spec: FieldSpec, scaled: np.ndarray, w: int, chunk: int):
+    """The codewords of the weight-w messages whose first nonzero
+    coefficient is 1, in blocks of at most ``chunk`` words (or one word).
+
+    ``scaled[c - 1]`` is c times the generator.  A block too large is
+    split depth first over its leading message position; each block adds
+    its terms with one table gather and one table add per position.
+    """
+    qm1, k, n = scaled.shape
+
+    def tails(prefix, last: int, left: int, lead: int):
+        # positions after ``last`` take ``left`` more terms; when
+        # ``lead`` is 1 the first of them has coefficient 1
+        if comb(k - 1 - last, left) * qm1 ** (left - lead) <= chunk:
+            supp = np.array(list(combinations(range(last + 1, k), left)), dtype=np.uint16)
+            coef = np.array(
+                [(0,) * lead + c for c in product(range(qm1), repeat=left - lead)],
+                dtype=np.uint8,
+            )
+            words = np.broadcast_to(prefix, (len(supp), len(coef), n))
+            for t in range(left):
+                words = spec.add_arr(words, scaled[coef[None, :, t], supp[:, None, t]])
+            yield words.reshape(-1, n)
+            return
+        for i in range(last + 1, k - left + 1):
+            for c in range(1 if lead else qm1):
+                yield from tails(spec.add_arr(prefix, scaled[c, i]), i, left - 1, 0)
+
+    yield from tails(np.zeros(n, dtype=np.uint8), -1, w, 1)
+
+
+def _info_set_search(
+    code: LinearCode,
+    sets: Iterator[tuple[int, np.ndarray]],
+    chunk: int,
+    cap: int | None = None,
+) -> tuple[int, int]:
+    """Brouwer-Zimmermann enumeration over disjoint information sets.
+
+    Set j (rank r_j) lists every message of weight <= w_j on its
+    systematic generator, up to scalars.  A word not yet seen has
+    message weight > w_j on every set, hence at least w_j + 1 - (k - r_j)
+    nonzeros on set j's columns: ``lower`` sums these over the disjoint
+    sets, and ``upper`` is the lightest word seen.  All sets are built
+    first, one at a time, unless the first set can list all its
+    remaining words within ``_FINISH_WORDS``.  Then the cheapest step
+    that raises ``lower`` by one goes first: one more level on a set (a
+    set with r_j < k catches up to level k - r_j at once).  Returns
+    (lower, upper), equal once certified.  With a ``cap`` on the
+    codewords listed, a step that would exceed it is not started, and
+    the bracket so far is returned.
+    """
+    spec = code.spec
+    q, k = spec.q, code.k
+    coefs = np.arange(1, q, dtype=np.uint8)[:, None, None]
+    ranks: list[int] = []
+    scaled: list[np.ndarray] = []
+    done: list[int] = []
+
+    def add(r: int, gen: np.ndarray) -> None:
+        ranks.append(r)
+        scaled.append(spec.mul_arr(coefs, gen[None]))
+        done.append(0)
+
+    def bound() -> int:
+        return sum(max(0, w + 1 - (k - r)) for w, r in zip(done, ranks))
+
+    def levels(j: int) -> range:
+        return range(done[j] + 1, max(done[j] + 1, k - ranks[j]) + 1)
+
+    def cost(v: int) -> int:
+        return comb(k, v) * (q - 1) ** (v - 1)
+
+    sets = iter(sets)
+    _, gen = next(sets)
+    add(k, gen)
+    # level 1 of the first set is the canonical generator's rows
+    done[0] = 1
+    upper = int(np.count_nonzero(gen, axis=1).min())
+    if sum(map(cost, range(2, k + 1))) > _FINISH_WORDS:
+        for r, gen in sets:
+            if bound() >= upper:
+                break
+            add(r, gen)
+    spent = k
+    while True:
+        lower = bound()
+        if lower >= upper or k in done:
+            # done[j] == k: set j has listed every codeword
+            return upper, upper
+        step, j = min((sum(map(cost, levels(j))), j) for j in range(len(ranks)))
+        if cap is not None and spent + step > cap:
+            return lower, upper
+        spent += step
+        todo = levels(j)
+        for v in todo:
+            for block in _message_blocks(spec, scaled[j], v, chunk):
+                upper = min(upper, int(np.count_nonzero(block, axis=1).min()))
+        done[j] = todo[-1]
 
 
 def _low_weight_search(

@@ -112,11 +112,10 @@ def _sample_inside(
                 # restrict further samples to vectors orthogonal to the
                 # rows chosen so far, in both slot orders
                 row_code = LinearCode.from_generator(MatGF(spec, rows))
-                space = (
-                    ambient
-                    & row_code.galois_dual(so_ell)
-                    & row_code.galois_dual((spec.e - so_ell) % spec.e)
-                )
+                space = ambient & row_code.galois_dual(so_ell)
+                other_ell = (spec.e - so_ell) % spec.e
+                if other_ell != so_ell:
+                    space = space & row_code.galois_dual(other_ell)
     if len(rows) != dim:
         return None
     return LinearCode.from_generator(MatGF(spec, rows))
@@ -146,9 +145,14 @@ def _sample_dual_containing(
     if d is None:
         return None
     cand = d.galois_dual(inv_ell)
-    if cand.k != dim or not base.is_subcode(cand):
+    if cand.k != dim:
         return None
-    if not cand.galois_dual(ell).is_subcode(cand):
+    # with H spanning the Euclidean dual of cand: base <= cand iff
+    # G_base @ H^T = 0, and dual_l(cand) <= cand iff sigma^(e-l)(H) @ H^T = 0
+    h = cand.gen.kernel_basis()
+    if not (base.gen @ h.T).is_zero():
+        return None
+    if not (h.frobenius_map(spec.e - ell) @ h.T).is_zero():
         return None
     return cand
 

@@ -33,6 +33,25 @@ def test_info_machine_mode(tmp_path):
     assert "strategy: enum" in out
 
 
+def _facts(out):
+    return dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+
+
+def test_mp_distance_from_information_sets():
+    """f8_2x5.mp expands to a [50,9] code with two full-rank information
+    sets: the default caps certify d = 20, and a small --lw-cap leaves a
+    bracket tighter than the low-weight search's searched_to + 1 = 4."""
+    rc, out = run_cli("mp", fixture("f8_2x5.mp"), "--machine")
+    assert rc == 0
+    facts = _facts(out)
+    assert (facts["d"], facts["strategy"]) == ("20", "info-sets")
+    rc, out = run_cli("mp", fixture("f8_2x5.mp"), "--machine", "--lw-cap", "1000")
+    assert rc == 0
+    facts = _facts(out)
+    assert facts["strategy"] == "bounds" and "d" not in facts
+    assert 4 < int(facts["d_lower"]) < 20 <= int(facts["d_upper"])
+
+
 def test_info_zero_code(tmp_path):
     path = tmp_path / "zero.code"
     path.write_text("field p=2 e=1\ncode 4 0\n")

@@ -1,0 +1,168 @@
+"""Minimum distance: every strategy against independent references."""
+
+import json
+import random
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from mpcodes import DistanceBudget, LinearCode, MatGF, dual_general, expand, field, oracle
+from mpcodes import io as fmt
+
+from conftest import FIXTURES, random_code, random_matrix
+
+REFERENCES = Path(__file__).resolve().parent.parent / "bench" / "data" / "fixture_codes.json"
+
+
+def _fixture_code(row, mps):
+    text = (FIXTURES / row["fixture"]).read_text()
+    if row["code"] == "code":
+        return fmt.load_code(text)
+    if row["fixture"] not in mps:
+        mps[row["fixture"]] = fmt.load_mp(text)[0]
+    mp = mps[row["fixture"]]
+    return expand(mp) if row["code"] == "expand" else dual_general(mp, row["ell"])
+
+
+def test_default_budget_is_exact_on_every_fixture_code():
+    """The reference d of every fixture expansion and dual, each found by
+    a route other than the default strategy, is met exactly."""
+    rows = json.loads(REFERENCES.read_text())
+    assert rows
+    mps = {}
+    for row in rows:
+        code = _fixture_code(row, mps)
+        assert (code.n, code.k) == (row["n"], row["k"]), row
+        r = code.min_distance()
+        assert r.exact and r.d == row["d"], (row, r, r.strategy)
+
+
+def _two_set_code(f, k, extra, rng):
+    """[I | A | R] with A invertible: at least two full-rank information
+    sets, so the information-set path is taken above ``enum_cap``."""
+    while True:
+        a = random_matrix(f, k, k, rng)
+        if a.rank() == k:
+            break
+    rows = [
+        [int(i == j) for j in range(k)] + list(a.data[i])
+        + [rng.randrange(f.q) for _ in range(extra)]
+        for i in range(k)
+    ]
+    return LinearCode.from_generator(MatGF(f, rows))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_enumerator_matches_oracle(q):
+    """``enum`` (default budget) on random codes, and ``info-sets``
+    (enum_cap=1) on [I | A | R] codes, agree with the brute-force oracle;
+    chunks of 2 or 3 words split every level."""
+    rng = random.Random(1000 + q)
+    f = field(q)
+    kmax = 5 if q <= 5 else 3
+    for _ in range(12):
+        n = rng.randint(1, 12)
+        c = random_code(f, n, rng.randint(1, min(n, kmax)), rng)
+        if c.k == 0:
+            continue
+        d = oracle.min_distance_exhaustive(c)
+        for chunk in (DistanceBudget.chunk, 2):
+            r = c.min_distance(DistanceBudget(chunk=chunk))
+            assert r.strategy == "enum" and r.exact and r.d == d, (c, r)
+    for _ in range(8):
+        k = rng.randint(1, kmax)
+        c = _two_set_code(f, k, rng.randint(0, 4), rng)
+        d = oracle.min_distance_exhaustive(c)
+        for chunk in (DistanceBudget.chunk, 3):
+            r = c.min_distance(DistanceBudget(enum_cap=1, chunk=chunk))
+            assert r.strategy == "info-sets" and r.exact and r.d == d, (c, r)
+
+
+def test_several_information_sets_match_oracle():
+    """2^12, 3^8 and 4^6 words are too many to list on the first set
+    alone, so the enumerator builds every set: at the seed 24 of the 40
+    codes have two of rank k (``info-sets`` under enum_cap=1), and 39
+    end with one of rank r < k, whose share of the lower bound is only
+    w + 1 - (k - r)."""
+    rng = random.Random(4)
+    for _ in range(40):
+        q, k = rng.choice([(2, 12), (3, 8), (4, 6)])
+        f = field(q)
+        c = random_code(f, rng.randint(k + 2, 3 * k + 2), k, rng)
+        d = oracle.min_distance_exhaustive(c)
+        for budget in (DistanceBudget(), DistanceBudget(enum_cap=1)):
+            r = c.min_distance(budget)
+            assert r.lower <= d <= r.upper, (c, r, d)
+            assert r.exact == (r.strategy != "bounds"), r
+            assert not r.exact or r.d == d, (c, r, d)
+
+
+def test_tiny_budget_gives_a_certified_bracket():
+    rng = random.Random(7)
+    seen_bounds = 0
+    for q in (2, 3, 4, 8):
+        f = field(q)
+        for _ in range(6):
+            c = _two_set_code(f, rng.randint(3, 5 if q <= 4 else 4), rng.randint(2, 6), rng)
+            d = oracle.min_distance_exhaustive(c)
+            for cap in (1, 10, 40, 200):
+                r = c.min_distance(DistanceBudget(enum_cap=1, lw_cap=cap))
+                assert r.strategy in ("info-sets", "bounds")
+                assert 1 <= r.lower <= d <= r.upper <= c.n, (c, cap, r, d)
+                assert r.exact == (r.strategy == "info-sets")
+                seen_bounds += r.strategy == "bounds"
+    assert seen_bounds >= 10
+
+
+def test_low_weight_matches_oracle_above_rate_one_half(rng):
+    """Codes of rate above 1/2 have one full-rank information set, so
+    above ``enum_cap`` they take the low-weight search."""
+    checked = 0
+    for q, n in ((2, 12), (3, 9), (4, 7), (5, 6)):
+        f = field(q)
+        for _ in range(6):
+            k = rng.randint(n // 2 + 1, n - 1)
+            c = random_code(f, n, k, rng)
+            if 2 * c.k <= n:
+                continue
+            r = c.min_distance(DistanceBudget(enum_cap=1))
+            assert r.strategy == "low-weight" and r.exact
+            assert r.d == oracle.min_distance_exhaustive(c)
+            checked += 1
+    assert checked >= 15
+
+
+def _reed_muller_2_6():
+    """RM(2, 6): evaluations of the monomials of degree <= 2 in 6
+    variables, a binary [64, 22, 16] code; the points are shuffled so
+    that the information sets have ranks 22, 22 and 20."""
+    f2 = field(2)
+    points = [[(x >> i) & 1 for i in range(6)] for x in range(64)]
+    random.Random(0).shuffle(points)
+    monomials = [()] + [(i,) for i in range(6)]
+    monomials += [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    rows = [[int(all(p[i] for i in mono)) for p in points] for mono in monomials]
+    return LinearCode.from_generator(MatGF(f2, rows))
+
+
+def _grs_16_8():
+    """A generalized Reed-Solomon [16, 8, 9] code over GF(16): MDS."""
+    f16 = field(16)
+    points = list(range(16))
+    rows = [[f16.pow(x, i) if (x or i) else 1 for x in points] for i in range(8)]
+    return LinearCode.from_generator(MatGF(f16, rows))
+
+
+@pytest.mark.parametrize("make, d", [(_reed_muller_2_6, 16), (_grs_16_8, 9)])
+def test_enumeration_memory_stays_near_chunk(make, d):
+    code = make()
+    chunk = 1 << 12
+    tracemalloc.start()
+    try:
+        r = code.min_distance(DistanceBudget(chunk=chunk))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.exact and r.d == d
+    assert peak < 8 * chunk * code.n, peak
