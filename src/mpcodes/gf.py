@@ -12,10 +12,13 @@ Every operation reads one set of lookup tables (add, sub, mul, neg,
 inv and Frobenius), built once in ``FieldSpec.__init__``.  The tables are
 generated from direct polynomial arithmetic (``_add_direct`` and
 ``_mul_direct``), which is kept only as that generator and as the test
-reference.  Bulk (numpy) operations index uint8 copies of the tables and
-scalar operations index plain-list copies; characteristic-2 bulk
-addition is XOR, the same function.  Fields are limited to q <= 256, the
-largest size whose q x q tables fit in uint8 (64 KiB each).
+reference.  Scalar operations index plain-list copies.  Bulk (numpy)
+binary operations make one ``take`` from a flat q*q uint8 table at the
+uint16 index ``a*q + b``; characteristic-2 bulk addition is XOR, the
+same function.  Two float64 tables, the base-p digits of each element
+and its regular representation (the digits of x^s * b), serve the exact
+matrix product of :mod:`mpcodes.matgf`.  Fields are limited to q <= 256,
+so every entry fits in uint8 (a q x q table is 64 KiB).
 
 The default modulus table uses Conway polynomials, so for instance
 GF(4) is built with x^2+x+1, GF(8) with x^3+x+1 and GF(9) with
@@ -174,12 +177,17 @@ class FieldSpec:
         "q",
         "modulus",
         "_prim",
-        # uint8 numpy tables, read by the bulk operations
+        # uint8 numpy tables, read by the bulk operations (ADD, SUB and
+        # MUL flat, at a*q + b)
         "_ADD",
         "_SUB",
         "_MUL",
         "_NEG",
         "_FROB",
+        # float64, read by MatGF.__matmul__: _DIG[s, a] is digit s of a,
+        # _REG[s, b, t] is digit t of x^s * b
+        "_DIG",
+        "_REG",
         # the same tables as nested lists, read by the scalar operations
         "_add",
         "_sub",
@@ -278,8 +286,12 @@ class FieldSpec:
         sub = add[:, neg]
         tables = {"ADD": add, "SUB": sub, "MUL": mul, "NEG": neg, "FROB": frob}
         for name, tab in tables.items():
-            object.__setattr__(self, f"_{name}", tab.astype(np.uint8))
+            flat = tab.ravel() if name in ("ADD", "SUB", "MUL") else tab
+            object.__setattr__(self, f"_{name}", flat.astype(np.uint8))
             object.__setattr__(self, f"_{name.lower()}", tab.tolist())
+        # x^s is encoded p^s, so x^s * b is mul[p^s, b]
+        object.__setattr__(self, "_DIG", digits.T.astype(np.float64))
+        object.__setattr__(self, "_REG", digits[mul[weights]].astype(np.float64))
         object.__setattr__(self, "_inv", inv.tolist())
         object.__setattr__(self, "_log", log.tolist())
         object.__setattr__(self, "_prim", g)
@@ -398,10 +410,15 @@ class FieldSpec:
 
     # -- bulk (numpy) operations on encoding arrays -----------------------
 
+    def _pairwise(self, table: np.ndarray, a, b) -> np.ndarray:
+        """table[a, b] of a flat q*q table; the temporaries are the uint16
+        index and take's intp copy of it, 10 bytes per output entry."""
+        return table.take(np.asarray(a, dtype=np.uint16) * self.q + b)
+
     def add_arr(self, a, b) -> np.ndarray:
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        return self._ADD[a, b]
+        return self._pairwise(self._ADD, a, b)
 
     def neg_arr(self, a) -> np.ndarray:
         return self._NEG[a]
@@ -409,10 +426,10 @@ class FieldSpec:
     def sub_arr(self, a, b) -> np.ndarray:
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        return self._SUB[a, b]
+        return self._pairwise(self._SUB, a, b)
 
     def mul_arr(self, a, b) -> np.ndarray:
-        return self._MUL[a, b]
+        return self._pairwise(self._MUL, a, b)
 
     def sum_arr(self, a, axis: int) -> np.ndarray:
         """Field sum along one axis of an encoding array."""
@@ -422,7 +439,7 @@ class FieldSpec:
         parts = np.moveaxis(a, axis, 0)
         out = np.zeros(parts.shape[1:], dtype=np.uint8)
         for part in parts:
-            out = self._ADD[out, part]
+            out = self._pairwise(self._ADD, out, part)
         return out
 
     def frobenius_arr(self, a, ell: int) -> np.ndarray:

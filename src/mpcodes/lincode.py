@@ -289,6 +289,9 @@ def galois_inner_product(a, b, ell: int = 0, *, spec: FieldSpec | None = None) -
 # d on its own, costs less time than building one more information set.
 _FINISH_WORDS = 1 << 10
 
+# Syndrome entries computed per product in the low-weight search.
+_SYNDROME_BLOCK = 1 << 12
+
 
 def _information_sets(code: LinearCode) -> Iterator[tuple[int, np.ndarray]]:
     """Greedy disjoint information sets, built one at a time, each as
@@ -303,7 +306,7 @@ def _information_sets(code: LinearCode) -> Iterator[tuple[int, np.ndarray]]:
     rank 0.
     """
     spec = code.spec
-    gen = code.gen.data.astype(np.uint8)
+    gen = code.gen.data
     k, n = gen.shape
     yield k, gen
     used = [int(np.flatnonzero(row)[0]) for row in gen]
@@ -459,12 +462,18 @@ def _has_weight_w_codeword(spec: FieldSpec, parity: np.ndarray, n: int, w: int) 
     vals = np.array(
         [(1,) + rest for rest in product(range(1, q), repeat=w - 1)], dtype=np.uint8
     ).T
-    for support in combinations(range(n), w):
-        cols = parity[:, support]  # r x w
-        prods = spec.mul_arr(cols[:, :, None], vals[None, :, :])  # r x w x V
-        acc = spec.sum_arr(prods, axis=1)
-        if bool(np.any(~acc.any(axis=0))):
-            return True
+    # the syndromes of B supports and V' patterns are one product of the
+    # r*B x w support columns by w x V' patterns, r*B*V' <= _SYNDROME_BLOCK
+    v = vals.shape[1]
+    width = min(v, max(1, _SYNDROME_BLOCK // r))
+    patterns = [MatGF(spec, vals[:, j : j + width]) for j in range(0, v, width)]
+    supports = combinations(range(n), w)
+    while block := list(islice(supports, max(1, _SYNDROME_BLOCK // (r * width)))):
+        cols = MatGF(spec, parity[:, block].reshape(-1, w))
+        for pats in patterns:
+            syndromes = (cols @ pats).data.reshape(r, len(block), pats.cols)
+            if not syndromes.any(axis=0).all():
+                return True
     return False
 
 

@@ -1,9 +1,13 @@
 """Exact dense linear algebra over GF(p^e).
 
-:class:`MatGF` wraps a read-only numpy array of element encodings plus
-the :class:`~mpcodes.gf.FieldSpec` they live in.  All operations are
-exact and deterministic; there is no pivoting heuristic beyond "first
-nonzero entry" because the arithmetic is exact.
+:class:`MatGF` wraps a read-only uint8 numpy array of element encodings
+plus the :class:`~mpcodes.gf.FieldSpec` they live in.  All operations
+are exact and deterministic; there is no pivoting heuristic beyond
+"first nonzero entry" because the arithmetic is exact.
+
+The product is float64 BLAS on base-p digits with one reduction mod p
+at the end (delayed reduction, as in FFLAS/FFPACK); elimination works
+in place on one uint8 copy.  Each has one code path for every q <= 256.
 
 Rows and columns are numbered from 1 throughout the public API, matching
 the usual coding-theory convention; the underlying ``.data`` array is an
@@ -43,6 +47,9 @@ class RankDeficientError(ValueError):
 # inputs where that count explodes.
 _NSC_ROW_LIMIT = 12
 
+# Inner-axis entries per GEMM of a product, which bounds its operands.
+_GEMM_INNER = 64
+
 
 class MatGF:
     """An exact rows x cols matrix over a fixed GF(p^e)."""
@@ -50,11 +57,17 @@ class MatGF:
     __slots__ = ("spec", "data")
 
     def __init__(self, spec: FieldSpec, data):
-        arr = np.array(data, dtype=np.int64)
+        arr = np.asarray(data)
+        if arr.dtype != np.uint8:
+            arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 2:
             raise DimensionError(f"matrix data must be 2-D, got shape {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() >= spec.q):
+        # checked before the cast to uint8, which would wrap -1 and 256
+        if arr.size and (
+            arr.max() >= spec.q or (arr.dtype != np.uint8 and arr.min() < 0)
+        ):
             raise ValueError(f"entries out of range for GF({spec.q})")
+        arr = arr.astype(np.uint8)
         arr.setflags(write=False)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "data", arr)
@@ -84,16 +97,16 @@ class MatGF:
                 raise DimensionError("ragged rows")
             conv.append(out)
         if not conv:
-            return cls(spec, np.zeros((0, 0), dtype=np.int64))
+            return cls(spec, np.zeros((0, 0), dtype=np.uint8))
         return cls(spec, conv)
 
     @classmethod
     def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "MatGF":
-        return cls(spec, np.zeros((rows, cols), dtype=np.int64))
+        return cls(spec, np.zeros((rows, cols), dtype=np.uint8))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "MatGF":
-        return cls(spec, np.eye(n, dtype=np.int64))
+        return cls(spec, np.eye(n, dtype=np.uint8))
 
     @classmethod
     def vstack(cls, mats: Sequence["MatGF"]) -> "MatGF":
@@ -105,7 +118,7 @@ class MatGF:
             raise DimensionError("column counts differ")
         ncol = cols.pop() if cols else mats[0].cols
         blocks = [m.data for m in mats if m.rows] or [
-            np.zeros((0, ncol), dtype=np.int64)
+            np.zeros((0, ncol), dtype=np.uint8)
         ]
         return cls(mats[0].spec, np.vstack(blocks))
 
@@ -113,7 +126,7 @@ class MatGF:
     def block_diag(cls, spec: FieldSpec, mats: Sequence["MatGF"]) -> "MatGF":
         rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
-        out = np.zeros((rows, cols), dtype=np.int64)
+        out = np.zeros((rows, cols), dtype=np.uint8)
         r = c = 0
         for m in mats:
             if m.spec != spec:
@@ -186,18 +199,38 @@ class MatGF:
         return MatGF(self.spec, self.spec.neg_arr(self.data))
 
     def __matmul__(self, other: "MatGF") -> "MatGF":
+        """The product, exact in float64.
+
+        R(b), the e x e matrix whose row s holds the base-p digits of
+        x^s * b, gives digits(a * b) = digits(a) @ R(b) mod p.  So A @ B
+        is one GEMM of the r x k*e digits of A by the k*e x c*e matrix
+        R(B) per block of ``_GEMM_INNER`` inner entries, summed, reduced
+        mod p once and read back from the digits.  Every partial sum is
+        an integer below k*e*(p-1)^2 < 2^53 (k < 2^37 suffices), exact in
+        any BLAS summation order.  Memory: two r x c*e float64 arrays
+        and one block's operands, 8*e*_GEMM_INNER*(r + c*e) bytes.
+        """
         self._check_same_field(other)
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        # fold over the inner axis: no temporary beyond one rows x cols block
         spec = self.spec
-        a, b = self.data, other.data
-        acc = np.zeros((self.rows, other.cols), dtype=np.uint8)
-        for k in range(self.cols):
-            acc = spec.add_arr(acc, spec.mul_arr(a[:, k : k + 1], b[k : k + 1]))
-        return MatGF(spec, acc)
+        e = spec.e
+        (r, k), c = self.shape, other.cols
+        acc = np.zeros((r, c * e))
+        for k0 in range(0, k, _GEMM_INNER):
+            a = self.data[:, k0 : k0 + _GEMM_INNER]
+            b = other.data[k0 : k0 + _GEMM_INNER]
+            kb = a.shape[1]
+            # column s*kb + i of the left operand is digit s of a[:, i];
+            # row s*kb + i of the right one is x^s * b[i], in digits
+            left = spec._DIG.take(a.T, axis=1).reshape(e * kb, r).T
+            right = spec._REG.take(b, axis=1).reshape(e * kb, c * e)
+            acc += left @ right
+        np.fmod(acc, spec.p, out=acc)
+        out = acc.reshape(r, c, e) @ (spec.p ** np.arange(e, dtype=np.float64))
+        return MatGF(spec, out.astype(np.uint8))
 
     def kron(self, other: "MatGF") -> "MatGF":
         """Kronecker product, (rows*rows') x (cols*cols')."""
@@ -225,8 +258,14 @@ class MatGF:
 
         Pivoting is deterministic: for each column (left to right) the
         first nonzero entry at or below the current row is the pivot.
+        In place on one uint8 copy, each other row with a nonzero in the
+        pivot column subtracts its entry of a table of the pivot row's q
+        multiples, from the pivot column on (the pivot row is zero to its
+        left).  A step's temporaries are the q x w table and a few copies
+        of the updated rows x w block, 13 bytes an entry at the peak.
         """
         spec = self.spec
+        scalars = np.arange(spec.q, dtype=np.uint8)[:, None]
         m = self.data.copy()
         rows, cols = m.shape
         pivots: list[int] = []
@@ -234,22 +273,24 @@ class MatGF:
         for c in range(cols):
             if r >= rows:
                 break
-            nz = np.flatnonzero(m[r:, c])
-            if nz.size == 0:
+            col = m[:, c]
+            nz = col.nonzero()[0]
+            i = nz.searchsorted(r)
+            if i == nz.size:
                 continue
-            pr = r + int(nz[0])
+            pr = nz[i]
             if pr != r:
-                m[[r, pr]] = m[[pr, r]]
-            pv = int(m[r, c])
-            if pv != 1:
-                m[r] = spec.mul_arr(np.int64(spec.inv(pv)), m[r])
-            others = np.flatnonzero(m[:, c])
-            others = others[others != r]
-            if others.size:
-                factors = m[others, c][:, None]
-                m[others] = spec.sub_arr(
-                    m[others], spec.mul_arr(factors, m[r][None, :])
-                )
+                # row r is zero in column c, so nz still lists the rows
+                # to clear, with the pivot row's old place as a zero row
+                m[r, c:], m[pr, c:] = m[pr, c:], m[r, c:].copy()
+            row = m[r, c:]
+            if row[0] != 1:
+                row[:] = spec.mul_arr(spec.inv(int(row[0])), row)
+            if nz.size > 1:
+                factors = col[nz]
+                factors[i] = 0  # leaves the row at nz[i] as it is
+                multiples = spec.mul_arr(scalars, row)
+                m[nz, c:] = spec.sub_arr(m[nz, c:], multiples[factors])
             pivots.append(c + 1)
             r += 1
         return MatGF(spec, m), tuple(pivots)
@@ -264,7 +305,7 @@ class MatGF:
         if n == 0:
             return self
         aug = MatGF(
-            self.spec, np.hstack([self.data, np.eye(n, dtype=np.int64)])
+            self.spec, np.hstack([self.data, np.eye(n, dtype=np.uint8)])
         )
         red, pivots = aug.rref()
         if list(pivots) != list(range(1, n + 1)):
@@ -279,7 +320,7 @@ class MatGF:
         is_free = np.ones(n, dtype=bool)
         is_free[piv0] = False
         free0 = np.flatnonzero(is_free)
-        out = np.zeros((free0.size, n), dtype=np.int64)
+        out = np.zeros((free0.size, n), dtype=np.uint8)
         out[np.arange(free0.size), free0] = 1
         # x_pivot = -(RREF entry in the free column), one free column per row
         block = red.data[: piv0.size][:, free0]
@@ -316,7 +357,7 @@ class MatGF:
             raise RankDeficientError("more rows than columns")
         n = self.cols
         extra = [j for j in range(1, n + 1) if j not in pivots]
-        out = np.zeros((n, n), dtype=np.int64)
+        out = np.zeros((n, n), dtype=np.uint8)
         out[: self.rows] = self.data
         for r, j in enumerate(extra):
             out[self.rows + r, j - 1] = 1

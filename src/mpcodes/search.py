@@ -108,7 +108,7 @@ def _sample_inside(
                 continue
         if _extends_rank(rows, vec, spec):
             rows.append(vec)
-            if so_ell is not None:
+            if so_ell is not None and len(rows) < dim:
                 # restrict further samples to vectors orthogonal to the
                 # rows chosen so far, in both slot orders
                 row_code = LinearCode.from_generator(MatGF(spec, rows))
@@ -169,12 +169,16 @@ def _so_attempt(
     for i in range(1, m + 1):
         ambient = LinearCode.full(spec, req.n)
         for j in range(1, i):
+            levels = []
             if cond.data[i - 1, j - 1] != 0:
                 # C_i inside the l-Galois dual of C_j
-                ambient = ambient & chosen[j - 1].galois_dual(ell)
-            if cond.data[j - 1, i - 1] != 0:
-                # C_j inside the l-Galois dual of C_i
-                ambient = ambient & chosen[j - 1].galois_dual(inv_ell)
+                levels.append(ell)
+            if cond.data[j - 1, i - 1] != 0 and inv_ell not in levels:
+                # C_j inside the l-Galois dual of C_i, that is C_i inside
+                # the (e-l)-Galois dual of C_j (the same when l == e - l)
+                levels.append(inv_ell)
+            for level in levels:
+                ambient = ambient & chosen[j - 1].galois_dual(level)
         so_ell = ell if cond.data[i - 1, i - 1] != 0 else None
         c = _sample_inside(ambient, req.dims[i - 1], rng, so_ell=so_ell)
         if c is None:
@@ -236,13 +240,16 @@ def _dc_attempt(
         if i in chosen:
             continue
         base = LinearCode.zero(spec, req.n)
+        duals = []  # (constituent, level); one pair may come twice
         for src, dst in pairs:
             if dst == i and src in chosen and src != i:
-                base = base + chosen[src].galois_dual(ell)
+                duals.append((src, ell))
             if src == i and dst in chosen and dst != i:
                 # dual(C_i) inside chosen C_dst, i.e. C_i contains the
                 # inverse-Galois dual of C_dst
-                base = base + chosen[dst].galois_dual(inv_ell)
+                duals.append((dst, inv_ell))
+        for j, level in dict.fromkeys(duals):
+            base = base + chosen[j].galois_dual(level)
         need_dc = (i, i) in pairs
         dim = req.dims[i - 1]
         if need_dc:

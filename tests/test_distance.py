@@ -9,6 +9,7 @@ import pytest
 
 from mpcodes import DistanceBudget, LinearCode, MatGF, dual_general, expand, field, oracle
 from mpcodes import io as fmt
+from mpcodes import lincode
 
 from conftest import FIXTURES, random_code, random_matrix
 
@@ -131,6 +132,22 @@ def test_low_weight_matches_oracle_above_rate_one_half(rng):
             assert r.d == oracle.min_distance_exhaustive(c)
             checked += 1
     assert checked >= 15
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_low_weight_blocks_match_oracle(monkeypatch, block, rng):
+    """Syndrome blocks that split the supports, and (block < r * V) the
+    value patterns, find the same distance."""
+    monkeypatch.setattr(lincode, "_SYNDROME_BLOCK", block)
+    for q, n in ((2, 10), (4, 7), (9, 5)):
+        f = field(q)
+        for _ in range(3):
+            c = random_code(f, n, n - 2, rng)
+            if 2 * c.k <= n:
+                continue
+            r = c.min_distance(DistanceBudget(enum_cap=1))
+            assert r.strategy == "low-weight"
+            assert r.d == oracle.min_distance_exhaustive(c)
 
 
 def _reed_muller_2_6():

@@ -1,6 +1,11 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +13,19 @@ import pytest
 from mpcodes import (
     DimensionError,
     FieldMismatchError,
+    FieldSpec,
     MatGF,
     RankDeficientError,
     SingularMatrixError,
     field,
 )
+from mpcodes.gf import DEFAULT_MODULI
+from mpcodes.matgf import _GEMM_INNER
 
 from conftest import mat, random_matrix
+
+# GF(256) has no default modulus: x^8 + x^4 + x^3 + x^2 + 1
+GF256_MODULUS = (1, 0, 1, 1, 1, 0, 0, 0, 1)
 
 
 def test_matmul_identity_and_zero():
@@ -36,24 +47,73 @@ def test_matmul_mismatches():
         _ = a @ MatGF.zeros(f2, 3, 1)
 
 
+def _fold_product(f, a, b):
+    """A @ B entry by entry with scalar field operations."""
+    return [
+        [
+            reduce(f.add, (f.mul(int(a.data[i, k]), int(b.data[k, j]))
+                           for k in range(a.cols)), 0)
+            for j in range(b.cols)
+        ]
+        for i in range(a.rows)
+    ]
+
+
 def test_matmul_matches_scalar_fold():
-    for q in (2, 3, 4, 9):
-        f = field(q)
-        gen = np.random.default_rng(q)
-        for rows, inner, cols in [(3, 0, 4), (2, 1, 5), (4, 3, 1), (5, 7, 6)]:
-            a = MatGF(f, gen.integers(0, q, (rows, inner)))
-            b = MatGF(f, gen.integers(0, q, (inner, cols)))
-            want = [
-                [
-                    reduce(f.add, (f.mul(int(a.data[i, k]), int(b.data[k, j]))
-                                   for k in range(inner)), 0)
-                    for j in range(cols)
-                ]
-                for i in range(rows)
-            ]
+    fields = [field(q) for q in DEFAULT_MODULI]
+    fields += [field(251), FieldSpec(2, 8, GF256_MODULUS)]
+    block = _GEMM_INNER
+    shapes = [
+        (3, 0, 4), (2, 1, 5), (4, 3, 1), (5, 7, 6),
+        (0, 3, 4), (3, 4, 0), (0, 0, 0),  # zero rows, zero columns
+        (2, block - 1, 3), (2, block, 3), (3, block + 1, 2),
+    ]
+    for f in fields:
+        gen = np.random.default_rng(f.q)
+        for rows, inner, cols in shapes:
+            a = MatGF(f, gen.integers(0, f.q, (rows, inner)))
+            b = MatGF(f, gen.integers(0, f.q, (inner, cols)))
             got = a @ b
             assert got.shape == (rows, cols)
-            assert got.data.tolist() == want
+            assert got.data.tolist() == _fold_product(f, a, b), (f, rows, inner, cols)
+    # p = 251 over 4096 inner entries, some of them all p - 1, the
+    # largest partial sums the float accumulation meets
+    f = field(251)
+    gen = np.random.default_rng(4096)
+    a = gen.integers(0, 251, (3, 4096))
+    b = gen.integers(0, 251, (4096, 2))
+    a[0] = 250
+    b[:, 0] = 250
+    got = MatGF(f, a) @ MatGF(f, b)
+    assert got.data.tolist() == _fold_product(f, MatGF(f, a), MatGF(f, b))
+
+
+def test_products_do_not_depend_on_blas_threads():
+    # the same products with one and two BLAS threads; every partial sum
+    # is an exact integer, so the summation order cannot show
+    script = (
+        "import hashlib, numpy as np\n"
+        "from mpcodes import MatGF, field\n"
+        "for q in (9, 251):\n"
+        "    gen = np.random.default_rng(q)\n"
+        "    a = MatGF(field(q), gen.integers(0, q, (200, 300)))\n"
+        "    b = MatGF(field(q), gen.integers(0, q, (300, 200)))\n"
+        "    print(hashlib.sha256((a @ b).data.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(proc.stdout.split())
+    assert outputs[0] == outputs[1]
+    # GF(251) against integer arithmetic, which involves no BLAS
+    gen = np.random.default_rng(251)
+    a = gen.integers(0, 251, (200, 300))
+    b = gen.integers(0, 251, (300, 200))
+    want = ((a @ b) % 251).astype(np.uint8)
+    assert outputs[0][1] == hashlib.sha256(want.tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("q", [2, 9])
@@ -96,6 +156,79 @@ def test_rref_idempotent_and_rank_transpose(rng):
         red2, piv2 = red.rref()
         assert red2 == red and piv2 == piv
         assert a.rank() == a.T.rank()
+
+
+def _rref_reference(f, a):
+    """RREF and pivots column by column with scalar field operations: in
+    each column the first nonzero entry at or below the current row is
+    the pivot, which is scaled to 1 and cleared from every other row."""
+    m = a.data.tolist()
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = f.inv(m[r][c])
+        m[r] = [f.mul(inv, x) for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                fac = m[i][c]
+                m[i] = [f.sub(x, f.mul(fac, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c + 1)
+        r += 1
+    return m, tuple(pivots)
+
+
+def test_rref_matches_entrywise_reference():
+    fields = [field(q) for q in (2, 3, 4, 5, 8, 9, 16, 27)]
+    fields += [field(251), FieldSpec(2, 8, GF256_MODULUS)]
+    gen = np.random.default_rng(17)
+    for f in fields:
+        for rows, cols in [(0, 3), (3, 0), (1, 1), (4, 4), (6, 9), (9, 6), (20, 30)]:
+            for _ in range(3):
+                # rank deficient: a product through fewer inner entries
+                rank = int(gen.integers(0, max(min(rows, cols), 1)))
+                left = gen.integers(0, f.q, (rows, rank))
+                right = gen.integers(0, f.q, (rank, cols))
+                right[:, gen.random(cols) < 0.3] = 0  # some zero columns
+                a = MatGF(f, left) @ MatGF(f, right)
+                red, pivots = a.rref()
+                want, want_pivots = _rref_reference(f, a)
+                assert pivots == want_pivots, (f, rows, cols)
+                assert red.data.tolist() == want, (f, rows, cols)
+
+
+def test_rref_memory_is_bounded():
+    # beyond its copy, an elimination step holds the block of rows it
+    # updates a few times, the largest as take's intp index (8 bytes an
+    # entry)
+    f = field(9)
+    a = MatGF(f, np.random.default_rng(9).integers(0, 9, (256, 512)))
+    tracemalloc.start()
+    try:
+        a.rref()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * a.data.nbytes, peak
+
+
+@pytest.mark.parametrize("q", [2, 251])
+def test_entries_out_of_range_are_refused(q):
+    # uint8 storage: -1 and 256 would wrap to valid entries after a cast
+    f = field(q)
+    for bad in (-1, q, 256):
+        for data in ([[0, bad]], np.array([[bad, 0]])):
+            with pytest.raises(ValueError, match="out of range"):
+                MatGF(f, data)
+    with pytest.raises(ValueError, match="out of range"):
+        MatGF(f, np.array([[q]], dtype=np.uint8))
+    assert MatGF(f, [[q - 1]]).data.dtype == np.uint8
 
 
 def test_rank_paper_partition_matrix():
