@@ -180,23 +180,14 @@ def cmd_verify(args) -> int:
         )
 
     code = expand(mp)
-    spec = mp.spec
     dual = dual_general(mp, args.ell)
 
     # dual correctness by definition: dimensions complementary and every
     # basis vector orthogonal (in the l-Galois product) to every
     # generator row; together these certify the dual exactly.
     dims_ok = code.k + dual.k == code.n
-    prods_ok = all(
-        oracle.scalar_inner(
-            spec,
-            [int(x) for x in g],
-            [int(y) for y in h],
-            args.ell,
-        )
-        == 0
-        for g in code.gen.data
-        for h in dual.gen.data
+    prods_ok = oracle.orthogonal_by_definition(
+        mp.spec, code.gen.data, dual.gen.data, args.ell
     )
     lines.append(
         ("dual definition", "agree" if dims_ok and prods_ok else "disagree")
@@ -332,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mpfile")
     p.add_argument("--oracle-cap", dest="oracle_cap", type=int,
                    default=oracle.DEFAULT_CAP,
-                   help="max codewords the oracle may enumerate")
+                   help="max codewords the oracle may enumerate, and max "
+                        "work q^(n+k) of its ambient dual scan (q^n candidates "
+                        "times q^k codewords)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -361,6 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _budget(args)  # every subcommand takes the distance caps: check them
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

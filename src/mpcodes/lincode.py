@@ -64,6 +64,15 @@ class DistanceBudget:
     lw_cap: int = 1 << 26
     chunk: int = 1 << 18
 
+    def __post_init__(self):
+        if self.enum_cap < 0 or self.lw_cap < 0:
+            raise ValueError(
+                f"distance caps must be >= 0 (enum_cap={self.enum_cap}, "
+                f"lw_cap={self.lw_cap})"
+            )
+        if self.chunk < 1:
+            raise ValueError(f"chunk={self.chunk} must be >= 1")
+
 
 @dataclass(frozen=True)
 class DistanceResult:

@@ -8,7 +8,8 @@ conditions by construction where possible:
 * containment constraints restrict each constituent to an intersection
   of known duals, and generators are sampled inside that subspace;
 * a self-orthogonality constraint on a single constituent is met by
-  greedy extension with orthogonality rechecked per sampled row;
+  greedy extension: each sampled row is drawn orthogonal to the rows
+  chosen so far, and kept only if its own self-product vanishes;
 * a dual-containment constraint on a single constituent is met by
   sampling a self-orthogonal complement and dualizing it.
 
@@ -23,7 +24,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .gf import FieldSpec
-from .lincode import DistanceBudget, DistanceResult, LinearCode
+from .lincode import DistanceBudget, DistanceResult, LinearCode, galois_inner_product
 from .matgf import MatGF
 from .mpcode import (
     MPCode,
@@ -102,10 +103,12 @@ def _sample_inside(
         vec = _random_vector_in(space, rng)
         if vec is None or not any(vec):
             continue
-        if so_ell is not None:
-            cand = LinearCode.from_generator(MatGF(spec, rows + [vec]))
-            if not cand.is_galois_self_orthogonal(so_ell):
-                continue
+        # rows + [vec] is self-orthogonal iff <vec, vec>_l = 0: the rows
+        # are, and vec lies in space, inside dual_l(rows) and
+        # dual_(e-l)(rows), so both cross products with each row vanish;
+        # as <a*u, b*v>_l = a * b^(p^l) * <u, v>_l, the generators decide
+        if so_ell is not None and galois_inner_product(vec, vec, so_ell, spec=spec) != 0:
+            continue
         if _extends_rank(rows, vec, spec):
             rows.append(vec)
             if so_ell is not None and len(rows) < dim:
@@ -282,6 +285,10 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
         )
     if not all(0 <= d <= req.n for d in req.dims):
         raise ValueError("dims entries must lie in [0, n]")
+    if req.count < 1:
+        raise ValueError(f"count={req.count} must be >= 1")
+    if req.max_candidates < 0:
+        raise ValueError(f"max_candidates={req.max_candidates} must be >= 0")
     if req.mode == "dc" and a.rank() != a.rows:
         raise InfeasibleSearchError(
             "dual-containment search requires a full-row-rank defining matrix"

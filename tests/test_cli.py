@@ -79,6 +79,18 @@ def test_info_parse_error_exit_code(tmp_path):
         (["info", "{missing}"], 10),
         (["mp", "{bad_index}"], 10),
         (["info", "{big_field}"], 10),
+        (["search", "--matrix", "{mat}", "--mode", "so", "--n", "4", "--dims", "1,1",
+          "--count", "0"], 11),
+        (["search", "--matrix", "{mat}", "--mode", "so", "--n", "4", "--dims", "1,1",
+          "--count", "-1"], 11),
+        (["search", "--matrix", "{mat}", "--mode", "so", "--n", "4", "--dims", "1,1",
+          "--search-cap", "-1"], 11),
+        (["verify", "{f2}", "--oracle-cap", "-5"], 11),
+        (["mp", "{f2}", "--enum-cap", "-1"], 11),
+        (["mp", "{f2}", "--lw-cap", "-1"], 11),
+        (["info", "{zero}", "--enum-cap", "-1"], 11),
+        (["check", "{f2}", "--mode", "so", "--lw-cap", "-1"], 11),
+        (["verify", "{f2}", "--enum-cap", "-1"], 11),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, argv, expected):
@@ -97,11 +109,14 @@ def test_bad_input_exit_codes(tmp_path, argv, expected):
     )
     big_field = tmp_path / "big_field.code"
     big_field.write_text("field p=257 e=1\ncode 3 1\n1 1 1\n")
+    zero = tmp_path / "zero.code"
+    zero.write_text("field p=2 e=1\ncode 4 0\n")
     paths = {
         "bad_header": str(bad_header),
         "bad_entry": str(bad_entry),
         "bad_index": str(bad_index),
         "big_field": str(big_field),
+        "zero": str(zero),
         "missing": str(tmp_path / "missing.code"),
         "f2": fixture("f2_2x5_so.mp"),
         "mat": fixture("f2_2x5_so_matrix.mat"),

@@ -75,10 +75,8 @@ def test_galois_dual_vanishing_products(rng):
         c = random_code(f, n, rng.randint(0, n), rng)
         for ell in range(f.e):
             d = c.galois_dual(ell)
-            words = oracle.enumerate_codewords(d).words
-            for w in words:
-                for g in c.gen.data:
-                    assert oracle.scalar_inner(f, [int(x) for x in g], list(w), ell) == 0
+            words = oracle.enumerate_codewords(d).array
+            assert oracle.orthogonal_by_definition(f, c.gen.data, words, ell)
 
 
 def test_is_subcode():

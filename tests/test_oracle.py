@@ -1,5 +1,7 @@
 import tracemalloc
+from itertools import product
 
+import numpy as np
 import pytest
 
 from mpcodes import LinearCode, MatGF, expand, field
@@ -7,6 +9,131 @@ from mpcodes import io as fmt
 from mpcodes import oracle
 
 from conftest import FIXTURES, code, random_code
+
+
+# -- scalar references: the oracle's definitions, one field operation at
+# -- a time, as it computed them before it worked on arrays
+
+def ref_inner(spec, a, b, ell):
+    acc = 0
+    for x, y in zip(a, b):
+        acc = spec.add(acc, spec.mul(x, spec.frobenius(y, ell)))
+    return acc
+
+
+def ref_codewords(c):
+    spec = c.spec
+    words = {tuple([0] * c.n)}
+    for row in c.gen.data.tolist():
+        new = set()
+        for lam in range(1, spec.q):
+            scaled = tuple(spec.mul(lam, x) for x in row)
+            for w in words:
+                new.add(tuple(spec.add(a, b) for a, b in zip(w, scaled)))
+        words |= new
+    return sorted(words)
+
+
+def ref_dual_vectors(c, ell):
+    words = ref_codewords(c)
+    return [
+        cand
+        for cand in product(range(c.spec.q), repeat=c.n)
+        if all(ref_inner(c.spec, w, cand, ell) == 0 for w in words)
+    ]
+
+
+def ref_so(c, ell):
+    words = ref_codewords(c)
+    return all(ref_inner(c.spec, u, v, ell) == 0 for u in words for v in words)
+
+
+def ref_min_distance(c):
+    return min(sum(1 for x in w if x) for w in ref_codewords(c) if any(w))
+
+
+# (q, n): small enough that the scalar scan of every [n, k] code stays
+# cheap; n = 0 is the degenerate code with one empty word
+REF_CASES = [(2, 0), (2, 6), (3, 4), (4, 3), (5, 3), (8, 2), (9, 2)]
+
+
+def ref_codes(rng):
+    """Seeded codes over every REF_CASES field, of every dimension 0..n."""
+    for q, n in REF_CASES:
+        f = field(q)
+        for k in range(n + 1):
+            for _ in range(2):
+                c = random_code(f, n, k, rng)
+                while c.k != k:
+                    c = random_code(f, n, k, rng)
+                yield c
+
+
+@pytest.mark.parametrize("block", [5, oracle._BLOCK])
+def test_array_oracle_matches_scalar_reference(rng, monkeypatch, block):
+    # a block of 5 rows splits every scan into many prefixes and every
+    # row set into many blocks
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    codes = list(ref_codes(rng))
+    assert {(c.spec.q, c.k) for c in codes} >= {(q, k) for q, n in REF_CASES for k in (0, n)}
+    for c in codes:
+        f, n, k = c.spec, c.n, c.k
+        words = ref_codewords(c)
+        assert oracle.enumerate_codewords(c).words == tuple(words)
+        if k:
+            assert oracle.min_distance_exhaustive(c) == ref_min_distance(c)
+        for ell in range(f.e):
+            vecs = ref_dual_vectors(c, ell)
+            # the ambient scan, then the solved basis (cap below q^(n+k))
+            for cap in (oracle.DEFAULT_CAP, max(f.q ** (n + k) - 1, f.q ** (n - k))):
+                assert oracle.dual_vectors_by_definition(c, ell, cap) == vecs
+                want = LinearCode.from_generator(MatGF(f, np.array(vecs, dtype=np.uint8)))
+                assert oracle.dual_by_definition(c, ell, cap) == want
+            assert oracle.so_by_definition(c, ell) is ref_so(c, ell)
+            rows = [list(w) for w in words[:7]]
+            assert oracle.orthogonal_by_definition(f, rows, vecs, ell)
+            expected = all(ref_inner(f, u, v, ell) == 0 for u in rows for v in rows)
+            assert oracle.orthogonal_by_definition(f, rows, rows, ell) is expected
+
+
+def test_subset_matches_scalar_reference(rng):
+    codes = list(ref_codes(rng))
+    for a in codes:
+        for b in codes:
+            if (a.spec, a.n) != (b.spec, b.n) or rng.random() > 0.3:
+                continue
+            want = set(ref_codewords(a)) <= set(ref_codewords(b))
+            assert oracle.is_subset_by_enumeration(a, b) is want
+        # a subcode spanned by some of the generator rows is always inside
+        sub = LinearCode.from_generator(MatGF(a.spec, a.gen.data[: a.k // 2]))
+        assert oracle.is_subset_by_enumeration(sub, a)
+
+
+def test_scan_memory_does_not_grow_with_the_ambient_space(rng):
+    # a [16,4] GF(2) code: listing the 2^16 candidates' digits as int64
+    # would take 8 MiB; the dual's 2^12 words take 64 KiB
+    f2 = field(2)
+    c = random_code(f2, 16, 4, rng)
+    while c.k != 4:
+        c = random_code(f2, 16, 4, rng)
+    tracemalloc.start()
+    try:
+        vecs = oracle._scan_dual(c, 0, oracle.DEFAULT_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vecs.shape == (1 << 12, 16)
+    assert peak < vecs.nbytes + (2 << 20), peak
+
+
+def test_negative_cap_is_refused():
+    c = LinearCode.full(field(2), 3)
+    for fn in (oracle.enumerate_codewords, oracle.dual_by_definition,
+               oracle.dual_vectors_by_definition, oracle.so_by_definition):
+        with pytest.raises(ValueError):
+            fn(c, cap=-1)
+    with pytest.raises(ValueError):
+        oracle.is_subset_by_enumeration(c, c, cap=-5)
 
 
 def test_enumerate_basics():
@@ -150,8 +277,11 @@ def test_is_subset_enumerates_only_the_first_code():
         oracle.is_subset_by_enumeration(big, dual1)
 
 
-def test_scalar_inner():
+def test_orthogonal_by_definition():
     f4 = field(4)
     # theta * theta^2 = 1
-    assert oracle.scalar_inner(f4, [2], [2], 1) == 1
-    assert oracle.scalar_inner(f4, [2, 3], [0, 0], 1) == 0
+    assert not oracle.orthogonal_by_definition(f4, [[2]], [[2]], 1)
+    assert oracle.orthogonal_by_definition(f4, [[2, 3]], [[0, 0]], 1)
+    # theta * theta = theta^2, theta * theta^2 = 1: 1 + 1 = 0 at ell = 1 only
+    assert oracle.orthogonal_by_definition(f4, [[2, 2]], [[2, 2]], 1)
+    assert not oracle.orthogonal_by_definition(f4, [[2, 2]], [[2, 1]], 1)

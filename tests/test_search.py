@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from mpcodes import (
+    DistanceBudget,
     InfeasibleSearchError,
     LinearCode,
     MatGF,
@@ -10,9 +13,63 @@ from mpcodes import (
     field,
     search_mp_codes,
 )
+from mpcodes import search as srch
 from mpcodes.mpcode import check_dual_containing_full_rank, check_self_orthogonal
 
-from conftest import mat, random_matrix
+from conftest import mat, random_code, random_matrix
+
+
+def sample_inside_by_code_check(ambient, dim, rng, *, so_ell=None, tries=200):
+    """_sample_inside with its former rule: a sampled vector is kept only
+    if the code spanned by the rows so far and it is self-orthogonal."""
+    spec = ambient.spec
+    if dim > ambient.k:
+        return None
+    if dim == 0:
+        return LinearCode.zero(spec, ambient.n)
+    rows = []
+    space = ambient
+    for _ in range(tries):
+        if len(rows) == dim:
+            break
+        vec = srch._random_vector_in(space, rng)
+        if vec is None or not any(vec):
+            continue
+        if so_ell is not None:
+            cand = LinearCode.from_generator(MatGF(spec, rows + [vec]))
+            if not cand.is_galois_self_orthogonal(so_ell):
+                continue
+        if srch._extends_rank(rows, vec, spec):
+            rows.append(vec)
+            if so_ell is not None and len(rows) < dim:
+                row_code = LinearCode.from_generator(MatGF(spec, rows))
+                space = ambient & row_code.galois_dual(so_ell)
+                other_ell = (spec.e - so_ell) % spec.e
+                if other_ell != so_ell:
+                    space = space & row_code.galois_dual(other_ell)
+    if len(rows) != dim:
+        return None
+    return LinearCode.from_generator(MatGF(spec, rows))
+
+
+def test_sample_inside_self_product_rule_matches_code_check(rng):
+    # same draws, same result: only <vec, vec>_l can fail once vec lies in
+    # the duals of the rows chosen so far
+    found = 0
+    for trial in range(120):
+        f = field(rng.choice([2, 3, 4, 5, 8, 9]))
+        n = rng.randint(2, 6)
+        ambient = random_code(f, n, rng.randint(1, n), rng)
+        dim = rng.randint(1, max(1, ambient.k))
+        so_ell = rng.choice([None, *range(f.e)])
+        seed = rng.randrange(1 << 30)
+        r_new, r_ref = random.Random(seed), random.Random(seed)
+        got = srch._sample_inside(ambient, dim, r_new, so_ell=so_ell, tries=30)
+        want = sample_inside_by_code_check(ambient, dim, r_ref, so_ell=so_ell, tries=30)
+        assert got == want, (trial, f, ambient, dim, so_ell)
+        assert r_new.getstate() == r_ref.getstate()
+        found += got is not None and so_ell is not None
+    assert found > 10
 
 
 def test_so_search_backward_identity_gram():
@@ -99,3 +156,16 @@ def test_search_request_validation():
         search_mp_codes(a, SearchRequest(mode="so", ell=0, n=3, dims=(1, 1)))
     with pytest.raises(ValueError):
         search_mp_codes(a, SearchRequest(mode="so", ell=0, n=3, dims=(4,)))
+    with pytest.raises(ValueError):
+        search_mp_codes(a, SearchRequest(mode="so", ell=0, n=3, dims=(1,), count=0))
+    with pytest.raises(ValueError):
+        search_mp_codes(a, SearchRequest(mode="so", ell=0, n=3, dims=(1,),
+                                         max_candidates=-1))
+    assert search_mp_codes(a, SearchRequest(mode="so", ell=0, n=3, dims=(1,),
+                                            max_candidates=0)) == []
+
+
+@pytest.mark.parametrize("kwargs", [{"enum_cap": -1}, {"lw_cap": -1}, {"chunk": 0}])
+def test_distance_budget_refuses_out_of_range_caps(kwargs):
+    with pytest.raises(ValueError):
+        DistanceBudget(**kwargs)
