@@ -103,10 +103,17 @@ def _read(path: str) -> str:
         raise _CliError(EXIT_USAGE, f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliError(EXIT_USAGE, f"cannot write {path}: {exc}") from None
+
+
 def _write_out(args, text: str, what: str):
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"{what}: {args.out}" if args.machine else f"wrote {what} to {args.out}")
     else:
         sys.stdout.write(text)
@@ -261,8 +268,7 @@ def cmd_search(args) -> int:
         text = fmt.dump_mp(hit.mp)
         if args.out:
             path = f"{args.out}{idx}.mp"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write(path, text)
             print(f"file: {path}")
         else:
             sys.stdout.write(text)
@@ -286,8 +292,7 @@ def _add_common(p: argparse.ArgumentParser, *, ell: bool = True):
     p.add_argument("--lw-cap", dest="lw_cap", type=int,
                    default=DistanceBudget.lw_cap,
                    help="above --enum-cap: max codewords the information-set "
-                        "enumeration lists, or membership tests the low-weight "
-                        "search makes, before settling for bounds")
+                        "enumeration lists before settling for bounds")
     p.add_argument("--machine", action="store_true",
                    help="machine-readable one-fact-per-line output")
     p.add_argument("--out", default=None, help="output file path")

@@ -17,10 +17,11 @@ obtained:
 * ``enum``: q^k <= ``enum_cap``; the enumerator runs uncapped (exact),
 * ``info-sets``: q^k > ``enum_cap`` and at least two sets have rank k;
   the enumerator certified d within ``lw_cap`` codewords (exact),
-* ``low-weight``: fewer than two full-rank sets; every vector of weight
-  w = 1, 2, ... is tested against the parity relations within
-  ``lw_cap`` tests (exact once a hit is found),
-* ``bounds``: a cap ran out first; certified (lower, upper) bounds.
+* ``low-weight``: as ``info-sets``, for a code with fewer than two
+  full-rank sets (every code with n < 2k), whose further sets of rank
+  r < k add to the bound only from level k - r on (exact),
+* ``bounds``: ``lw_cap`` ran out first; the enumerator's certified
+  (lower, upper) bracket.
 
 Strategy selection and caps live in :class:`DistanceBudget`.
 """
@@ -55,8 +56,8 @@ class DistanceBudget:
     """Caps controlling how hard minimum-distance computation may work.
 
     enum_cap: largest q^k for which the enumerator runs without a cap.
-    lw_cap: above ``enum_cap``, the codewords the enumerator may list,
-        or the membership tests the low-weight search may make.
+    lw_cap: above ``enum_cap``, the codewords the enumerator may list
+        before it settles for a certified bracket.
     chunk: codewords held in memory at once during enumeration.
     """
 
@@ -86,9 +87,9 @@ class DistanceResult:
     lower: int
     upper: int
     # "enum": uncapped enumeration, q^k <= enum_cap; "info-sets":
-    # enumeration certified within lw_cap; "low-weight": parity search
-    # hit, for codes with fewer than two full-rank information sets;
-    # "bounds": a cap ran out, lower < upper
+    # enumeration certified within lw_cap; "low-weight": the same, for a
+    # code with fewer than two full-rank information sets; "bounds":
+    # lw_cap ran out, lower < upper
     strategy: str
 
     @property
@@ -181,13 +182,6 @@ class LinearCode:
         if self.n != other.n:
             raise DimensionError(f"code lengths differ: {self.n} vs {other.n}")
 
-    def contains_vector(self, vec) -> bool:
-        """Membership of a single vector (encodings or FieldElements)."""
-        row = MatGF.from_rows(self.spec, [list(vec)])
-        if row.cols != self.n:
-            raise DimensionError(f"vector length {row.cols}, expected {self.n}")
-        return (row @ self.gen.kernel_basis().T).is_zero()
-
     # -- duals ---------------------------------------------------------------
 
     def euclidean_dual(self) -> "LinearCode":
@@ -245,18 +239,11 @@ class LinearCode:
             return DistanceResult(d, d, "enum")
         # two full-rank sets need n >= 2k; below that skip the elimination
         head = list(islice(sets, 2)) if 2 * k <= self.n else []
-        if len(head) == 2 and head[1][0] == k:
-            lower, upper = _info_set_search(self, chain(head, sets), budget.chunk, budget.lw_cap)
-            return DistanceResult(lower, upper, "info-sets" if lower == upper else "bounds")
-        found, searched_to = _low_weight_search(self, budget)
-        if found is not None:
-            return DistanceResult(found, found, "low-weight")
-        upper = _cheap_upper_bound(self)
-        lower = max(searched_to + 1, 1)
-        if lower >= upper:
-            # bracket collapsed: the bound pair certifies exactness
-            return DistanceResult(upper, upper, "low-weight")
-        return DistanceResult(lower, upper, "bounds")
+        lower, upper = _info_set_search(self, chain(head, sets), budget.chunk, budget.lw_cap)
+        if lower < upper:
+            return DistanceResult(lower, upper, "bounds")
+        two_full = len(head) == 2 and head[1][0] == k
+        return DistanceResult(upper, upper, "info-sets" if two_full else "low-weight")
 
 
 # ----------------------------------------------------------------------
@@ -297,9 +284,6 @@ def galois_inner_product(a, b, ell: int = 0, *, spec: FieldSpec | None = None) -
 # Listing this many more words on the first set, which then certifies
 # d on its own, costs less time than building one more information set.
 _FINISH_WORDS = 1 << 10
-
-# Syndrome entries computed per product in the low-weight search.
-_SYNDROME_BLOCK = 1 << 12
 
 
 def _information_sets(code: LinearCode) -> Iterator[tuple[int, np.ndarray]]:
@@ -435,73 +419,3 @@ def _info_set_search(
                 upper = min(upper, int(np.count_nonzero(block, axis=1).min()))
         done[j] = todo[-1]
 
-
-def _low_weight_search(
-    code: LinearCode, budget: DistanceBudget
-) -> tuple[int | None, int]:
-    """Search weights w = 1, 2, ... for a codeword, via parity relations.
-
-    Returns (w, w) on a hit, else (None, w_max) where all weights up to
-    w_max were exhausted within the cap.
-    """
-    spec = code.spec
-    q = spec.q
-    n, k = code.n, code.k
-    parity = code.euclidean_dual().gen.data  # (n-k) x n
-    spent = 0
-    w = 0
-    while w < n:
-        w += 1
-        cost = comb(n, w) * (q - 1) ** w
-        if spent + cost > budget.lw_cap:
-            return None, w - 1
-        spent += cost
-        if _has_weight_w_codeword(spec, parity, n, w):
-            return w, w
-    return None, n
-
-
-def _has_weight_w_codeword(spec: FieldSpec, parity: np.ndarray, n: int, w: int) -> bool:
-    q = spec.q
-    r = parity.shape[0]
-    if r == 0:
-        return True  # whole space: weight-w words exist for every w <= n
-    # value patterns with first value 1, shape (w, V): by linearity every
-    # weight-w codeword on a support is a nonzero multiple of one of them
-    vals = np.array(
-        [(1,) + rest for rest in product(range(1, q), repeat=w - 1)], dtype=np.uint8
-    ).T
-    # the syndromes of B supports and V' patterns are one product of the
-    # r*B x w support columns by w x V' patterns, r*B*V' <= _SYNDROME_BLOCK
-    v = vals.shape[1]
-    width = min(v, max(1, _SYNDROME_BLOCK // r))
-    patterns = [MatGF(spec, vals[:, j : j + width]) for j in range(0, v, width)]
-    supports = combinations(range(n), w)
-    while block := list(islice(supports, max(1, _SYNDROME_BLOCK // (r * width)))):
-        cols = MatGF(spec, parity[:, block].reshape(-1, w))
-        for pats in patterns:
-            syndromes = (cols @ pats).data.reshape(r, len(block), pats.cols)
-            if not syndromes.any(axis=0).all():
-                return True
-    return False
-
-
-def _cheap_upper_bound(code: LinearCode) -> int:
-    """Certified upper bound: the lightest word among generator rows and
-    pairwise row sums."""
-    spec = code.spec
-    gen = code.gen.data
-    best = int(np.count_nonzero(gen, axis=1).min())
-    k = gen.shape[0]
-    pair_cap = 2000
-    count = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            s = spec.add_arr(gen[i], gen[j])
-            wt = int(np.count_nonzero(s))
-            if 0 < wt < best:
-                best = wt
-            count += 1
-            if count >= pair_cap:
-                return best
-    return best

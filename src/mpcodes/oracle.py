@@ -99,9 +99,6 @@ class CodewordSet:
         """The codewords as sorted tuples."""
         return tuple(map(tuple, self.array.tolist()))
 
-    def __contains__(self, word) -> bool:
-        return tuple(word) in self.as_set()
-
     def as_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.words)
 

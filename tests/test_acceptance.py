@@ -1,17 +1,13 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion.
 
 Run ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines
-(they are captured otherwise).  Criterion 2 performs a full enumeration
-of 8^9 codewords and is marked ``slow``; deselect it with
-``pytest -m "not slow"`` during development.
+(they are captured otherwise).
 """
 
 import random
 import time
 import warnings
 from contextlib import contextmanager
-
-import pytest
 
 from mpcodes import (
     DistanceBudget,
@@ -79,7 +75,6 @@ def test_criterion_1_f5_construction_and_dual():
         assert dual == big.euclidean_dual() == dual_general(mp, 0)
 
 
-@pytest.mark.slow
 def test_criterion_2_f8_galois_dual():
     with criterion(2, "GF(8) 2-Galois dual incl. full 8^9 enumeration", 600):
         mp = load_fixture("f8_2x5.mp")

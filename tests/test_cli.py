@@ -39,8 +39,10 @@ def _facts(out):
 
 def test_mp_distance_from_information_sets():
     """f8_2x5.mp expands to a [50,9] code with two full-rank information
-    sets: the default caps certify d = 20, and a small --lw-cap leaves a
-    bracket tighter than the low-weight search's searched_to + 1 = 4."""
+    sets: the default caps certify d = 20 (``info-sets``), and a small
+    --lw-cap leaves the enumerator's certified bracket, whose lower bound
+    is above 4, the most a test of every vector of weight 1, 2, ... reaches
+    within the default cap of 2^26 vectors."""
     rc, out = run_cli("mp", fixture("f8_2x5.mp"), "--machine")
     assert rc == 0
     facts = _facts(out)
@@ -91,6 +93,9 @@ def test_info_parse_error_exit_code(tmp_path):
         (["info", "{zero}", "--enum-cap", "-1"], 11),
         (["check", "{f2}", "--mode", "so", "--lw-cap", "-1"], 11),
         (["verify", "{f2}", "--enum-cap", "-1"], 11),
+        (["mp", "{f2}", "--out", "{nodir}/x.code"], 10),
+        (["search", "--matrix", "{mat}", "--mode", "so", "--n", "4", "--dims", "1,1",
+          "--out", "{nodir}/hit"], 10),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, argv, expected):
@@ -118,6 +123,7 @@ def test_bad_input_exit_codes(tmp_path, argv, expected):
         "big_field": str(big_field),
         "zero": str(zero),
         "missing": str(tmp_path / "missing.code"),
+        "nodir": str(tmp_path / "no_such_dir"),
         "f2": fixture("f2_2x5_so.mp"),
         "mat": fixture("f2_2x5_so_matrix.mat"),
     }

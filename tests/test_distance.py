@@ -3,6 +3,7 @@
 import json
 import random
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,42 +84,67 @@ def test_enumerator_matches_oracle(q):
 def test_several_information_sets_match_oracle():
     """2^12, 3^8 and 4^6 words are too many to list on the first set
     alone, so the enumerator builds every set: at the seed 24 of the 40
-    codes have two of rank k (``info-sets`` under enum_cap=1), and 39
-    end with one of rank r < k, whose share of the lower bound is only
-    w + 1 - (k - r)."""
+    codes have two of rank k (``info-sets`` under enum_cap=1, the other
+    16 ``low-weight``), and 39 end with one of rank r < k, whose share of
+    the lower bound is only w + 1 - (k - r)."""
     rng = random.Random(4)
+    labels = Counter()
     for _ in range(40):
         q, k = rng.choice([(2, 12), (3, 8), (4, 6)])
         f = field(q)
         c = random_code(f, rng.randint(k + 2, 3 * k + 2), k, rng)
         d = oracle.min_distance_exhaustive(c)
+        full = [r for r, _ in lincode._information_sets(c)].count(c.k)
         for budget in (DistanceBudget(), DistanceBudget(enum_cap=1)):
             r = c.min_distance(budget)
             assert r.lower <= d <= r.upper, (c, r, d)
             assert r.exact == (r.strategy != "bounds"), r
             assert not r.exact or r.d == d, (c, r, d)
+        # above enum_cap the label of an exact d counts the full-rank sets
+        assert r.strategy in ("bounds", "info-sets" if full >= 2 else "low-weight"), r
+        labels[r.strategy] += 1
+    assert labels == {"info-sets": 24, "low-weight": 16}, labels
+
+
+def _high_rate_code(f, n_max, rng):
+    """A code with n < 2k and d >= 3: only its first information set has
+    rank k, and its generator rows alone do not certify d."""
+    while True:
+        n = rng.randint(n_max - 3, n_max)
+        c = random_code(f, n, n - rng.randint(2, 4), rng)
+        if 2 * c.k > n and oracle.min_distance_exhaustive(c) >= 3:
+            return c
 
 
 def test_tiny_budget_gives_a_certified_bracket():
+    """Every lw_cap leaves a certified bracket, exact only under the
+    label of the code's information sets: ``info-sets`` for [I | A | R]
+    codes, ``low-weight`` for codes with n < 2k."""
     rng = random.Random(7)
-    seen_bounds = 0
-    for q in (2, 3, 4, 8):
+    seen_bounds = {"info-sets": 0, "low-weight": 0}
+    for q, n_max in ((2, 12), (3, 9), (4, 8), (8, 7)):
         f = field(q)
-        for _ in range(6):
-            c = _two_set_code(f, rng.randint(3, 5 if q <= 4 else 4), rng.randint(2, 6), rng)
+        k_max = 5 if q <= 4 else 4
+        codes = [
+            (_two_set_code(f, rng.randint(3, k_max), rng.randint(2, 6), rng), "info-sets")
+            for _ in range(6)
+        ]
+        codes += [(_high_rate_code(f, n_max, rng), "low-weight") for _ in range(4)]
+        for c, label in codes:
             d = oracle.min_distance_exhaustive(c)
             for cap in (1, 10, 40, 200):
                 r = c.min_distance(DistanceBudget(enum_cap=1, lw_cap=cap))
-                assert r.strategy in ("info-sets", "bounds")
+                assert r.strategy in (label, "bounds")
                 assert 1 <= r.lower <= d <= r.upper <= c.n, (c, cap, r, d)
-                assert r.exact == (r.strategy == "info-sets")
-                seen_bounds += r.strategy == "bounds"
-    assert seen_bounds >= 10
+                assert r.exact == (r.strategy == label)
+                seen_bounds[label] += r.strategy == "bounds"
+    assert seen_bounds["info-sets"] >= 10 and seen_bounds["low-weight"] >= 10, seen_bounds
 
 
 def test_low_weight_matches_oracle_above_rate_one_half(rng):
     """Codes of rate above 1/2 have one full-rank information set, so
-    above ``enum_cap`` they take the low-weight search."""
+    above ``enum_cap`` the enumerator certifies d from that set and the
+    sets of lower rank, under the label ``low-weight``."""
     checked = 0
     for q, n in ((2, 12), (3, 9), (4, 7), (5, 6)):
         f = field(q)
@@ -134,18 +160,17 @@ def test_low_weight_matches_oracle_above_rate_one_half(rng):
     assert checked >= 15
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
-def test_low_weight_blocks_match_oracle(monkeypatch, block, rng):
-    """Syndrome blocks that split the supports, and (block < r * V) the
-    value patterns, find the same distance."""
-    monkeypatch.setattr(lincode, "_SYNDROME_BLOCK", block)
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_low_weight_blocks_match_oracle(chunk, rng):
+    """Enumeration blocks of at most ``chunk`` words, which split the
+    message levels of codes of rate above 1/2, find the same distance."""
     for q, n in ((2, 10), (4, 7), (9, 5)):
         f = field(q)
         for _ in range(3):
             c = random_code(f, n, n - 2, rng)
             if 2 * c.k <= n:
                 continue
-            r = c.min_distance(DistanceBudget(enum_cap=1))
+            r = c.min_distance(DistanceBudget(enum_cap=1, chunk=chunk))
             assert r.strategy == "low-weight"
             assert r.d == oracle.min_distance_exhaustive(c)
 

@@ -118,8 +118,10 @@ def test_products_do_not_depend_on_blas_threads():
 
 @pytest.mark.parametrize("q", [2, 9])
 def test_matmul_memory_is_bounded(q):
-    # the product folds over the inner axis instead of materialising a
-    # rows x inner x cols tensor (16 MiB here at one byte per entry)
+    # the product sums GEMMs over blocks of _GEMM_INNER inner entries, so
+    # it holds two rows x cols*e float64 sums and one block's operands
+    # (about 0.3 MiB at q = 9) instead of a rows x inner x cols tensor
+    # (16 MiB here at one byte per entry)
     f = field(q)
     gen = np.random.default_rng(q)
     a = MatGF(f, gen.integers(0, q, (64, 512)))

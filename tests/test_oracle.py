@@ -145,7 +145,7 @@ def test_enumerate_basics():
     c = code(field(3), ["1 0 1", "0 1 2"])
     ws = oracle.enumerate_codewords(c)
     assert len(ws.words) == 9
-    assert (0, 0, 0) in ws
+    assert (0, 0, 0) in ws.as_set()
 
 
 def test_enumerate_closure_spot_check(rng):
