@@ -10,10 +10,12 @@ Subcommands::
     search  look for constituents meeting checker conditions
 
 Exit codes are a stable contract: 0 = success / condition holds,
-1 = condition fails / verification disagreement, 2 = inconclusive,
-10 = usage or parse error, 11 = validation error, 12 = cap exceeded,
-13 = infeasible search.  With ``--machine`` every fact is printed as one
-``key: value`` line.
+1 = condition fails / verification disagreement, 2 = ``search`` found no
+candidate within ``--search-cap``, 10 = usage or parse error,
+11 = validation error, 12 = cap exceeded, 13 = infeasible search.  Both
+checkers are exact for every defining matrix, so ``check`` answers
+holds (0) or fails (1) on every valid input.  With ``--machine`` every
+fact is printed as one ``key: value`` line.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ import sys
 
 from .lincode import DistanceBudget, DistanceResult, LinearCode
 from .mpcode import (
-    MPCode,
     Verdict,
-    check_dual_containing_full_rank,
     check_dual_containing_general,
     check_self_orthogonal,
     dual_full_rank,
@@ -39,17 +39,13 @@ from .search import InfeasibleSearchError, SearchRequest, search_mp_codes
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
-EXIT_INCONCLUSIVE = 2
+EXIT_NO_CANDIDATE = 2
 EXIT_USAGE = 10
 EXIT_VALIDATION = 11
 EXIT_CAP = 12
 EXIT_INFEASIBLE = 13
 
-_VERDICT_EXIT = {
-    Verdict.HOLDS: EXIT_HOLDS,
-    Verdict.FAILS: EXIT_FAILS,
-    Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
-}
+_VERDICT_EXIT = {Verdict.HOLDS: EXIT_HOLDS, Verdict.FAILS: EXIT_FAILS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,10 +142,12 @@ def cmd_dual(args) -> int:
     else:
         dual_code = dual_general(mp, args.ell)
         dual_mp = None
-        blocks = row_partition(a).blocks
+        part = row_partition(a)
         path = "partition{" + "|".join(
-            ",".join(str(i) for i in b) for b in blocks
+            ",".join(str(i) for i in b) for b in part.blocks
         ) + "}"
+        if part.discarded:
+            path += " discarded{" + ",".join(str(i) for i in part.discarded) + "}"
     print(f"path: {path}")
     _print_params(dual_code, args, prefix="dual-parameters")
     if dual_mp is not None and not args.machine:
@@ -220,11 +218,8 @@ def cmd_verify(args) -> int:
 
     dc_report = check_dual_containing_general(mp, args.ell)
     containment = dual.is_subcode(code)
-    if dc_report.verdict is Verdict.INCONCLUSIVE:
-        lines.append(("dual-containing", f"skip (inconclusive; containment={containment})"))
-    else:
-        ok = (dc_report.verdict is Verdict.HOLDS) == containment
-        lines.append(("dual-containing", "agree" if ok else "disagree"))
+    ok = (dc_report.verdict is Verdict.HOLDS) == containment
+    lines.append(("dual-containing", "agree" if ok else "disagree"))
     try:
         if containment:
             sub_ok = oracle.is_subset_by_enumeration(dual, code, cap=args.oracle_cap)
@@ -274,7 +269,7 @@ def cmd_search(args) -> int:
             sys.stdout.write(text)
     if not hits:
         print("no candidate found within the search cap")
-        return EXIT_INCONCLUSIVE
+        return EXIT_NO_CANDIDATE
     return EXIT_HOLDS
 
 

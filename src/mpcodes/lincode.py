@@ -28,7 +28,7 @@ Strategy selection and caps live in :class:`DistanceBudget`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import chain, combinations, islice, product
 from math import comb
 from typing import Iterator

@@ -17,7 +17,7 @@ ordinary 0-based numpy array.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -1,4 +1,6 @@
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 
@@ -7,6 +9,8 @@ import pytest
 from mpcodes.cli import main
 
 from conftest import FIXTURES
+
+SRC = FIXTURES.parent / "src"
 
 
 def run_cli(*argv):
@@ -200,15 +204,31 @@ def test_check_dc_paths(tmp_path):
     assert rc == 0 and "verdict: holds" in out
     rc, out = run_cli("check", fixture("f3_4x3_dc.mp"), "--mode", "dc")
     assert rc == 0 and "verdict: holds" in out and "partition search" in out
-    # an inconclusive rank-deficient instance exits 2
-    mp = tmp_path / "inc.mp"
+    # a rank-deficient instance that is not dual-containing fails, exactly
+    mp = tmp_path / "rankdef.mp"
     mp.write_text(
         "field p=2 e=1\ndefmatrix\nmatrix 2 1\n1\n1\n"
         "constituent 1\ncode 2 1\n1 0\nconstituent 2\ncode 2 1\n1 0\n"
     )
     rc, out = run_cli("check", str(mp), "--mode", "dc")
-    assert rc == 2
-    assert "verdict: inconclusive" in out
+    assert rc == 1
+    assert "verdict: fails" in out
+    assert "note: path: containment product (exact)" in out
+
+
+def test_dual_names_discarded_zero_rows(tmp_path):
+    mp = tmp_path / "zero_row.mp"
+    mp.write_text(
+        "field p=2 e=1\ndefmatrix\nmatrix 3 2\n1 1\n0 0\n0 1\n"
+        "constituent 1\ncode 2 1\n1 0\nconstituent 2\ncode 2 1\n1 1\n"
+        "constituent 3\ncode 2 1\n0 1\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "mpcodes", "dual", str(mp), "--machine"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "path: partition{1,3} discarded{2}" in proc.stdout.splitlines()
 
 
 def test_verify_fixture_and_negative_control():

@@ -1,7 +1,6 @@
 import random
 import re
 import tracemalloc
-import warnings
 
 import pytest
 
@@ -174,8 +173,7 @@ def test_row_partition_paper_matrix_and_zero_rows():
     full = MatGF.from_rows(f2, [[1, 0], [0, 1]])
     assert row_partition(full).blocks == ((1, 2),)
     withzero = MatGF.from_rows(f2, [[1, 1], [0, 0], [0, 1]])
-    with pytest.warns(UserWarning):
-        part = row_partition(withzero)
+    part = row_partition(withzero)
     assert part.blocks == ((1, 3),)
     assert part.discarded == (2,)
 
@@ -192,18 +190,14 @@ def test_dual_general_all_zero_matrix():
     f2 = field(2)
     c = LinearCode.full(f2, 2)
     a = MatGF.zeros(f2, 2, 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        d = dual_general(MPCode([c, c], a), 0)
+    d = dual_general(MPCode([c, c], a), 0)
     assert d.is_full and d.n == 6
 
 
 def test_expand_is_sum_of_partition_blocks(rng):
     for _ in range(25):
         mp = _random_mp(rng)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            part = row_partition(mp.defmatrix)
+        part = row_partition(mp.defmatrix)
         if not part.blocks:
             continue
         total = None
@@ -325,6 +319,9 @@ def test_check_dc_full_rank_completion_invariance(rng):
             assert alt.verdict == base.verdict
 
 
+PRODUCT_PATH = "path: containment product (exact)"
+
+
 def test_check_dc_general_delegates_and_sufficiency(rng):
     # full-rank input delegates to the exact checker
     mp = _random_mp(rng, full_rank=True)
@@ -332,39 +329,97 @@ def test_check_dc_general_delegates_and_sufficiency(rng):
     general = check_dual_containing_general(mp, 0)
     assert general.verdict == exact.verdict
     assert any("full-rank" in note for note in general.notes)
-    # rank-deficient verdicts are only HOLDS or INCONCLUSIVE, and HOLDS is sound
-    found_holds = found_inconclusive = False
+    # rank-deficient verdicts are exact: a first-block certificate is
+    # sound, and the containment product decides everything else
+    seen = set()
     for _ in range(80):
         mp = _random_mp(rng, full_rank=False, q_choices=(2, 3))
         rep = check_dual_containing_general(mp, 0)
-        assert rep.verdict in (Verdict.HOLDS, Verdict.INCONCLUSIVE)
         big = expand(mp)
-        if rep.verdict is Verdict.HOLDS:
-            assert big.galois_dual(0).is_subcode(big)
-            found_holds = True
+        truth = big.galois_dual(0).is_subcode(big)
+        assert rep.verdict is (Verdict.HOLDS if truth else Verdict.FAILS)
+        if PRODUCT_PATH in rep.notes:
+            assert rep.witnesses == () and rep.condition_matrix.rows == 0
+            seen.add((rep.verdict, "product"))
         else:
-            found_inconclusive = True
-    assert found_holds and found_inconclusive
+            assert "path: partition search" in rep.notes
+            assert all(w.ok for w in rep.witnesses)
+            seen.add((rep.verdict, "partition"))
+    assert seen == {
+        (Verdict.HOLDS, "partition"), (Verdict.HOLDS, "product"), (Verdict.FAILS, "product"),
+    }, seen
 
 
-def test_check_dc_general_inconclusive_gap():
-    # A code that IS dual-containing although the sufficient search cannot
-    # certify it: two identical whole-space constituents with dependent rows
-    # work, but a strict gap needs the condition search to fail.
+def test_check_dc_general_decides_the_former_gap():
+    # Some dual-containing codes here are certified by no block pair of
+    # the partition; the capped search used to answer INCONCLUSIVE on
+    # them, and the containment product now proves them.
     f2 = field(2)
     a = MatGF.from_rows(f2, [[1, 1], [1, 1]])
-    rows_choices = []
     rng = random.Random(11)
+    by_product = 0
     for _ in range(400):
         c1 = random_code(f2, 2, rng.randint(0, 2), rng)
         c2 = random_code(f2, 2, rng.randint(0, 2), rng)
         mp = MPCode([c1, c2], a)
         rep = check_dual_containing_general(mp, 0)
         big = expand(mp)
-        if big.k and big.galois_dual(0).is_subcode(big) and rep.verdict is Verdict.INCONCLUSIVE:
-            rows_choices.append(mp)
-    # the sufficient-only criterion genuinely misses some true instances
-    assert rows_choices, "expected at least one true-but-unproven instance"
+        truth = big.galois_dual(0).is_subcode(big)
+        assert rep.verdict is (Verdict.HOLDS if truth else Verdict.FAILS)
+        by_product += truth and PRODUCT_PATH in rep.notes
+    assert by_product, "expected a true instance decided by the product"
+
+
+def test_check_dc_general_rank_deficient_matches_oracle():
+    # The rank-deficient verdict against the brute-force oracle, whose
+    # dual and containment use no elimination from matgf or lincode.
+    rng = random.Random(271828)
+    seen = set()
+    sides = set()
+    count = 0
+    for q in (2, 3, 4, 8, 9):
+        f = field(q)
+        draws = 0
+        while draws < 20:
+            m, ncols = rng.randint(2, 3), rng.randint(1, 3)
+            n = rng.randint(1, 3)
+            a = random_matrix(f, m, ncols, rng)
+            if a.rank() == m or q ** (n * ncols) > 4096:
+                continue
+            draws += 1
+            for ell in range(f.e):
+                mp = MPCode(_related_constituents(f, n, m, ell, rng), a)
+                big = expand(mp)
+                rep = check_dual_containing_general(mp, ell)
+                dual = oracle.dual_by_definition(big, ell)
+                truth = oracle.is_subset_by_enumeration(dual, big)
+                assert rep.verdict is (Verdict.HOLDS if truth else Verdict.FAILS), (q, ell, mp)
+                path = "product" if PRODUCT_PATH in rep.notes else "partition"
+                seen.add((rep.verdict, path))
+                sides.add((q, ell, 2 * big.k >= big.n))
+                count += 1
+    assert count >= 100
+    assert {(8, 1, True), (8, 1, False), (8, 2, True), (8, 2, False)} <= sides, sides
+    assert seen == {
+        (Verdict.HOLDS, "partition"), (Verdict.HOLDS, "product"), (Verdict.FAILS, "product"),
+    }, seen
+    # the product's Frobenius twist matters: a zero first constituent
+    # certifies nothing, and the second is l-Galois but not Euclidean
+    # dual-containing
+    for q in (4, 8, 9):
+        f = field(q)
+        a = MatGF.from_rows(f, [[1], [1]])
+        for ell in range(1, f.e):
+            while True:
+                big = random_code(f, 3, 2, rng)
+                truth = [oracle.is_subset_by_enumeration(oracle.dual_by_definition(big, lv), big)
+                         for lv in (0, ell)]
+                if truth == [False, True]:
+                    break
+            mp = MPCode([LinearCode.zero(f, 3), big], a)
+            for lv, want in ((0, Verdict.FAILS), (ell, Verdict.HOLDS)):
+                rep = check_dual_containing_general(mp, lv)
+                assert rep.verdict is want and PRODUCT_PATH in rep.notes, (q, lv)
 
 
 def test_blackmore_bound():
