@@ -1,0 +1,39 @@
+"""Replay the golden CLI transcripts of ``tests/cli_transcripts.json``.
+
+Every recorded command must give the same exit code, stdout and stderr
+byte for byte.  A deliberate output change regenerates the file with
+``python tests/make_transcripts.py`` and commits the diff.
+"""
+
+import difflib
+import functools
+import json
+
+import pytest
+
+import make_transcripts
+from mpcodes import cli
+
+
+def _text(entry):
+    return [f"exit code: {entry['rc']}\n", "--- stdout\n", *entry["stdout"],
+            "--- stderr\n", *entry["stderr"]]
+
+
+def test_transcripts_cover_the_command_matrix():
+    recorded = json.loads(make_transcripts.TRANSCRIPTS.read_text(encoding="utf-8"))
+    assert [e["argv"] for e in recorded] == make_transcripts.commands()
+
+
+def test_cli_output_matches_transcripts(monkeypatch):
+    recorded = json.loads(make_transcripts.TRANSCRIPTS.read_text(encoding="utf-8"))
+    # the parser is the same for every call; building it once halves the
+    # replay time
+    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
+    with make_transcripts.sandbox():
+        for want in recorded:
+            got = make_transcripts.run(want["argv"])
+            if got != want:
+                diff = "".join(difflib.unified_diff(
+                    _text(want), _text(got), "recorded", "now"))
+                pytest.fail(f"mpcodes {' '.join(want['argv'])} changed:\n{diff}")
