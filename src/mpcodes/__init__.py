@@ -9,7 +9,6 @@ result against an independent brute-force oracle.
 
 from .gf import (
     DEFAULT_MODULI,
-    FieldElement,
     FieldMismatchError,
     FieldSpec,
     field,
@@ -21,7 +20,6 @@ from .lincode import (
     DistanceResult,
     LinearCode,
     UndefinedDistanceError,
-    galois_inner_product,
 )
 from .matgf import DimensionError, MatGF, RankDeficientError, SingularMatrixError
 from .mpcode import (
@@ -50,7 +48,6 @@ __all__ = [
     "DimensionError",
     "DistanceBudget",
     "DistanceResult",
-    "FieldElement",
     "FieldMismatchError",
     "FieldSpec",
     "InfeasibleSearchError",
@@ -75,7 +72,6 @@ __all__ = [
     "expand",
     "field",
     "format_element",
-    "galois_inner_product",
     "parse_element",
     "row_partition",
     "search_mp_codes",

@@ -22,20 +22,20 @@ so every entry fits in uint8 (a q x q table is 64 KiB).
 
 The default modulus table uses Conway polynomials, so for instance
 GF(4) is built with x^2+x+1, GF(8) with x^3+x+1 and GF(9) with
-x^2+2x+2.  Text tokens for elements are ``0``, a plain encoding integer,
-or ``a^k`` where ``a`` denotes the canonical primitive element (the
-smallest encoding of multiplicative order q-1).
+x^2+2x+2.  Text tokens parse to and format from the same int
+encodings: a token is a plain encoding integer, or ``a`` / ``a^k`` where
+``a`` denotes the canonical primitive element (the smallest encoding of
+multiplicative order q-1).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_MODULI",
-    "FieldElement",
     "FieldMismatchError",
     "FieldSpec",
     "field",
@@ -167,8 +167,7 @@ class FieldSpec:
 
     Instances are immutable values: equal specs (same p, e, modulus)
     describe the same field.  All arithmetic methods are pure and take
-    and return plain integer encodings; :class:`FieldElement` provides
-    an operator-friendly wrapper on top.
+    and return plain integer encodings.
     """
 
     __slots__ = (
@@ -343,11 +342,6 @@ class FieldSpec:
 
     # -- scalar arithmetic on encodings ----------------------------------
 
-    def check(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            raise ValueError(f"encoding {a} out of range for GF({self.q})")
-        return a
-
     def check_ell(self, ell: int) -> None:
         """Refuse a Galois level outside 0 <= ell < e."""
         if not 0 <= ell < self.e:
@@ -370,9 +364,6 @@ class FieldSpec:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv(a), -k
@@ -389,24 +380,6 @@ class FieldSpec:
         if ell < 0:
             raise ValueError("Frobenius power must be non-negative")
         return self._frob[ell % self.e][a]
-
-    # -- element helpers --------------------------------------------------
-
-    def element(self, enc: int) -> "FieldElement":
-        return FieldElement(self, self.check(int(enc)))
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        return (FieldElement(self, x) for x in range(self.q))
-
-    def primitive_element(self) -> "FieldElement":
-        """Smallest encoding of multiplicative order q-1."""
-        return FieldElement(self, self._prim)
 
     # -- bulk (numpy) operations on encoding arrays -----------------------
 
@@ -448,93 +421,6 @@ class FieldSpec:
         return self._FROB[ell % self.e][a]
 
 
-class FieldElement:
-    """A value of a specific GF(p^e), supporting field operators.
-
-    Mixing elements of different fields raises FieldMismatchError.
-    Instances are immutable and hashable.
-    """
-
-    __slots__ = ("spec", "enc")
-
-    def __init__(self, spec: FieldSpec, enc: int):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "enc", spec.check(int(enc)))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("FieldElement is immutable")
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise FieldMismatchError(
-                    f"elements of {self.spec!r} and {other.spec!r} cannot mix"
-                )
-            return other.enc
-        if isinstance(other, int):
-            return self.spec.check(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        enc = self._coerce(other)
-        if enc is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add(self.enc, enc))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        enc = self._coerce(other)
-        if enc is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(self.enc, enc))
-
-    def __mul__(self, other):
-        enc = self._coerce(other)
-        if enc is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(self.enc, enc))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        enc = self._coerce(other)
-        if enc is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.div(self.enc, enc))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.enc))
-
-    def __pow__(self, k: int):
-        return FieldElement(self.spec, self.spec.pow(self.enc, k))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.enc))
-
-    def frobenius(self, ell: int) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.frobenius(self.enc, ell))
-
-    def __bool__(self) -> bool:
-        return self.enc != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.enc == other.enc
-        if isinstance(other, int):
-            return 0 <= other < self.spec.q and self.enc == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.enc))
-
-    def __repr__(self) -> str:
-        return f"<{format_element(self)} in GF({self.spec.q})>"
-
-    def __str__(self) -> str:
-        return format_element(self)
-
-
 def field(q: int, modulus: Iterable[int] | None = None) -> FieldSpec:
     """Build GF(q) for a prime power q, using the default modulus table."""
     if q < 2:
@@ -552,13 +438,14 @@ def field(q: int, modulus: Iterable[int] | None = None) -> FieldSpec:
     raise ValueError(f"q={q} is not a prime power")
 
 
-def parse_element(token: str, spec: FieldSpec) -> FieldElement:
-    """Parse an element token: '0', an encoding integer, or 'a^k' / 'a'."""
+def parse_element(token: str, spec: FieldSpec) -> int:
+    """The encoding of an element token: an encoding integer, or 'a' /
+    'a^k' for a power of the primitive element."""
     token = token.strip()
     if not token:
         raise ValueError("empty element token")
     if token == "a":
-        return spec.primitive_element()
+        return spec._prim
     if token.startswith("a^"):
         try:
             k = int(token[2:])
@@ -568,20 +455,19 @@ def parse_element(token: str, spec: FieldSpec) -> FieldElement:
             raise ValueError(
                 f"exponent {k} out of range [0, {spec.q - 1}) in {token!r}"
             )
-        return spec.primitive_element() ** k
+        return spec.pow(spec._prim, k)
     try:
         enc = int(token)
     except ValueError:
         raise ValueError(f"malformed element token {token!r}") from None
     if not 0 <= enc < spec.q:
         raise ValueError(f"encoding {enc} out of range for GF({spec.q})")
-    return spec.element(enc)
+    return enc
 
 
-def format_element(x: FieldElement) -> str:
-    """Format an element; round-trips through :func:`parse_element`."""
-    spec = x.spec
-    if spec.e == 1 or x.enc in (0, 1):
-        return str(x.enc)
-    k = spec._log[x.enc]
+def format_element(enc: int, spec: FieldSpec) -> str:
+    """The token of an encoding; round-trips through :func:`parse_element`."""
+    if spec.e == 1 or enc in (0, 1):
+        return str(enc)
+    k = spec._log[enc]
     return "a" if k == 1 else f"a^{k}"

@@ -147,13 +147,10 @@ def _parse_row(spec: FieldSpec, lineno: int, line: str, cols: int) -> list[int]:
     toks = line.split()
     if len(toks) != cols:
         raise ParseError(lineno, f"expected {cols} entries, got {len(toks)}")
-    out = []
-    for t in toks:
-        try:
-            out.append(parse_element(t, spec).enc)
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-    return out
+    try:
+        return [parse_element(t, spec) for t in toks]
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
 def _parse_matrix_body(lines: _Lines, spec: FieldSpec) -> MatGF:
@@ -179,11 +176,13 @@ def _parse_matrix_body(lines: _Lines, spec: FieldSpec) -> MatGF:
     return MatGF(spec, data)
 
 
+def _row_lines(spec: FieldSpec, data) -> list[str]:
+    """One line of element tokens per row of an encoding array."""
+    return [" ".join(format_element(x, spec) for x in row) for row in data.tolist()]
+
+
 def _matrix_body_lines(m: MatGF) -> list[str]:
-    out = [f"matrix {m.rows} {m.cols}"]
-    for row in m.data:
-        out.append(" ".join(format_element(m.spec.element(int(x))) for x in row))
-    return out
+    return [f"matrix {m.rows} {m.cols}", *_row_lines(m.spec, m.data)]
 
 
 def dump_matrix(m: MatGF) -> str:
@@ -235,11 +234,12 @@ def _parse_code_body(
     return LinearCode.from_generator(gen), n, k, lineno
 
 
+def _code_body_lines(c: LinearCode) -> list[str]:
+    return [f"code {c.n} {c.k}", *_row_lines(c.spec, c.gen.data)]
+
+
 def dump_code(c: LinearCode) -> str:
-    out = [field_header(c.spec), f"code {c.n} {c.k}"]
-    for row in c.gen.data:
-        out.append(" ".join(format_element(c.spec.element(int(x))) for x in row))
-    return "\n".join(out) + "\n"
+    return "\n".join([field_header(c.spec), *_code_body_lines(c)]) + "\n"
 
 
 def load_code(text: str, *, strict: bool = True) -> LinearCode:
@@ -264,15 +264,9 @@ def load_code(text: str, *, strict: bool = True) -> LinearCode:
 # ----------------------------------------------------------------------
 
 def dump_mp(mp: MPCode) -> str:
-    out = [field_header(mp.spec), "defmatrix"]
-    out.extend(_matrix_body_lines(mp.defmatrix))
+    out = [field_header(mp.spec), "defmatrix", *_matrix_body_lines(mp.defmatrix)]
     for i, c in enumerate(mp.constituents, start=1):
-        out.append(f"constituent {i}")
-        out.append(f"code {c.n} {c.k}")
-        for row in c.gen.data:
-            out.append(
-                " ".join(format_element(c.spec.element(int(x))) for x in row)
-            )
+        out += [f"constituent {i}", *_code_body_lines(c)]
     return "\n".join(out) + "\n"
 
 

@@ -35,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gf import FieldElement, FieldMismatchError, FieldSpec
+from .gf import FieldMismatchError, FieldSpec
 from .matgf import DimensionError, MatGF
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "DistanceResult",
     "LinearCode",
     "UndefinedDistanceError",
-    "galois_inner_product",
 ]
 
 
@@ -244,37 +243,6 @@ class LinearCode:
             return DistanceResult(lower, upper, "bounds")
         two_full = len(head) == 2 and head[1][0] == k
         return DistanceResult(upper, upper, "info-sets" if two_full else "low-weight")
-
-
-# ----------------------------------------------------------------------
-# inner products
-# ----------------------------------------------------------------------
-
-def galois_inner_product(a, b, ell: int = 0, *, spec: FieldSpec | None = None) -> FieldElement:
-    """The l-Galois inner product sum_i a_i * b_i^(p^ell).
-
-    ``a`` and ``b`` are equal-length sequences of FieldElements or
-    encodings (pass ``spec`` when using raw encodings).
-    """
-    a = list(a)
-    b = list(b)
-    if len(a) != len(b):
-        raise DimensionError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    for x in a + b:
-        if isinstance(x, FieldElement):
-            if spec is None:
-                spec = x.spec
-            elif x.spec != spec:
-                raise FieldMismatchError("elements from different fields")
-    if spec is None:
-        raise ValueError("spec required when passing raw encodings")
-    spec.check_ell(ell)
-    enc_a = [x.enc if isinstance(x, FieldElement) else spec.check(int(x)) for x in a]
-    enc_b = [x.enc if isinstance(x, FieldElement) else spec.check(int(x)) for x in b]
-    acc = 0
-    for x, y in zip(enc_a, enc_b):
-        acc = spec.add(acc, spec.mul(x, spec.frobenius(y, ell)))
-    return spec.element(acc)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf import FieldElement, FieldMismatchError, FieldSpec
+from .gf import FieldMismatchError, FieldSpec
 
 __all__ = [
     "DimensionError",
@@ -78,29 +78,6 @@ class MatGF:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, spec: FieldSpec, rows: Sequence[Sequence]) -> "MatGF":
-        """Build from rows of encodings or FieldElements (may be empty)."""
-        conv = []
-        ncols = None
-        for row in rows:
-            out = []
-            for x in row:
-                if isinstance(x, FieldElement):
-                    if x.spec != spec:
-                        raise FieldMismatchError("element from a different field")
-                    out.append(x.enc)
-                else:
-                    out.append(spec.check(int(x)))
-            if ncols is None:
-                ncols = len(out)
-            elif len(out) != ncols:
-                raise DimensionError("ragged rows")
-            conv.append(out)
-        if not conv:
-            return cls(spec, np.zeros((0, 0), dtype=np.uint8))
-        return cls(spec, conv)
-
-    @classmethod
     def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "MatGF":
         return cls(spec, np.zeros((rows, cols), dtype=np.uint8))
 
@@ -153,12 +130,6 @@ class MatGF:
     @property
     def T(self) -> "MatGF":
         return MatGF(self.spec, self.data.T)
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        """The (i, j) entry, 1-based."""
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-        return self.spec.element(int(self.data[i - 1, j - 1]))
 
     def is_zero(self) -> bool:
         return not self.data.any()

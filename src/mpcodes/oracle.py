@@ -99,9 +99,6 @@ class CodewordSet:
         """The codewords as sorted tuples."""
         return tuple(map(tuple, self.array.tolist()))
 
-    def as_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.words)
-
 
 def _check_cap(cap: int) -> None:
     if cap < 0:

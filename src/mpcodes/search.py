@@ -23,8 +23,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .gf import FieldSpec
-from .lincode import DistanceBudget, DistanceResult, LinearCode, galois_inner_product
+from .lincode import DistanceBudget, DistanceResult, LinearCode
 from .matgf import MatGF
 from .mpcode import (
     MPCode,
@@ -107,8 +109,11 @@ def _sample_inside(
         # are, and vec lies in space, inside dual_l(rows) and
         # dual_(e-l)(rows), so both cross products with each row vanish;
         # as <a*u, b*v>_l = a * b^(p^l) * <u, v>_l, the generators decide
-        if so_ell is not None and galois_inner_product(vec, vec, so_ell, spec=spec) != 0:
-            continue
+        if so_ell is not None:
+            arr = np.array(vec, dtype=np.uint8)
+            prods = spec.mul_arr(arr, spec.frobenius_arr(arr, so_ell))
+            if spec.sum_arr(prods, axis=0):
+                continue
         if _extends_rank(rows, vec, spec):
             rows.append(vec)
             if so_ell is not None and len(rows) < dim:
@@ -293,6 +298,7 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
         raise InfeasibleSearchError(
             "dual-containment search requires a full-row-rank defining matrix"
         )
+    a.spec.check_ell(req.ell)
     rng = random.Random(req.seed)
     hits: list[SearchHit] = []
     for attempt in range(1, req.max_candidates + 1):

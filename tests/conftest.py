@@ -10,9 +10,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def mat(spec, rows):
     """Build a MatGF from rows given as token strings like 'a^2 1 0'."""
-    return MatGF.from_rows(
-        spec, [[parse_element(t, spec) for t in row.split()] for row in rows]
-    )
+    return MatGF(spec, [[parse_element(t, spec) for t in row.split()] for row in rows])
 
 
 def code(spec, rows):

@@ -26,8 +26,8 @@ from unittest import mock
 ROOT = Path(__file__).resolve().parent.parent
 TRANSCRIPTS = Path(__file__).resolve().parent / "cli_transcripts.json"
 
-# Inputs that must be refused with exit 10 or 11, written next to the
-# fixture link before the matrix runs.
+# Input files of the malformed commands, written next to the fixture
+# link before the matrix runs.
 MALFORMED = {
     "bad/bad_header.code": "field p=x e=1\ncode 3 1\n1 1 1\n",
     "bad/bad_entry.mp": (

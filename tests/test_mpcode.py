@@ -77,7 +77,7 @@ def test_expand_identity_is_direct_sum(rng):
 
 def test_expand_zero_constituent():
     f2 = field(2)
-    mp = MPCode([LinearCode.zero(f2, 3)], MatGF.from_rows(f2, [[1]]))
+    mp = MPCode([LinearCode.zero(f2, 3)], MatGF(f2, [[1]]))
     assert expand(mp).is_zero
 
 
@@ -151,7 +151,7 @@ def test_dual_full_rank_identity_matrix_gives_dual_sum(rng):
 def test_dual_full_rank_requires_full_rank():
     f2 = field(2)
     c = LinearCode.full(f2, 2)
-    a = MatGF.from_rows(f2, [[1, 1], [1, 1]])
+    a = MatGF(f2, [[1, 1], [1, 1]])
     with pytest.raises(RankDeficientError):
         dual_full_rank(MPCode([c, c], a), 0)
 
@@ -159,20 +159,20 @@ def test_dual_full_rank_requires_full_rank():
 def test_dual_full_rank_rejects_bad_completion():
     f2 = field(2)
     c = LinearCode.full(f2, 2)
-    a = MatGF.from_rows(f2, [[1, 0]])
+    a = MatGF(f2, [[1, 0]])
     with pytest.raises(ValueError):
-        dual_full_rank(MPCode([c], a), 0, completion=MatGF.from_rows(f2, [[0, 1], [1, 0]]))
+        dual_full_rank(MPCode([c], a), 0, completion=MatGF(f2, [[0, 1], [1, 0]]))
 
 
 def test_row_partition_paper_matrix_and_zero_rows():
     f2 = field(2)
-    a = MatGF.from_rows(f2, [[1, 1], [1, 1], [1, 0], [0, 1], [1, 0]])
+    a = MatGF(f2, [[1, 1], [1, 1], [1, 0], [0, 1], [1, 0]])
     part = row_partition(a)
     assert part.blocks == ((1, 3), (2, 4), (5,))
     assert part.discarded == ()
-    full = MatGF.from_rows(f2, [[1, 0], [0, 1]])
+    full = MatGF(f2, [[1, 0], [0, 1]])
     assert row_partition(full).blocks == ((1, 2),)
-    withzero = MatGF.from_rows(f2, [[1, 1], [0, 0], [0, 1]])
+    withzero = MatGF(f2, [[1, 1], [0, 0], [0, 1]])
     part = row_partition(withzero)
     assert part.blocks == ((1, 3),)
     assert part.discarded == (2,)
@@ -223,7 +223,7 @@ def test_check_self_orthogonal_iff_definition(rng):
             hits += truth
     # zero Gram product: any constituents give a self-orthogonal code
     f2 = field(2)
-    a = MatGF.from_rows(f2, [[1, 1], [1, 1]])
+    a = MatGF(f2, [[1, 1], [1, 1]])
     c = random_code(f2, 3, 2, rng)
     rep = check_self_orthogonal(MPCode([c, c], a), 0)
     assert rep.verdict is Verdict.HOLDS and rep.witnesses == ()
@@ -355,7 +355,7 @@ def test_check_dc_general_decides_the_former_gap():
     # the partition; the capped search used to answer INCONCLUSIVE on
     # them, and the containment product now proves them.
     f2 = field(2)
-    a = MatGF.from_rows(f2, [[1, 1], [1, 1]])
+    a = MatGF(f2, [[1, 1], [1, 1]])
     rng = random.Random(11)
     by_product = 0
     for _ in range(400):
@@ -408,7 +408,7 @@ def test_check_dc_general_rank_deficient_matches_oracle():
     # dual-containing
     for q in (4, 8, 9):
         f = field(q)
-        a = MatGF.from_rows(f, [[1], [1]])
+        a = MatGF(f, [[1], [1]])
         for ell in range(1, f.e):
             while True:
                 big = random_code(f, 3, 2, rng)
@@ -425,7 +425,7 @@ def test_check_dc_general_rank_deficient_matches_oracle():
 def test_blackmore_bound():
     f2 = field(2)
     rep = code(f2, ["1 1 1"])
-    ones = MatGF.from_rows(f2, [[1, 1, 1, 1]])
+    ones = MatGF(f2, [[1, 1, 1, 1]])
     assert blackmore_bound(MPCode([rep], ones)) == 4 * 3
     with pytest.raises(ValueError):
         blackmore_bound(MPCode([rep, rep], MatGF.identity(f2, 2)))
@@ -438,7 +438,7 @@ def test_cao_bound():
     mp = MPCode([c1, c2], MatGF.identity(f3, 2))
     # D_i = 1 for the identity, so the bound is min over constituent distances
     assert cao_bound(mp) == min(3, c2.min_distance().d)
-    a = MatGF.from_rows(f3, [[1, 1], [2, 2]])
+    a = MatGF(f3, [[1, 1], [2, 2]])
     with pytest.raises(RankDeficientError):
         cao_bound(MPCode([c1, c2], a))
 

@@ -74,7 +74,7 @@ def test_sample_inside_self_product_rule_matches_code_check(rng):
 
 def test_so_search_backward_identity_gram():
     f2 = field(2)
-    a = MatGF.from_rows(f2, [[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]])
+    a = MatGF(f2, [[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]])
     req = SearchRequest(mode="so", ell=0, n=9, dims=(1, 2), target=24, seed=0,
                         count=1, max_candidates=500)
     hits = search_mp_codes(a, req)
@@ -89,7 +89,7 @@ def test_so_search_backward_identity_gram():
 def test_so_search_unconstrained_when_gram_vanishes(rng):
     # zero Gram product: every sample is acceptable, including full spaces
     f2 = field(2)
-    a = MatGF.from_rows(f2, [[1, 1], [1, 1]])
+    a = MatGF(f2, [[1, 1], [1, 1]])
     req = SearchRequest(mode="so", ell=0, n=3, dims=(3, 3), seed=1, count=2,
                         max_candidates=50)
     hits = search_mp_codes(a, req)
@@ -101,7 +101,7 @@ def test_so_search_unconstrained_when_gram_vanishes(rng):
 
 def test_so_search_diagonal_gram_needs_self_orthogonal_constituents():
     f4 = field(4)
-    a = MatGF.from_rows(f4, [[1, 0], [0, 1]])  # Gram product = identity
+    a = MatGF(f4, [[1, 0], [0, 1]])  # Gram product = identity
     req = SearchRequest(mode="so", ell=1, n=4, dims=(2, 2), seed=3, count=1,
                         max_candidates=300)
     hits = search_mp_codes(a, req)
@@ -132,14 +132,14 @@ def test_dc_search_infeasible_forced_full_dim():
 
 def test_dc_search_requires_full_row_rank():
     f2 = field(2)
-    a = MatGF.from_rows(f2, [[1, 1], [1, 1]])
+    a = MatGF(f2, [[1, 1], [1, 1]])
     with pytest.raises(InfeasibleSearchError):
         search_mp_codes(a, SearchRequest(mode="dc", ell=0, n=3, dims=(1, 1)))
 
 
 def test_search_determinism():
     f2 = field(2)
-    a = MatGF.from_rows(f2, [[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]])
+    a = MatGF(f2, [[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]])
     req = SearchRequest(mode="so", ell=0, n=9, dims=(1, 2), target=24, seed=7,
                         count=1, max_candidates=2000)
     h1 = search_mp_codes(a, req)
@@ -149,7 +149,7 @@ def test_search_determinism():
 
 def test_search_request_validation():
     f2 = field(2)
-    a = MatGF.from_rows(f2, [[1, 1]])
+    a = MatGF(f2, [[1, 1]])
     with pytest.raises(ValueError):
         search_mp_codes(a, SearchRequest(mode="xx", ell=0, n=3, dims=(1,)))
     with pytest.raises(ValueError):
@@ -163,6 +163,10 @@ def test_search_request_validation():
                                          max_candidates=-1))
     assert search_mp_codes(a, SearchRequest(mode="so", ell=0, n=3, dims=(1,),
                                             max_candidates=0)) == []
+    # a Galois level outside [0, e) is refused before any attempt
+    with pytest.raises(ValueError, match="ell=1 out of range"):
+        search_mp_codes(a, SearchRequest(mode="so", ell=1, n=3, dims=(1,),
+                                         max_candidates=0))
 
 
 @pytest.mark.parametrize("kwargs", [{"enum_cap": -1}, {"lw_cap": -1}, {"chunk": 0}])
