@@ -43,6 +43,14 @@ MALFORMED = {
 }
 
 SEARCH_ARGS = ["--mode", "so", "--n", "9", "--dims", "1,2", "--target", "24"]
+# Dual-containing searches: one that samples constituents, and one whose
+# condition matrix no constituent choice can meet (exit 13).
+DC_SEARCHES = (
+    ["search", "--matrix", "fixtures/f5_2x2_dc_matrix.mat", "--mode", "dc",
+     "--n", "6", "--dims", "4,4", "--search-cap", "50"],
+    ["search", "--matrix", "fixtures/f2_2x5_so_matrix.mat", "--mode", "dc",
+     "--n", "4", "--dims", "1,1"],
+)
 # Non-default distance caps: --enum-cap 1 sends every code to the
 # information-set enumerator, and a small --lw-cap stops it at a bracket.
 # Each runs with --machine; the first bracket variant also runs plain.
@@ -93,7 +101,8 @@ def _malformed() -> list[list[str]]:
 def commands() -> list[list[str]]:
     """The argv of every recorded command, in replay order: every
     fixture under info, mp and search; every MP fixture under dual,
-    check and verify at each valid ell; the malformed inputs; each of
+    check and verify at each valid ell; the dual-containing searches;
+    the malformed inputs; each of
     these plain and with --machine; then the capped distance runs of
     info, mp and dual."""
     base = []
@@ -115,6 +124,7 @@ def commands() -> list[list[str]]:
                 ["check", rel, "--mode", "dc", *e],
                 ["verify", rel, *e],
             ]
+    base += DC_SEARCHES
     base += _malformed()
     out = [argv + extra for argv in base for extra in ([], ["--machine"])]
     for path in fixtures:
