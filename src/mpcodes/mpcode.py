@@ -14,6 +14,8 @@ This module provides
   matrix (for a rank-deficient defining matrix that is not certified by
   its first partition block, dual containment is decided by one product
   against a parity-check matrix of the expansion),
+* the dual-containment condition matrix ``zeta_matrix`` and its reading
+  ``dc_conditions``, shared by the checkers and the search,
 * two classical lower bounds on the minimum distance.
 
 Row, column and constituent indices are 1-based everywhere, as in the
@@ -23,8 +25,11 @@ rest of the package.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 from enum import Enum
+
+import numpy as np
 
 from .gf import FieldMismatchError, FieldSpec
 from .lincode import DistanceBudget, LinearCode
@@ -41,10 +46,12 @@ __all__ = [
     "check_dual_containing_full_rank",
     "check_dual_containing_general",
     "check_self_orthogonal",
+    "dc_conditions",
     "dual_full_rank",
     "dual_general",
     "expand",
     "row_partition",
+    "zeta_matrix",
 ]
 
 
@@ -188,6 +195,21 @@ def expand(mp: MPCode) -> LinearCode:
     return LinearCode.from_generator(MatGF.vstack(blocks))
 
 
+def _completion(a: MatGF, completion: MatGF | None = None) -> MatGF:
+    """The given completion of a, checked to be invertible N x N with a
+    as its first rows; else ``a.complete_to_invertible()``."""
+    if completion is None:
+        return a.complete_to_invertible()  # raises if rank-deficient
+    n_cols = a.cols
+    if completion.rows != n_cols or completion.cols != n_cols:
+        raise DimensionError("completion must be square of size N")
+    if completion.row_submatrix(list(range(1, a.rows + 1))) != a:
+        raise ValueError("completion does not extend the defining matrix")
+    if completion.rank() != n_cols:
+        raise RankDeficientError("completion is singular")
+    return completion
+
+
 def dual_full_rank(
     mp: MPCode, ell: int = 0, *, completion: MatGF | None = None
 ) -> tuple[MPCode, LinearCode]:
@@ -202,20 +224,10 @@ def dual_full_rank(
     spec = mp.spec
     spec.check_ell(ell)
     a = mp.defmatrix
-    m, n_cols = a.rows, a.cols
-    if completion is None:
-        completion = a.complete_to_invertible()  # raises if rank-deficient
-    else:
-        if completion.rows != n_cols or completion.cols != n_cols:
-            raise DimensionError("completion must be square of size N")
-        if completion.row_submatrix(list(range(1, m + 1))) != a:
-            raise ValueError("completion does not extend the defining matrix")
-        if completion.rank() != n_cols:
-            raise RankDeficientError("completion is singular")
-    twisted = completion.frobenius_map((spec.e - ell) % spec.e)
+    twisted = _completion(a, completion).frobenius_map((spec.e - ell) % spec.e)
     mixer = twisted.inverse().T
     duals = [c.galois_dual(ell) for c in mp.constituents]
-    duals += [LinearCode.full(spec, mp.n)] * (n_cols - m)
+    duals += [LinearCode.full(spec, mp.n)] * (a.cols - a.rows)
     dual_mp = MPCode(duals, mixer)
     return dual_mp, expand(dual_mp)
 
@@ -313,6 +325,23 @@ def check_self_orthogonal(mp: MPCode, ell: int = 0) -> CheckReport:
 # dual containment
 # ----------------------------------------------------------------------
 
+def zeta_matrix(a: MatGF, ell: int, completion: MatGF | None = None) -> MatGF:
+    """The dual-containment condition matrix: the inverse of
+    sigma^l(B) @ B^T for an invertible completion B of a."""
+    b = _completion(a, completion)
+    return (b.frobenius_map(ell) @ b.T).inverse()
+
+
+def dc_conditions(zeta: MatGF, m: int) -> Iterator[tuple[int, int, int | None]]:
+    """(i, j, forced) for each nonzero zeta entry, row-major, with m
+    constituents: ``forced`` is 0 when i, j > m (no choice meets it), the
+    index <= m when one of them exceeds m (that constituent must be the
+    whole space), and None for the pair condition dual_l(C_i) <= C_j."""
+    for i, j in (np.argwhere(zeta.data) + 1).tolist():
+        lo, hi = min(i, j), max(i, j)
+        yield i, j, None if hi <= m else 0 if lo > m else lo
+
+
 def _dc_witnesses(
     zeta: MatGF, mp: MPCode, rows: tuple[int, ...], ell: int
 ) -> list[Witness]:
@@ -324,30 +353,22 @@ def _dc_witnesses(
     coordinates address zeta itself.  With H spanning a constituent's
     Euclidean dual, dual_l(C_i) <= C_j iff sigma^(e-l)(H_i) @ H_j^T = 0.
     """
-    m = mp.num_constituents
-    n_cols = zeta.rows
     twist = mp.spec.e - ell
     # each H is built at most once
     parity = functools.cache(lambda code: code.gen.kernel_basis())
     out: list[Witness] = []
-    for i in range(1, n_cols + 1):
-        for j in range(1, n_cols + 1):
-            if zeta.data[i - 1, j - 1] == 0:
-                continue
-            if i > m and j > m:
-                out.append(Witness(i, j, f"zeta[{i},{j}]=0", False))
-            elif i <= m and j > m:
-                ci = mp.constituents[i - 1]
-                out.append(Witness(i, j, f"C{rows[i - 1]}=F", ci.is_full))
-            elif i > m and j <= m:
-                cj = mp.constituents[j - 1]
-                out.append(Witness(i, j, f"C{rows[j - 1]}=F", cj.is_full))
-            else:
-                h_i = parity(mp.constituents[i - 1]).frobenius_map(twist)
-                ok = (h_i @ parity(mp.constituents[j - 1]).T).is_zero()
-                out.append(
-                    Witness(i, j, f"dual_{ell}(C{rows[i - 1]})<=C{rows[j - 1]}", ok)
-                )
+    for i, j, forced in dc_conditions(zeta, mp.num_constituents):
+        if forced == 0:
+            out.append(Witness(i, j, f"zeta[{i},{j}]=0", False))
+        elif forced is not None:
+            c = mp.constituents[forced - 1]
+            out.append(Witness(i, j, f"C{rows[forced - 1]}=F", c.is_full))
+        else:
+            h_i = parity(mp.constituents[i - 1]).frobenius_map(twist)
+            ok = (h_i @ parity(mp.constituents[j - 1]).T).is_zero()
+            out.append(
+                Witness(i, j, f"dual_{ell}(C{rows[i - 1]})<=C{rows[j - 1]}", ok)
+            )
     return out
 
 
@@ -363,13 +384,8 @@ def check_dual_containing_full_rank(
     specific zeta.
     """
     mp.spec.check_ell(ell)
-    a = mp.defmatrix
-    if completion is None:
-        completion = a.complete_to_invertible()  # raises if rank-deficient
-    elif completion.row_submatrix(list(range(1, a.rows + 1))) != a:
-        raise ValueError("completion does not extend the defining matrix")
-    zeta = (completion.frobenius_map(ell) @ completion.T).inverse()
-    wit = _dc_witnesses(zeta, mp, tuple(range(1, a.rows + 1)), ell)
+    zeta = zeta_matrix(mp.defmatrix, ell, completion)
+    wit = _dc_witnesses(zeta, mp, tuple(range(1, mp.num_constituents + 1)), ell)
     verdict = Verdict.HOLDS if all(w.ok for w in wit) else Verdict.FAILS
     return CheckReport(verdict, zeta, "zeta", tuple(wit))
 
@@ -394,30 +410,19 @@ def check_dual_containing_general(mp: MPCode, ell: int = 0) -> CheckReport:
     a = mp.defmatrix
     if a.rank() == a.rows:
         report = check_dual_containing_full_rank(mp, ell)
-        return CheckReport(
-            report.verdict,
-            report.condition_matrix,
-            report.matrix_kind,
-            report.witnesses,
-            report.notes + ("path: full-rank (exact)",),
-        )
+        return replace(report, notes=report.notes + ("path: full-rank (exact)",))
 
     blocks = row_partition(a).blocks
     if blocks:
         first = blocks[0]
         sub = _sub_mp(mp, first)
-        b = sub.defmatrix.complete_to_invertible()
-        zeta = (b.frobenius_map(ell) @ b.T).inverse()
+        zeta = zeta_matrix(sub.defmatrix, ell)
         wit = _dc_witnesses(zeta, sub, first, ell)
         if all(w.ok for w in wit):
             notes = (f"pair: left={first} right={first}", "path: partition search")
             return CheckReport(Verdict.HOLDS, zeta, "zeta", tuple(wit), notes)
 
-    code = expand(mp)
-    holds = 2 * code.k >= code.n
-    if holds:
-        h = code.gen.kernel_basis()
-        holds = (h.frobenius_map(spec.e - ell) @ h.T).is_zero()
+    holds = expand(mp).is_galois_dual_containing(ell)
     return CheckReport(
         Verdict.HOLDS if holds else Verdict.FAILS,
         MatGF.zeros(spec, 0, 0),

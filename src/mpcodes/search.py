@@ -3,7 +3,8 @@
 Given a defining matrix, a mode (self-orthogonal or dual-containing),
 a Galois level and target dimensions, the search constructs candidate
 constituent tuples that satisfy the corresponding checker's witness
-conditions by construction where possible:
+conditions by construction where possible (the conditions are read
+once per search, from sigma^l(A) @ A^T or from ``dc_conditions``):
 
 * containment constraints restrict each constituent to an intersection
   of known duals, and generators are sampled inside that subspace;
@@ -33,7 +34,9 @@ from .mpcode import (
     Verdict,
     check_dual_containing_general,
     check_self_orthogonal,
+    dc_conditions,
     expand,
+    zeta_matrix,
 )
 
 __all__ = ["InfeasibleSearchError", "SearchHit", "SearchRequest", "search_mp_codes"]
@@ -155,22 +158,15 @@ def _sample_dual_containing(
     cand = d.galois_dual(inv_ell)
     if cand.k != dim:
         return None
-    # with H spanning the Euclidean dual of cand: base <= cand iff
-    # G_base @ H^T = 0, and dual_l(cand) <= cand iff sigma^(e-l)(H) @ H^T = 0
-    h = cand.gen.kernel_basis()
-    if not (base.gen @ h.T).is_zero():
-        return None
-    if not (h.frobenius_map(spec.e - ell) @ h.T).is_zero():
-        return None
-    return cand
+    # d <= dual_l(base) gives base <= dual_(e-l)(d) = cand
+    return cand if cand.is_galois_dual_containing(ell) else None
 
 
 def _so_attempt(
-    a: MatGF, req: SearchRequest, rng: random.Random
+    a: MatGF, cond: MatGF, req: SearchRequest, rng: random.Random
 ) -> MPCode | None:
     spec = a.spec
     m = a.rows
-    cond = a.frobenius_map(req.ell) @ a.T
     ell = req.ell
     inv_ell = (spec.e - ell) % spec.e
     chosen: list[LinearCode] = []
@@ -195,52 +191,41 @@ def _so_attempt(
     return MPCode(chosen, a)
 
 
-def _dc_forced_full(a: MatGF, ell: int) -> tuple[set[int], list[tuple[int, int]]]:
-    """Forced whole-space constituents and containment pairs for the
-    dual-containment conditions of a full-row-rank defining matrix.
-
-    Raises InfeasibleSearchError when the condition matrix has a nonzero
-    entry in the region no constituent choice can fix.
-    """
-    m = a.rows
-    completion = a.complete_to_invertible()
-    zeta = (completion.frobenius_map(ell) @ completion.T).inverse()
-    n_cols = zeta.rows
+def _dc_plan(a: MatGF, req: SearchRequest) -> tuple[set[int], list[tuple[int, int]]]:
+    """Forced whole-space constituents and containment pairs read off
+    the zeta matrix of a full-row-rank defining matrix; raises
+    InfeasibleSearchError when no constituent choice can meet them."""
     forced: set[int] = set()
     pairs: list[tuple[int, int]] = []
-    for i in range(1, n_cols + 1):
-        for j in range(1, n_cols + 1):
-            if zeta.data[i - 1, j - 1] == 0:
-                continue
-            if i > m and j > m:
-                raise InfeasibleSearchError(
-                    f"condition matrix entry ({i},{j}) is nonzero but both "
-                    "indices exceed the constituent count; no choice of "
-                    "constituents can give a dual-containing code"
-                )
-            if i <= m < j:
-                forced.add(i)
-            elif j <= m < i:
-                forced.add(j)
-            else:
-                pairs.append((i, j))
-    return forced, pairs
-
-
-def _dc_attempt(
-    a: MatGF, req: SearchRequest, rng: random.Random
-) -> MPCode | None:
-    spec = a.spec
-    m = a.rows
-    ell = req.ell
-    inv_ell = (spec.e - ell) % spec.e
-    forced, pairs = _dc_forced_full(a, ell)
-    for i in forced:
+    for i, j, f in dc_conditions(zeta_matrix(a, req.ell), a.rows):
+        if f == 0:
+            raise InfeasibleSearchError(
+                f"condition matrix entry ({i},{j}) is nonzero but both "
+                "indices exceed the constituent count; no choice of "
+                "constituents can give a dual-containing code"
+            )
+        if f is None:
+            pairs.append((i, j))
+        else:
+            forced.add(f)
+    for i in sorted(forced):
         if req.dims[i - 1] != req.n:
             raise InfeasibleSearchError(
                 f"constituent {i} is forced to the whole space code but "
                 f"dims[{i - 1}] = {req.dims[i - 1]} != n = {req.n}"
             )
+    return forced, pairs
+
+
+def _dc_attempt(
+    a: MatGF, plan: tuple[set[int], list[tuple[int, int]]], req: SearchRequest,
+    rng: random.Random,
+) -> MPCode | None:
+    forced, pairs = plan
+    spec = a.spec
+    m = a.rows
+    ell = req.ell
+    inv_ell = (spec.e - ell) % spec.e
     chosen: dict[int, LinearCode] = {
         i: LinearCode.full(spec, req.n) for i in forced
     }
@@ -279,7 +264,10 @@ def _dc_attempt(
 def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     """Seeded search for MP codes passing the requested check.
 
-    Returns up to ``req.count`` hits, each verified by the exact checker
+    The constraints come from the SO condition matrix sigma^l(A) @ A^T
+    or from ``dc_conditions``, computed once per search before the first
+    attempt, so an infeasible DC request raises even when
+    ``max_candidates`` is 0.  Returns up to ``req.count`` hits, each verified by the exact checker
     and (when a target is given) meeting the distance target.
     """
     if req.mode not in ("so", "dc"):
@@ -299,21 +287,17 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
             "dual-containment search requires a full-row-rank defining matrix"
         )
     a.spec.check_ell(req.ell)
+    if req.mode == "so":
+        plan = a.frobenius_map(req.ell) @ a.T
+        sample, check = _so_attempt, check_self_orthogonal
+    else:
+        plan = _dc_plan(a, req)
+        sample, check = _dc_attempt, check_dual_containing_general
     rng = random.Random(req.seed)
     hits: list[SearchHit] = []
     for attempt in range(1, req.max_candidates + 1):
-        mp = (
-            _so_attempt(a, req, rng)
-            if req.mode == "so"
-            else _dc_attempt(a, req, rng)
-        )
-        if mp is None:
-            continue
-        if req.mode == "so":
-            report = check_self_orthogonal(mp, req.ell)
-        else:
-            report = check_dual_containing_general(mp, req.ell)
-        if report.verdict is not Verdict.HOLDS:
+        mp = sample(a, plan, req, rng)
+        if mp is None or check(mp, req.ell).verdict is not Verdict.HOLDS:
             continue
         big = expand(mp)
         if big.k == 0:

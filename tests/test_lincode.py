@@ -183,6 +183,23 @@ def test_is_galois_self_orthogonal():
     assert not c2.is_galois_self_orthogonal(0)
 
 
+def test_is_galois_dual_containing_matches_oracle(rng):
+    hamming = code(field(2), ["1 0 0 0 0 1 1", "0 1 0 0 1 0 1",
+                              "0 0 1 0 1 1 0", "0 0 0 1 1 1 1"])
+    codes = [hamming, LinearCode.zero(field(4), 3), LinearCode.full(field(9), 2)]
+    for _ in range(60):
+        f = field(rng.choice([2, 3, 4, 5, 8, 9]))
+        n = rng.randint(1, 5)
+        codes.append(random_code(f, n, rng.randint(0, n), rng))
+    seen = set()
+    for c in codes:
+        for ell in range(c.spec.e):
+            truth = oracle.is_subset_by_enumeration(oracle.dual_by_definition(c, ell), c)
+            assert c.is_galois_dual_containing(ell) == truth
+            seen.add((2 * c.k >= c.n, truth))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
 def test_contains_vector():
     """A vector lies in a code iff its one-row code is a subcode."""
     f2 = field(2)

@@ -23,6 +23,7 @@ from mpcodes import (
     row_partition,
 )
 from mpcodes import oracle
+from mpcodes.mpcode import dc_conditions
 
 from conftest import code, mat, random_code, random_completion, random_matrix
 
@@ -162,6 +163,30 @@ def test_dual_full_rank_rejects_bad_completion():
     a = MatGF(f2, [[1, 0]])
     with pytest.raises(ValueError):
         dual_full_rank(MPCode([c], a), 0, completion=MatGF(f2, [[0, 1], [1, 0]]))
+
+
+def test_check_dc_full_rank_validates_completion():
+    # the 1 x 2 defining matrix is not a completion of itself; it used
+    # to give HOLDS with a 1 x 1 zeta where the truth is FAILS
+    f2 = field(2)
+    a = MatGF(f2, [[1, 0]])
+    mp = MPCode([LinearCode.full(f2, 3)], a)
+    assert check_dual_containing_full_rank(mp, 0).verdict is Verdict.FAILS
+    with pytest.raises(DimensionError):
+        check_dual_containing_full_rank(mp, 0, completion=a)
+    with pytest.raises(RankDeficientError):
+        check_dual_containing_full_rank(mp, 0, completion=MatGF(f2, [[1, 0], [1, 0]]))
+    with pytest.raises(ValueError, match="does not extend"):
+        check_dual_containing_full_rank(mp, 0, completion=MatGF(f2, [[0, 1], [1, 0]]))
+
+
+def test_dc_conditions_regions():
+    f3 = field(3)
+    zeta = MatGF(f3, [[1, 2, 1], [0, 1, 1], [2, 0, 1]])
+    assert list(dc_conditions(zeta, 1)) == [
+        (1, 1, None), (1, 2, 1), (1, 3, 1), (2, 2, 0), (2, 3, 0), (3, 1, 1), (3, 3, 0),
+    ]
+    assert [f for _, _, f in dc_conditions(zeta, 3)] == [None] * 7
 
 
 def test_row_partition_paper_matrix_and_zero_rows():

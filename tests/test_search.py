@@ -130,6 +130,25 @@ def test_dc_search_infeasible_forced_full_dim():
         search_mp_codes(a, req)
 
 
+@pytest.mark.parametrize("max_candidates", [0, 5])
+def test_dc_search_infeasible_raises_before_any_attempt(monkeypatch, max_candidates):
+    # the plan is made once, before the first attempt, so even a search
+    # allowed no attempt reports an infeasible request
+    monkeypatch.setattr(srch, "_dc_attempt", lambda *args: pytest.fail("attempted"))
+    f5 = field(5)
+    a = mat(f5, ["1 1 2 2", "0 4 1 4", "1 4 2 3"])
+    req = SearchRequest(mode="dc", ell=0, n=5, dims=(3, 3, 2),
+                        max_candidates=max_candidates)
+    with pytest.raises(InfeasibleSearchError, match="constituent 3 is forced"):
+        search_mp_codes(a, req)
+    # zeta[3,4] != 0 outranks the forced constituents 1 and 2 of dims (1, 1)
+    a = MatGF(field(2), [[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]])
+    req = SearchRequest(mode="dc", ell=0, n=4, dims=(1, 1),
+                        max_candidates=max_candidates)
+    with pytest.raises(InfeasibleSearchError, match=r"entry \(3,4\) is nonzero"):
+        search_mp_codes(a, req)
+
+
 def test_dc_search_requires_full_row_rank():
     f2 = field(2)
     a = MatGF(f2, [[1, 1], [1, 1]])
