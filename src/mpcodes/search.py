@@ -243,18 +243,17 @@ def _dc_attempt(
                 duals.append((dst, inv_ell))
         for j, level in dict.fromkeys(duals):
             base = base + chosen[j].galois_dual(level)
-        need_dc = (i, i) in pairs
         dim = req.dims[i - 1]
-        if need_dc:
+        if (i, i) in pairs:
             c = _sample_dual_containing(spec, req.n, dim, ell, base, rng)
-        else:
+        elif base.k > dim:
             c = None
-            if base.k <= dim:
-                extra = _sample_inside(LinearCode.full(spec, req.n), dim, rng)
-                if extra is not None:
-                    cand = base + extra
-                    # top up or trim by resampling if the dimension is off
-                    c = cand if cand.k == dim else None
+        else:
+            # base plus a random complement; resample if the two meet
+            extra = _sample_inside(LinearCode.full(spec, req.n), dim - base.k, rng)
+            c = None if extra is None else base + extra
+            if c is not None and c.k != dim:
+                c = None
         if c is None:
             return None
         chosen[i] = c

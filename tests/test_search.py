@@ -130,6 +130,23 @@ def test_dc_search_infeasible_forced_full_dim():
         search_mp_codes(a, req)
 
 
+@pytest.mark.parametrize("q, rows", [
+    (5, [[3, 1], [0, 3]]),
+    (4, [[3, 3], [1, 0]]),
+    (9, [[4, 1], [6, 4]]),
+])
+def test_dc_search_constituent_with_pair_conditions_only(q, rows):
+    # zeta[2,2] = 0 while zeta[1,2], zeta[2,1] != 0: C2 must contain the
+    # dual of C1 but need not contain its own dual; it is that dual plus
+    # a random complement, not a random code that happens to contain it
+    a = MatGF(field(q), rows)
+    req = SearchRequest(mode="dc", ell=0, n=6, dims=(4, 4), count=3, max_candidates=5)
+    hits = search_mp_codes(a, req)
+    assert len(hits) == 3
+    for hit in hits:
+        assert check_dual_containing_full_rank(hit.mp, 0).verdict is Verdict.HOLDS
+
+
 @pytest.mark.parametrize("max_candidates", [0, 5])
 def test_dc_search_infeasible_raises_before_any_attempt(monkeypatch, max_candidates):
     # the plan is made once, before the first attempt, so even a search
