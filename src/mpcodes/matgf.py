@@ -154,21 +154,6 @@ class MatGF:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "MatGF") -> "MatGF":
-        self._check_same_field(other)
-        if self.shape != other.shape:
-            raise DimensionError(f"cannot add {self.shape} and {other.shape}")
-        return MatGF(self.spec, self.spec.add_arr(self.data, other.data))
-
-    def __sub__(self, other: "MatGF") -> "MatGF":
-        self._check_same_field(other)
-        if self.shape != other.shape:
-            raise DimensionError(f"cannot subtract {self.shape} and {other.shape}")
-        return MatGF(self.spec, self.spec.sub_arr(self.data, other.data))
-
-    def __neg__(self) -> "MatGF":
-        return MatGF(self.spec, self.spec.neg_arr(self.data))
-
     def __matmul__(self, other: "MatGF") -> "MatGF":
         """The product, exact in float64.
 
