@@ -200,10 +200,10 @@ def _completion(a: MatGF, completion: MatGF | None = None) -> MatGF:
     as its first rows; else ``a.complete_to_invertible()``."""
     if completion is None:
         return a.complete_to_invertible()  # raises if rank-deficient
-    n_cols = a.cols
+    m, n_cols = a.rows, a.cols
     if completion.rows != n_cols or completion.cols != n_cols:
         raise DimensionError("completion must be square of size N")
-    if completion.row_submatrix(list(range(1, a.rows + 1))) != a:
+    if m > n_cols or completion.row_submatrix(list(range(1, m + 1))) != a:
         raise ValueError("completion does not extend the defining matrix")
     if completion.rank() != n_cols:
         raise RankDeficientError("completion is singular")

@@ -3,8 +3,7 @@
 Given a defining matrix, a mode (self-orthogonal or dual-containing),
 a Galois level and target dimensions, the search constructs candidate
 constituent tuples that satisfy the corresponding checker's witness
-conditions by construction where possible (the conditions are read
-once per search, from sigma^l(A) @ A^T or from ``dc_conditions``):
+conditions by construction where possible:
 
 * containment constraints restrict each constituent to an intersection
   of known duals, and generators are sampled inside that subspace;
@@ -218,8 +217,8 @@ def _dc_plan(a: MatGF, req: SearchRequest) -> tuple[set[int], list[tuple[int, in
 
 
 def _dc_attempt(
-    a: MatGF, plan: tuple[set[int], list[tuple[int, int]]], req: SearchRequest,
-    rng: random.Random,
+    a: MatGF, plan: tuple[set[int], list[tuple[int, int]]],
+    req: SearchRequest, rng: random.Random,
 ) -> MPCode | None:
     forced, pairs = plan
     spec = a.spec
@@ -266,8 +265,9 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     The constraints come from the SO condition matrix sigma^l(A) @ A^T
     or from ``dc_conditions``, computed once per search before the first
     attempt, so an infeasible DC request raises even when
-    ``max_candidates`` is 0.  Returns up to ``req.count`` hits, each verified by the exact checker
-    and (when a target is given) meeting the distance target.
+    ``max_candidates`` is 0.  Returns up to ``req.count`` hits, each
+    verified by the exact checker and (when a target is given) meeting
+    the distance target.
     """
     if req.mode not in ("so", "dc"):
         raise ValueError(f"unknown search mode {req.mode!r}")

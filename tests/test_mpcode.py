@@ -178,6 +178,10 @@ def test_check_dc_full_rank_validates_completion():
         check_dual_containing_full_rank(mp, 0, completion=MatGF(f2, [[1, 0], [1, 0]]))
     with pytest.raises(ValueError, match="does not extend"):
         check_dual_containing_full_rank(mp, 0, completion=MatGF(f2, [[0, 1], [1, 0]]))
+    # more defining-matrix rows than columns: no square matrix extends it
+    tall = MPCode([mp.constituents[0]] * 3, MatGF(f2, [[1, 0], [0, 1], [1, 1]]))
+    with pytest.raises(ValueError, match="does not extend"):
+        check_dual_containing_full_rank(tall, 0, completion=MatGF.identity(f2, 2))
 
 
 def test_dc_conditions_regions():
