@@ -21,6 +21,7 @@ fact is printed as one ``key: value`` line.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .lincode import DistanceBudget, DistanceResult, LinearCode
@@ -293,6 +294,7 @@ def _add_common(p: argparse.ArgumentParser, *, ell: bool = True):
     p.add_argument("--out", default=None, help="output file path")
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mpcodes", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -239,27 +239,18 @@ def row_partition(a: MatGF) -> RowPartition:
     that is independent of the rows already in the block.  Zero rows
     contribute nothing and are listed in ``discarded`` instead.
     """
-    remaining = []
-    discarded = []
-    for i in range(1, a.rows + 1):
-        if a.data[i - 1].any():
-            remaining.append(i)
-        else:
-            discarded.append(i)
+    nonzero = a.data.any(axis=1)
+    remaining = [i for i in range(1, a.rows + 1) if nonzero[i - 1]]
+    discarded = [i for i in range(1, a.rows + 1) if not nonzero[i - 1]]
     blocks: list[tuple[int, ...]] = []
     while remaining:
-        block: list[int] = []
-        rank = 0
-        rest: list[int] = []
-        for i in remaining:
-            cand = a.row_submatrix(block + [i])
-            if cand.rank() == rank + 1:
-                block.append(i)
-                rank += 1
-            else:
-                rest.append(i)
-        blocks.append(tuple(block))
-        remaining = rest
+        # a row joins the block iff it is independent of the rows before
+        # it, i.e. iff its column of the transpose is a pivot column; the
+        # first remaining row is nonzero, so every block takes one row
+        _, pivots = a.row_submatrix(remaining).T.rref()
+        block = tuple(remaining[c - 1] for c in pivots)
+        blocks.append(block)
+        remaining = [i for i in remaining if i not in block]
     return RowPartition(tuple(blocks), tuple(discarded))
 
 

@@ -154,11 +154,10 @@ def _sample_dual_containing(
     d = _sample_inside(ambient, co_dim, rng, so_ell=inv_ell)
     if d is None:
         return None
-    cand = d.galois_dual(inv_ell)
-    if cand.k != dim:
-        return None
-    # d <= dual_l(base) gives base <= dual_(e-l)(d) = cand
-    return cand if cand.is_galois_dual_containing(ell) else None
+    # needs no re-check: dual_(e-l)(d) has dimension n - co_dim = dim,
+    # d <= dual_l(base) gives base <= dual_(e-l)(d), and d is
+    # (e-l)-self-orthogonal, so dual_l(dual_(e-l)(d)) = d <= dual_(e-l)(d)
+    return d.galois_dual(inv_ell)
 
 
 def _so_attempt(

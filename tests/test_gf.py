@@ -195,6 +195,11 @@ def test_user_modulus_validation():
     # x^2 + 1 is irreducible over GF(3)
     f = FieldSpec(3, 2, (1, 0, 1))
     assert f.mul(3, 3) == 2  # theta^2 = -1 = 2
+    # x^8+x^4+x^3+x+1 is irreducible over GF(2), but x has order 51: the
+    # primitive-element search must go on past it
+    f = FieldSpec(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))
+    assert f.pow(2, 51) == 1
+    assert sorted(f.pow(f._prim, k) for k in range(255)) == list(range(1, 256))
     # not monic
     with pytest.raises(ValueError):
         FieldSpec(2, 2, (1, 1, 0))
@@ -205,6 +210,32 @@ def test_user_modulus_validation():
         FieldSpec(4, 1)  # p not prime
     with pytest.raises(ValueError):
         FieldSpec(2, 0)
+
+
+def test_reducible_moduli_of_higher_degree_are_rejected():
+    # the primitive-element search is bounded: the powers of a zero
+    # divisor reach 0, never 1, and the walk must still end
+    # x^8+x+1 = (x^2+x+1)(x^6+x^5+x^3+x^2+1) over GF(2)
+    with pytest.raises(ValueError, match="is reducible over GF"):
+        FieldSpec(2, 8, (1, 1, 0, 0, 0, 0, 0, 0, 1))
+    # x^5+x+1 = (x^2+x+1)(x^3+2x^2+1) over GF(3)
+    with pytest.raises(ValueError, match="is reducible over GF"):
+        FieldSpec(3, 5, (1, 1, 0, 0, 0, 1))
+
+
+def test_prime_field_default_modulus_is_x_minus_primitive_root():
+    # 3 and 6 are the smallest primitive roots of 17 and 251
+    assert field(17).modulus == (14, 1)
+    assert field(17)._prim == 3
+    assert field(251).modulus == (245, 1)
+    assert field(251)._prim == 6
+    # an explicit linear modulus is kept, with the same tables
+    f = FieldSpec(17, 1, (0, 1))
+    assert f.modulus == (0, 1)
+    assert f._mul == field(17)._mul
+    # an extension field outside the table has no default
+    with pytest.raises(ValueError, match="no default modulus"):
+        field(49)
 
 
 # Every default field, plus x^2+1 over GF(3), x^4+x^3+x^2+x+1 over GF(2)

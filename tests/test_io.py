@@ -86,6 +86,14 @@ def test_code_roundtrip_and_canonicalization(rng):
     assert fmt.load_code(text, strict=False).k == 1
 
 
+def test_prime_field_outside_the_default_table_roundtrips(rng):
+    spec = field(17)
+    c = random_code(spec, 5, 2, rng)
+    text = fmt.dump_code(c)
+    assert text.splitlines()[0] == "field p=17 e=1 mod=14,1"
+    assert fmt.load_code(text) == c
+
+
 def test_zero_code_file():
     text = "field p=3 e=1\ncode 4 0"
     c = fmt.load_code(text)

@@ -207,6 +207,44 @@ def test_row_partition_paper_matrix_and_zero_rows():
     assert part.discarded == (2,)
 
 
+def _greedy_row_partition(a):
+    """Reference: rank the current block plus each row in turn."""
+    remaining = [i for i in range(1, a.rows + 1) if a.data[i - 1].any()]
+    blocks = []
+    while remaining:
+        block = []
+        for i in remaining:
+            if a.row_submatrix(block + [i]).rank() == len(block) + 1:
+                block.append(i)
+        blocks.append(tuple(block))
+        remaining = [i for i in remaining if i not in block]
+    return tuple(blocks)
+
+
+def test_row_partition_matches_greedy_rank_reference():
+    rng = random.Random(5)
+    for _ in range(300):
+        f = field(rng.choice((2, 3, 4, 5, 9, 16)))
+        cols = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            kind = rng.random()
+            if kind < 0.2:
+                rows.append([0] * cols)
+            elif kind < 0.4 and rows:
+                # c*u + v for earlier rows u and v: a dependent row
+                u, v = rng.choice(rows), rng.choice(rows)
+                c = rng.randrange(f.q)
+                rows.append([f.add(f.mul(c, x), y) for x, y in zip(u, v)])
+            else:
+                rows.append([rng.randrange(f.q) for _ in range(cols)])
+        a = MatGF(f, rows)
+        part = row_partition(a)
+        assert part.blocks == _greedy_row_partition(a)
+        assert part.discarded == tuple(
+            i for i in range(1, a.rows + 1) if not any(rows[i - 1]))
+
+
 def test_dual_general_matches_kernel_dual(rng):
     for _ in range(60):
         mp = _random_mp(rng)

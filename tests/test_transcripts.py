@@ -6,13 +6,11 @@ byte for byte.  A deliberate output change regenerates the file with
 """
 
 import difflib
-import functools
 import json
 
 import pytest
 
 import make_transcripts
-from mpcodes import cli
 
 
 def _text(entry):
@@ -25,11 +23,8 @@ def test_transcripts_cover_the_command_matrix():
     assert [e["argv"] for e in recorded] == make_transcripts.commands()
 
 
-def test_cli_output_matches_transcripts(monkeypatch):
+def test_cli_output_matches_transcripts():
     recorded = json.loads(make_transcripts.TRANSCRIPTS.read_text(encoding="utf-8"))
-    # the parser is the same for every call; building it once halves the
-    # replay time
-    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
     with make_transcripts.sandbox():
         for want in recorded:
             got = make_transcripts.run(want["argv"])
