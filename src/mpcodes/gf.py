@@ -34,6 +34,7 @@ smallest encoding of multiplicative order q-1).
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable
 
 import numpy as np
@@ -354,15 +355,20 @@ class FieldSpec:
         return self._pairwise(self._MUL, a, b)
 
     def sum_arr(self, a, axis: int) -> np.ndarray:
-        """Field sum along one axis of an encoding array."""
+        """Field sum along one axis of an encoding array.  For odd p the
+        axis is folded in halves, about log2(length) table adds."""
         a = np.asarray(a)
         if self.p == 2:
             return np.bitwise_xor.reduce(a, axis=axis)
         parts = np.moveaxis(a, axis, 0)
-        out = np.zeros(parts.shape[1:], dtype=np.uint8)
-        for part in parts:
-            out = self._pairwise(self._ADD, out, part)
-        return out
+        if len(parts) == 0:
+            return np.zeros(parts.shape[1:], dtype=np.uint8)
+        while len(parts) > 1:
+            half = len(parts) // 2
+            # an odd middle entry is carried to the next round as it is
+            folded = self._pairwise(self._ADD, parts[:half], parts[-half:])
+            parts = np.concatenate([folded, parts[half:-half]])
+        return parts[0].astype(np.uint8)
 
     def frobenius_arr(self, a, ell: int) -> np.ndarray:
         if ell < 0:
@@ -374,18 +380,17 @@ def field(q: int, modulus: Iterable[int] | None = None) -> FieldSpec:
     """Build GF(q) for a prime power q, using the default modulus table."""
     if q < 2:
         raise ValueError(f"q={q} is not a prime power")
-    for p in range(2, q + 1):
-        # the smallest divisor >= 2 of q is prime
-        if q % p == 0:
-            e = 0
-            r = q
-            while r % p == 0:
-                r //= p
-                e += 1
-            if r != 1:
-                raise ValueError(f"q={q} is not a prime power")
-            return FieldSpec(p, e, modulus)
-    raise ValueError(f"q={q} is not a prime power")
+    # the smallest divisor >= 2 of q is prime; a composite q has one
+    # up to sqrt(q), so without one q itself is prime
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    e = 0
+    r = q
+    while r % p == 0:
+        r //= p
+        e += 1
+    if r != 1:
+        raise ValueError(f"q={q} is not a prime power")
+    return FieldSpec(p, e, modulus)
 
 
 def parse_element(token: str, spec: FieldSpec) -> int:

@@ -3,8 +3,11 @@
 A :class:`LinearCode` is stored in canonical form (RREF generator with
 no zero rows), which makes equality and file output stable.  A code
 X lies in Y iff G_X @ H_Y^T = 0, with H_Y spanning the Euclidean dual
-of Y.  Duals come in Euclidean and l-Galois flavours; the Galois dual
-is computed through the Euclidean dual by one Frobenius map.
+of Y; H_Y is read off Y's canonical generator, with no elimination.
+Duals come in Euclidean and l-Galois flavours; the Galois dual is
+computed through the Euclidean dual by one Frobenius map.  The
+Euclidean dual costs one elimination of min(k, n - k) rows: a kernel
+read off an RREF is, with rows and columns reversed, itself an RREF.
 
 Minimum distance is decided by one information-set enumerator
 (Brouwer-Zimmermann): the columns are split greedily into disjoint
@@ -183,9 +186,31 @@ class LinearCode:
 
     # -- duals ---------------------------------------------------------------
 
+    def parity_check(self) -> MatGF:
+        """An (n - k) x n matrix whose rows span the Euclidean dual, read
+        off the canonical generator (its pivots are its rows' leading
+        entries) with no elimination; not canonical itself."""
+        lead = (self.gen.data != 0).argmax(axis=1) + 1 if self.k else ()
+        return self.gen.rref_kernel(lead)
+
     def euclidean_dual(self) -> "LinearCode":
-        """The dual under the ordinary inner product; dim n - k."""
-        return LinearCode.from_generator(self.gen.kernel_basis())
+        """The dual under the ordinary inner product; dim n - k.
+
+        One elimination of min(k, n - k) rows.  A kernel read off an RREF
+        is an RREF once its rows and columns are reversed (see
+        :meth:`MatGF.rref_kernel`).  So when 2k <= n, the kernel of the
+        generator with its columns reversed, read off that matrix's
+        k-row RREF and reversed back, is already the dual's canonical
+        generator.  Otherwise the n - k rows of :meth:`parity_check`
+        are canonicalised; that costs less than eliminating the k rows
+        of the reversed generator would.
+        """
+        spec = self.spec
+        if 2 * self.k <= self.n:
+            rev = MatGF(spec, self.gen.data[:, ::-1]).kernel_basis()
+            gen = MatGF(spec, rev.data[::-1, ::-1])
+            return LinearCode(spec, self.n, gen, _canonical=True)
+        return LinearCode.from_generator(self.parity_check())
 
     def galois_dual(self, ell: int) -> "LinearCode":
         """The l-Galois dual: the Frobenius power e-l applied to the
@@ -203,7 +228,7 @@ class LinearCode:
         """True iff self is contained in other: G_self @ H_other^T = 0,
         with H_other spanning the Euclidean dual of other."""
         self._check_compatible(other)
-        return (self.gen @ other.gen.kernel_basis().T).is_zero()
+        return (self.gen @ other.parity_check().T).is_zero()
 
     def __add__(self, other: "LinearCode") -> "LinearCode":
         """Sum of codes: the span of both generating sets."""
@@ -227,7 +252,7 @@ class LinearCode:
         self.spec.check_ell(ell)
         if 2 * self.k < self.n:
             return False
-        h = self.gen.kernel_basis()
+        h = self.parity_check()
         return (h.frobenius_map(self.spec.e - ell) @ h.T).is_zero()
 
     # -- minimum distance -----------------------------------------------------

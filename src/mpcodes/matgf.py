@@ -6,8 +6,11 @@ are exact and deterministic; there is no pivoting heuristic beyond
 "first nonzero entry" because the arithmetic is exact.
 
 The product is float64 BLAS on base-p digits with one reduction mod p
-at the end (delayed reduction, as in FFLAS/FFPACK); elimination works
-in place on one uint8 copy.  Each has one code path for every q <= 256.
+at the end (delayed reduction, as in FFLAS/FFPACK).  Elimination works
+in place on one uint8 copy, with three table calls per pivot: a row of
+the multiplication table scales the pivot row, a column gather of it
+takes the row's q multiples, and one field subtraction clears the pivot
+column.  Each has one code path for every q <= 256.
 
 Rows and columns are numbered from 1 throughout the public API, matching
 the usual coding-theory convention; the underlying ``.data`` array is an
@@ -214,14 +217,21 @@ class MatGF:
 
         Pivoting is deterministic: for each column (left to right) the
         first nonzero entry at or below the current row is the pivot.
-        In place on one uint8 copy, each other row with a nonzero in the
-        pivot column subtracts its entry of a table of the pivot row's q
-        multiples, from the pivot column on (the pivot row is zero to its
-        left).  A step's temporaries are the q x w table and a few copies
-        of the updated rows x w block, 13 bytes an entry at the peak.
+        In place on one uint8 copy, a pivot step makes three table calls
+        for every q, from the pivot column on (the pivot row is zero to
+        its left): one row of the q x q multiplication table scales the
+        pivot row to a leading 1; one column gather of that table takes
+        the row's q multiples, a q x w table; and each other row with a
+        nonzero in the pivot column subtracts its entry's multiple in one
+        field subtraction.  A step's temporaries, per entry of the
+        updated rows x w block, are that block and its multiples (1 byte
+        each) and the difference (1 byte); for odd p the subtraction's
+        uint16 table index and take's intp copy of it add 10 bytes, so
+        the peak is 13 bytes an entry (3 when p = 2, where it is XOR).
+        The q x w table adds q bytes per column.
         """
         spec = self.spec
-        scalars = np.arange(spec.q, dtype=np.uint8)[:, None]
+        mul = spec._MUL.reshape(spec.q, spec.q)
         m = self.data.copy()
         rows, cols = m.shape
         pivots: list[int] = []
@@ -241,11 +251,11 @@ class MatGF:
                 m[r, c:], m[pr, c:] = m[pr, c:], m[r, c:].copy()
             row = m[r, c:]
             if row[0] != 1:
-                row[:] = spec.mul_arr(spec.inv(int(row[0])), row)
+                row[:] = mul[spec.inv(int(row[0]))].take(row)
             if nz.size > 1:
                 factors = col[nz]
                 factors[i] = 0  # leaves the row at nz[i] as it is
-                multiples = spec.mul_arr(scalars, row)
+                multiples = mul.take(row, axis=1)
                 m[nz, c:] = spec.sub_arr(m[nz, c:], multiples[factors])
             pivots.append(c + 1)
             r += 1
@@ -269,8 +279,22 @@ class MatGF:
         return MatGF(self.spec, red.data[:, n:])
 
     def kernel_basis(self) -> "MatGF":
-        """Rows form a basis of the right kernel {x : self @ x^T = 0}."""
+        """Rows form a basis of the right kernel {x : self @ x^T = 0}:
+        the one :meth:`rref_kernel` reads off the RREF."""
         red, pivots = self.rref()
+        return red.rref_kernel(pivots)
+
+    def rref_kernel(self, pivots: Sequence[int]) -> "MatGF":
+        """The right kernel of a matrix in RREF with the given 1-based
+        pivot columns, read off without elimination: one row per free
+        column f, with 1 at f, 0 at the other free columns and minus the
+        RREF entries of column f at the pivots.
+
+        A pivot row is zero left of its pivot, so row f is zero right of
+        f.  With its rows and columns reversed the result is therefore
+        in RREF: the leading 1s sit at the reversed free columns, in
+        order, and each is alone in its column.
+        """
         n = self.cols
         piv0 = np.array(pivots, dtype=np.intp) - 1
         is_free = np.ones(n, dtype=bool)
@@ -279,7 +303,7 @@ class MatGF:
         out = np.zeros((free0.size, n), dtype=np.uint8)
         out[np.arange(free0.size), free0] = 1
         # x_pivot = -(RREF entry in the free column), one free column per row
-        block = red.data[: piv0.size][:, free0]
+        block = self.data[: piv0.size][:, free0]
         out[:, piv0] = self.spec.neg_arr(block).T
         return MatGF(self.spec, out)
 

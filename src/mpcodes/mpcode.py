@@ -226,7 +226,9 @@ def dual_full_rank(
     a = mp.defmatrix
     twisted = _completion(a, completion).frobenius_map((spec.e - ell) % spec.e)
     mixer = twisted.inverse().T
-    duals = [c.galois_dual(ell) for c in mp.constituents]
+    # equal constituents share one dual
+    dual_of = {c: c.galois_dual(ell) for c in dict.fromkeys(mp.constituents)}
+    duals = [dual_of[c] for c in mp.constituents]
     duals += [LinearCode.full(spec, mp.n)] * (a.cols - a.rows)
     dual_mp = MPCode(duals, mixer)
     return dual_mp, expand(dual_mp)
@@ -346,7 +348,7 @@ def _dc_witnesses(
     """
     twist = mp.spec.e - ell
     # each H is built at most once
-    parity = functools.cache(lambda code: code.gen.kernel_basis())
+    parity = functools.cache(LinearCode.parity_check)
     out: list[Witness] = []
     for i, j, forced in dc_conditions(zeta, mp.num_constituents):
         if forced == 0:

@@ -84,10 +84,20 @@ def _extends_rank(rows: list[list[int]], vec: list[int], spec: FieldSpec) -> boo
     return mat.rank() == len(rows) + 1
 
 
+def _galois_dual(memo: dict, code: LinearCode, level: int) -> LinearCode:
+    """code.galois_dual(level), memoised in ``memo``, a dict that lives
+    for one search: attempts meet the same (code, level) pairs often."""
+    key = (code, level)
+    if key not in memo:
+        memo[key] = code.galois_dual(level)
+    return memo[key]
+
+
 def _sample_inside(
     ambient: LinearCode,
     dim: int,
     rng: random.Random,
+    memo: dict,
     *,
     so_ell: int | None = None,
     tries: int = 200,
@@ -122,10 +132,10 @@ def _sample_inside(
                 # restrict further samples to vectors orthogonal to the
                 # rows chosen so far, in both slot orders
                 row_code = LinearCode.from_generator(MatGF(spec, rows))
-                space = ambient & row_code.galois_dual(so_ell)
+                space = ambient & _galois_dual(memo, row_code, so_ell)
                 other_ell = (spec.e - so_ell) % spec.e
                 if other_ell != so_ell:
-                    space = space & row_code.galois_dual(other_ell)
+                    space = space & _galois_dual(memo, row_code, other_ell)
     if len(rows) != dim:
         return None
     return LinearCode.from_generator(MatGF(spec, rows))
@@ -138,6 +148,7 @@ def _sample_dual_containing(
     ell: int,
     base: LinearCode,
     rng: random.Random,
+    memo: dict,
 ) -> LinearCode | None:
     """A random code of the given dimension that contains ``base`` and
     its own l-Galois dual.
@@ -150,18 +161,18 @@ def _sample_dual_containing(
         return None
     co_dim = n - dim
     inv_ell = (spec.e - ell) % spec.e
-    ambient = base.galois_dual(ell)
-    d = _sample_inside(ambient, co_dim, rng, so_ell=inv_ell)
+    ambient = _galois_dual(memo, base, ell)
+    d = _sample_inside(ambient, co_dim, rng, memo, so_ell=inv_ell)
     if d is None:
         return None
     # needs no re-check: dual_(e-l)(d) has dimension n - co_dim = dim,
     # d <= dual_l(base) gives base <= dual_(e-l)(d), and d is
     # (e-l)-self-orthogonal, so dual_l(dual_(e-l)(d)) = d <= dual_(e-l)(d)
-    return d.galois_dual(inv_ell)
+    return _galois_dual(memo, d, inv_ell)
 
 
 def _so_attempt(
-    a: MatGF, cond: MatGF, req: SearchRequest, rng: random.Random
+    a: MatGF, cond: MatGF, req: SearchRequest, rng: random.Random, memo: dict
 ) -> MPCode | None:
     spec = a.spec
     m = a.rows
@@ -180,9 +191,9 @@ def _so_attempt(
                 # the (e-l)-Galois dual of C_j (the same when l == e - l)
                 levels.append(inv_ell)
             for level in levels:
-                ambient = ambient & chosen[j - 1].galois_dual(level)
+                ambient = ambient & _galois_dual(memo, chosen[j - 1], level)
         so_ell = ell if cond.data[i - 1, i - 1] != 0 else None
-        c = _sample_inside(ambient, req.dims[i - 1], rng, so_ell=so_ell)
+        c = _sample_inside(ambient, req.dims[i - 1], rng, memo, so_ell=so_ell)
         if c is None:
             return None
         chosen.append(c)
@@ -217,7 +228,7 @@ def _dc_plan(a: MatGF, req: SearchRequest) -> tuple[set[int], list[tuple[int, in
 
 def _dc_attempt(
     a: MatGF, plan: tuple[set[int], list[tuple[int, int]]],
-    req: SearchRequest, rng: random.Random,
+    req: SearchRequest, rng: random.Random, memo: dict,
 ) -> MPCode | None:
     forced, pairs = plan
     spec = a.spec
@@ -240,15 +251,15 @@ def _dc_attempt(
                 # inverse-Galois dual of C_dst
                 duals.append((dst, inv_ell))
         for j, level in dict.fromkeys(duals):
-            base = base + chosen[j].galois_dual(level)
+            base = base + _galois_dual(memo, chosen[j], level)
         dim = req.dims[i - 1]
         if (i, i) in pairs:
-            c = _sample_dual_containing(spec, req.n, dim, ell, base, rng)
+            c = _sample_dual_containing(spec, req.n, dim, ell, base, rng, memo)
         elif base.k > dim:
             c = None
         else:
             # base plus a random complement; resample if the two meet
-            extra = _sample_inside(LinearCode.full(spec, req.n), dim - base.k, rng)
+            extra = _sample_inside(LinearCode.full(spec, req.n), dim - base.k, rng, memo)
             c = None if extra is None else base + extra
             if c is not None and c.k != dim:
                 c = None
@@ -266,7 +277,8 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     attempt, so an infeasible DC request raises even when
     ``max_candidates`` is 0.  Returns up to ``req.count`` hits, each
     verified by the exact checker and (when a target is given) meeting
-    the distance target.
+    the distance target.  Constituent duals are memoised for the length
+    of one call, so repeated searches each compute their own.
     """
     if req.mode not in ("so", "dc"):
         raise ValueError(f"unknown search mode {req.mode!r}")
@@ -292,9 +304,10 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
         plan = _dc_plan(a, req)
         sample, check = _dc_attempt, check_dual_containing_general
     rng = random.Random(req.seed)
+    memo: dict = {}  # (code, level) -> its Galois dual, for this search
     hits: list[SearchHit] = []
     for attempt in range(1, req.max_candidates + 1):
-        mp = sample(a, plan, req, rng)
+        mp = sample(a, plan, req, rng, memo)
         if mp is None or check(mp, req.ell).verdict is not Verdict.HOLDS:
             continue
         big = expand(mp)

@@ -286,6 +286,32 @@ def test_field_size_cap():
         FieldSpec(3, 6, (2, 1, 0, 0, 0, 0, 1))
 
 
+def test_field_refuses_a_large_prime_quickly():
+    # trial division stops at sqrt(q): a linear scan would take minutes
+    with pytest.raises(ValueError, match="too large"):
+        field(2**31 - 1)
+    with pytest.raises(ValueError, match="too large"):
+        field(10000019)
+    with pytest.raises(ValueError, match="not a prime power"):
+        field(2**31 - 2)
+    with pytest.raises(ValueError, match="not a prime power"):
+        field(257 * 263)
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_sum_arr_matches_sequential_sum(q):
+    f = field(q)
+    gen = np.random.default_rng(q)
+    for length in range(71):
+        arr = gen.integers(0, q, (length, 3)).astype(np.uint8)
+        for axis, a in ((0, arr), (1, arr.T)):
+            want = np.zeros(3, dtype=np.uint8)
+            for part in arr:
+                want = np.array([f.add(int(x), int(y)) for x, y in zip(want, part)])
+            got = f.sum_arr(a, axis=axis)
+            assert got.dtype == np.uint8 and np.array_equal(got, want), (length, axis)
+
+
 def test_sum_arr_matches_scalar_fold():
     rngs = random.Random(3)
     for q in (2, 3, 4, 9):

@@ -53,6 +53,58 @@ def test_galois_dual_properties(rng):
         random_code(field(4), 3, 1, rng).galois_dual(2)
 
 
+def _dual_by_two_eliminations(c, ell):
+    """The l-Galois dual as the canonical span of the kernel basis of the
+    canonical generator, mapped by the Frobenius power e - l."""
+    dual = LinearCode.from_generator(c.gen.kernel_basis())
+    twist = (c.spec.e - ell) % c.spec.e
+    return LinearCode.from_generator(dual.gen.frobenius_map(twist))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 27])
+def test_duals_match_two_elimination_reference(q):
+    # every k from 0 to n, so both routes and the 2k = n boundary
+    f = field(q)
+    rng = random.Random(q)
+    for n in (1, 2, 5, 6, 9):
+        codes = [LinearCode.zero(f, n), LinearCode.full(f, n)]
+        for k in range(n + 1):
+            for _ in range(3):
+                rows = [[rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(n)]
+                        for _ in range(k)]
+                codes.append(LinearCode.from_generator(MatGF(f, rows) if k else MatGF.zeros(f, 0, n)))
+        for c in codes:
+            assert c.euclidean_dual() == _dual_by_two_eliminations(c, 0), (n, c.k)
+            for ell in range(f.e):
+                assert c.galois_dual(ell) == _dual_by_two_eliminations(c, ell), (n, c.k, ell)
+            # the parity-check rows span the dual without being canonical
+            assert LinearCode.from_generator(c.parity_check()) == c.euclidean_dual()
+
+
+def test_euclidean_dual_eliminates_once_on_the_smaller_side(monkeypatch):
+    calls = []
+    rref = MatGF.rref
+
+    def counted(self):
+        calls.append(self.rows)
+        return rref(self)
+
+    f = field(9)
+    rng = random.Random(5)
+    n = 10
+    codes = [random_code(f, n, k, rng) for k in range(n + 1)]
+    monkeypatch.setattr(MatGF, "rref", counted)
+    for c in codes:
+        calls.clear()
+        c.euclidean_dual()
+        assert len(calls) <= 1 and all(r <= min(c.k, n - c.k) for r in calls), (c.k, calls)
+        calls.clear()
+        c.parity_check()
+        c.is_subcode(c)
+        c.is_galois_dual_containing(1)
+        assert calls == [], c.k  # read off the canonical generator
+
+
 def test_galois_dual_vanishing_products(rng):
     # x in the l-Galois dual iff it pairs to zero with every generator row
     for _ in range(20):

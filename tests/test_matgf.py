@@ -205,6 +205,64 @@ def test_rref_matches_entrywise_reference():
                 assert red.data.tolist() == want, (f, rows, cols)
 
 
+def _rref_table_loop(a):
+    """The elimination loop that scales and takes multiples through
+    ``mul_arr``: for each column the first nonzero at or below the
+    current row is the pivot; it is scaled to 1 and every other row with
+    a nonzero in the column subtracts its multiple."""
+    f = a.spec
+    scalars = np.arange(f.q, dtype=np.uint8)[:, None]
+    m = a.data.copy()
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        col = m[:, c]
+        nz = col.nonzero()[0]
+        i = nz.searchsorted(r)
+        if i == nz.size:
+            continue
+        pr = nz[i]
+        if pr != r:
+            m[r, c:], m[pr, c:] = m[pr, c:], m[r, c:].copy()
+        row = m[r, c:]
+        if row[0] != 1:
+            row[:] = f.mul_arr(f.inv(int(row[0])), row)
+        if nz.size > 1:
+            factors = col[nz]
+            factors[i] = 0
+            multiples = f.mul_arr(scalars, row)
+            m[nz, c:] = f.sub_arr(m[nz, c:], multiples[factors])
+        pivots.append(c + 1)
+        r += 1
+    return m, tuple(pivots)
+
+
+@pytest.mark.parametrize("q", sorted(DEFAULT_MODULI) + [251])
+def test_rref_matches_table_loop(q):
+    f = field(q)
+    gen = np.random.default_rng(q)
+    shapes = [(0, 5), (5, 0), (0, 0), (1, 1), (3, 7), (7, 3), (12, 5), (8, 16)]
+    for rows, cols in shapes:
+        for _ in range(4):
+            data = gen.integers(0, q, (rows, cols))
+            if rows > 2:
+                data[gen.integers(rows)] = 0  # a zero row
+                data[1] = data[0]  # a duplicate row
+            if rows and cols:
+                data[:, gen.integers(cols)] = 0  # a zero column
+            cases = [MatGF(f, data)]
+            cases.append(cases[0].rref()[0])  # already reduced
+            for a in cases:
+                red, pivots = a.rref()
+                want, want_pivots = _rref_table_loop(a)
+                assert pivots == want_pivots, (q, rows, cols)
+                assert np.array_equal(red.data, want), (q, rows, cols)
+                assert red.shape == a.shape
+
+
 def test_rref_memory_is_bounded():
     # beyond its copy, an elimination step holds the block of rows it
     # updates a few times, the largest as take's intp index (8 bytes an

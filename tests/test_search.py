@@ -64,7 +64,7 @@ def test_sample_inside_self_product_rule_matches_code_check(rng):
         so_ell = rng.choice([None, *range(f.e)])
         seed = rng.randrange(1 << 30)
         r_new, r_ref = random.Random(seed), random.Random(seed)
-        got = srch._sample_inside(ambient, dim, r_new, so_ell=so_ell, tries=30)
+        got = srch._sample_inside(ambient, dim, r_new, {}, so_ell=so_ell, tries=30)
         want = sample_inside_by_code_check(ambient, dim, r_ref, so_ell=so_ell, tries=30)
         assert got == want, (trial, f, ambient, dim, so_ell)
         assert r_new.getstate() == r_ref.getstate()
