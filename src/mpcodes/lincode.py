@@ -230,15 +230,17 @@ class LinearCode:
         self._check_compatible(other)
         return (self.gen @ other.parity_check().T).is_zero()
 
-    def __add__(self, other: "LinearCode") -> "LinearCode":
-        """Sum of codes: the span of both generating sets."""
-        self._check_compatible(other)
-        return LinearCode.from_generator(MatGF.vstack([self.gen, other.gen]))
-
     def __and__(self, other: "LinearCode") -> "LinearCode":
-        """Intersection, computed through duality."""
+        """Intersection: x @ G_self lies in other iff x @ G_self @ H_other^T
+        = 0, with H_other read off other's canonical generator; so one
+        kernel of that k x (n - k_other) product gives the messages, and
+        their codewords are canonicalised.  The rows of G_self are
+        independent, so the result has as many rows as that kernel."""
         self._check_compatible(other)
-        return (self.euclidean_dual() + other.euclidean_dual()).euclidean_dual()
+        msgs = (self.gen @ other.parity_check().T).T.kernel_basis()
+        if msgs.rows == 0:
+            return LinearCode.zero(self.spec, self.n)
+        return LinearCode.from_generator(msgs @ self.gen)
 
     def is_galois_self_orthogonal(self, ell: int) -> bool:
         """True iff the code is contained in its own l-Galois dual."""

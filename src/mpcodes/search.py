@@ -241,7 +241,6 @@ def _dc_attempt(
     for i in range(1, m + 1):
         if i in chosen:
             continue
-        base = LinearCode.zero(spec, req.n)
         duals = []  # (constituent, level); one pair may come twice
         for src, dst in pairs:
             if dst == i and src in chosen and src != i:
@@ -250,8 +249,10 @@ def _dc_attempt(
                 # dual(C_i) inside chosen C_dst, i.e. C_i contains the
                 # inverse-Galois dual of C_dst
                 duals.append((dst, inv_ell))
-        for j, level in dict.fromkeys(duals):
-            base = base + _galois_dual(memo, chosen[j], level)
+        # the sum of those duals
+        gens = [_galois_dual(memo, chosen[j], level).gen for j, level in dict.fromkeys(duals)]
+        base = (LinearCode.from_generator(MatGF.vstack(gens)) if gens
+                else LinearCode.zero(spec, req.n))
         dim = req.dims[i - 1]
         if (i, i) in pairs:
             c = _sample_dual_containing(spec, req.n, dim, ell, base, rng, memo)
@@ -260,7 +261,8 @@ def _dc_attempt(
         else:
             # base plus a random complement; resample if the two meet
             extra = _sample_inside(LinearCode.full(spec, req.n), dim - base.k, rng, memo)
-            c = None if extra is None else base + extra
+            c = None if extra is None else LinearCode.from_generator(
+                MatGF.vstack([base.gen, extra.gen]))
             if c is not None and c.k != dim:
                 c = None
         if c is None:

@@ -28,6 +28,11 @@ def random_code(spec, n, k, rng):
     return LinearCode.from_generator(random_matrix(spec, k, n, rng))
 
 
+def code_sum(*codes):
+    """The span of the codes' generators."""
+    return LinearCode.from_generator(MatGF.vstack([c.gen for c in codes]))
+
+
 def random_completion(a, rng, tries=200):
     """A random invertible square matrix whose first rows equal ``a``."""
     n = a.cols

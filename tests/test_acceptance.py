@@ -32,7 +32,7 @@ from mpcodes import io as fmt
 from mpcodes import oracle
 from mpcodes.cli import main as cli_main
 
-from conftest import FIXTURES, code, mat, random_code, random_completion, random_matrix
+from conftest import FIXTURES, code, code_sum, mat, random_code, random_completion, random_matrix
 
 
 @contextmanager
@@ -290,7 +290,7 @@ def _proper_dual_containing(f, n, ell, rng):
     """
     while True:
         e = random_code(f, n, rng.randint(1, n), rng)
-        d = e + e.galois_dual(ell)
+        d = code_sum(e, e.galois_dual(ell))
         if d.k < n:
             return d
 
@@ -305,7 +305,7 @@ def _dc_square_instance(rng):
     ell = rng.randrange(f.e)
     a = _random_invertible(f, m, rng)
     d = _proper_dual_containing(f, n, ell, rng)
-    cons = [d + random_code(f, n, rng.randint(0, n - d.k), rng) for _ in range(m)]
+    cons = [code_sum(d, random_code(f, n, rng.randint(0, n - d.k), rng)) for _ in range(m)]
     return MPCode(cons, a), ell
 
 

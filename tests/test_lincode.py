@@ -11,7 +11,7 @@ from mpcodes import (
 )
 from mpcodes import oracle
 
-from conftest import code, random_code, random_matrix
+from conftest import code, code_sum, random_code, random_matrix
 
 
 def test_from_generator_canonicalizes():
@@ -146,8 +146,8 @@ def test_sum_and_intersection(rng):
     c = code(f2, ["1 1 0 0"])
     O = LinearCode.zero(f2, 4)
     F = LinearCode.full(f2, 4)
-    assert c + O == c
-    assert c + c == c
+    assert code_sum(c, O) == c
+    assert code_sum(c, c) == c
     assert (c & F) == c
     assert (c & O) == O
     for _ in range(40):
@@ -156,7 +156,7 @@ def test_sum_and_intersection(rng):
         n = rng.randint(1, 6)
         a = random_code(f, n, rng.randint(0, n), rng)
         b = random_code(f, n, rng.randint(0, n), rng)
-        s = a + b
+        s = code_sum(a, b)
         i = a & b
         # modular law for dimensions
         assert s.k + i.k == a.k + b.k
@@ -174,6 +174,47 @@ def test_intersection_matches_set_intersection(rng):
         inter = a & b
         expected = set(oracle.enumerate_codewords(a).words) & set(oracle.enumerate_codewords(b).words)
         assert set(oracle.enumerate_codewords(inter).words) == expected
+
+
+def _intersection_cases(f, n, rng):
+    """(X, Y) pairs: random, a zero or a full operand on either side,
+    X inside Y, and X meeting Y only in 0."""
+    x = random_code(f, n, rng.randint(1, n), rng)
+    y = LinearCode.zero(f, n)
+    while y.is_zero:
+        y = random_code(f, n, rng.randint(1, n), rng)
+    zero, full = LinearCode.zero(f, n), LinearCode.full(f, n)
+    inside = LinearCode.from_generator(random_matrix(f, rng.randint(1, y.k), y.k, rng) @ y.gen)
+    # complementary rows of an invertible matrix meet only in 0
+    while True:
+        square = random_matrix(f, n, n, rng)
+        if square.rank() == n:
+            break
+    split = rng.randint(1, n - 1)
+    top = LinearCode.from_generator(square.row_submatrix(list(range(1, split + 1))))
+    bottom = LinearCode.from_generator(square.row_submatrix(list(range(split + 1, n + 1))))
+    return [
+        ("random", x, y), ("zero left", zero, y), ("zero right", x, zero),
+        ("full left", full, y), ("full right", x, full), ("inside", inside, y),
+        ("contains", y, inside), ("meet in 0", top, bottom),
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_intersection_edge_cases_match_enumeration(q):
+    f = field(q)
+    rng = random.Random(q)
+    for _ in range(6):
+        n = rng.randint(2, 4)
+        for label, x, y in _intersection_cases(f, n, rng):
+            inter = x & y
+            expected = set(oracle.enumerate_codewords(x).words) & set(oracle.enumerate_codewords(y).words)
+            assert set(oracle.enumerate_codewords(inter).words) == expected, label
+            assert inter == LinearCode.from_generator(inter.gen), label  # canonical
+            if label == "meet in 0":
+                assert inter.is_zero
+            if label == "inside":
+                assert inter == x
 
 
 def test_min_distance_repetition_and_errors():

@@ -25,7 +25,7 @@ from mpcodes import (
 from mpcodes import oracle
 from mpcodes.mpcode import dc_conditions
 
-from conftest import code, mat, random_code, random_completion, random_matrix
+from conftest import code, code_sum, mat, random_code, random_completion, random_matrix
 
 
 def _random_mp(rng, *, full_rank=None, q_choices=(2, 3, 4, 5, 8, 9)):
@@ -253,6 +253,60 @@ def test_dual_general_matches_kernel_dual(rng):
             assert dual_general(mp, ell) == expand(mp).galois_dual(ell)
 
 
+def _block_mp(mp, block):
+    """The MP code of the constituents and defining-matrix rows in block."""
+    return MPCode(
+        [mp.constituents[i - 1] for i in block],
+        mp.defmatrix.row_submatrix(list(block)),
+    )
+
+
+def test_dual_general_matches_block_intersection(rng):
+    # the paper's formula for a rank-deficient A: the intersection over
+    # the row-partition blocks B of the closed-form duals of C_B
+    multi_block = oracle_checked = 0
+    for _ in range(40):
+        mp = _random_mp(rng, full_rank=False)
+        f = mp.spec
+        blocks = row_partition(mp.defmatrix).blocks
+        multi_block += len(blocks) >= 2
+        big = expand(mp)
+        for ell in range(f.e):
+            expected = LinearCode.full(f, big.n)
+            for block in blocks:
+                expected = expected & dual_full_rank(_block_mp(mp, block), ell)[1]
+            dual = dual_general(mp, ell)
+            assert dual == expected
+            if f.q ** (big.n - big.k) <= 4096:
+                assert dual == oracle.dual_by_definition(big, ell, cap=4096)
+                oracle_checked += 1
+    assert multi_block >= 10 and oracle_checked >= 20, (multi_block, oracle_checked)
+
+
+def test_dual_general_rank_deficient_eliminates_at_most_three_times(monkeypatch):
+    # one rank test, the expansion and its dual; no per-block expansions
+    calls = []
+    rref = MatGF.rref
+
+    def counted(self):
+        calls.append(self.shape)
+        return rref(self)
+
+    f = field(4)
+    rng = random.Random(11)
+    # rows 1 + 2 = row 3: partition blocks (1, 2) and (3,)
+    a = mat(f, ["1 0 a", "0 1 1", "1 1 a^2"])
+    mp = MPCode([random_code(f, 12, k, rng) for k in (4, 7, 9)], a)
+    assert len(row_partition(a).blocks) >= 2
+    for ell in range(f.e):
+        calls.clear()
+        monkeypatch.setattr(MatGF, "rref", counted)
+        dual = dual_general(mp, ell)
+        monkeypatch.setattr(MatGF, "rref", rref)
+        assert len(calls) <= 3, calls
+        assert dual == expand(mp).galois_dual(ell)
+
+
 def test_dual_general_all_zero_matrix():
     f2 = field(2)
     c = LinearCode.full(f2, 2)
@@ -267,15 +321,8 @@ def test_expand_is_sum_of_partition_blocks(rng):
         part = row_partition(mp.defmatrix)
         if not part.blocks:
             continue
-        total = None
-        for block in part.blocks:
-            sub = MPCode(
-                [mp.constituents[i - 1] for i in block],
-                mp.defmatrix.row_submatrix(list(block)),
-            )
-            piece = expand(sub)
-            total = piece if total is None else (total + piece)
-        assert total == expand(mp)
+        pieces = [expand(_block_mp(mp, block)).gen for block in part.blocks]
+        assert LinearCode.from_generator(MatGF.vstack(pieces)) == expand(mp)
 
 
 def test_check_self_orthogonal_iff_definition(rng):
@@ -308,7 +355,7 @@ def test_check_self_orthogonal_witness_order(rng):
 
 def _contained(x, y):
     """x <= y decided by sums, independently of is_subcode."""
-    return x + y == y
+    return code_sum(x, y) == y
 
 
 def _witness_truth(mp, w, ell):
@@ -333,7 +380,7 @@ def _related_constituents(f, n, m, ell, rng):
     that containments hold often enough to test both outcomes."""
     e = random_code(f, n, rng.randint(0, n), rng)
     d = e.galois_dual(ell)
-    pool = [e, d, e + d, e & d, LinearCode.zero(f, n), LinearCode.full(f, n)]
+    pool = [e, d, code_sum(e, d), e & d, LinearCode.zero(f, n), LinearCode.full(f, n)]
     return [
         rng.choice(pool) if rng.random() < 0.75 else random_code(f, n, rng.randint(0, n), rng)
         for _ in range(m)
