@@ -11,8 +11,10 @@ Subcommands::
 
 Exit codes are a stable contract: 0 = success / condition holds,
 1 = condition fails / verification disagreement, 2 = ``search`` found no
-candidate within ``--search-cap``, 10 = usage or parse error,
-11 = validation error, 12 = cap exceeded, 13 = infeasible search.  Both
+candidate within ``--search-cap``, or made no attempt because
+``--target`` exceeds the Singleton bound of every possible hit,
+10 = usage or parse error, 11 = validation error, 12 = cap exceeded,
+13 = infeasible search.  Both
 checkers are exact for every defining matrix, so ``check`` answers
 holds (0) or fails (1) on every valid input.  With ``--machine`` every
 fact is printed as one ``key: value`` line.

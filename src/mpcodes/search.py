@@ -9,23 +9,28 @@ conditions by construction where possible:
   of known duals, and generators are sampled inside that subspace;
 * a self-orthogonality constraint on a single constituent is met by
   greedy extension: each sampled row is drawn orthogonal to the rows
-  chosen so far, and kept only if its own self-product vanishes;
+  chosen so far, and kept only if its own self-product vanishes; after
+  each kept row the sampling space is narrowed by the two Galois duals
+  of that one row;
 * a dual-containment constraint on a single constituent is met by
   sampling a self-orthogonal complement and dualizing it.
 
-Candidates whose expanded minimum distance meets the target are
-reported.  Everything is driven by a seeded generator, so a rerun with
-the same request reproduces the same candidates.
+Sampled vectors are uint8 encoding arrays throughout.  Candidates whose
+expanded minimum distance meets the target are reported; a target above
+the Singleton bound of every possible hit is refused before the first
+attempt.  Constituent duals are cached for the length of one search.
+Everything is driven by a seeded generator, so a rerun with the same
+request reproduces the same candidates.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .gf import FieldSpec
 from .lincode import DistanceBudget, DistanceResult, LinearCode
 from .matgf import MatGF
 from .mpcode import (
@@ -65,39 +70,18 @@ class SearchHit:
     attempt: int
 
 
-def _random_vector_in(code: LinearCode, rng: random.Random) -> list[int] | None:
-    """A uniformly random element of the code (possibly zero)."""
-    if code.k == 0:
-        return None
+def _random_vector_in(code: LinearCode, rng: random.Random) -> np.ndarray:
+    """A uniformly random element of the code (possibly zero), as an
+    encoding array: one coefficient drawn per generator row, in order."""
     spec = code.spec
-    q = spec.q
-    out = [0] * code.n
-    for row in code.gen.data:
-        lam = rng.randrange(q)
-        if lam:
-            out = [spec.add(x, spec.mul(lam, int(y))) for x, y in zip(out, row)]
-    return out
-
-
-def _extends_rank(rows: list[list[int]], vec: list[int], spec: FieldSpec) -> bool:
-    mat = MatGF(spec, rows + [vec]) if rows else MatGF(spec, [vec])
-    return mat.rank() == len(rows) + 1
-
-
-def _galois_dual(memo: dict, code: LinearCode, level: int) -> LinearCode:
-    """code.galois_dual(level), memoised in ``memo``, a dict that lives
-    for one search: attempts meet the same (code, level) pairs often."""
-    key = (code, level)
-    if key not in memo:
-        memo[key] = code.galois_dual(level)
-    return memo[key]
+    lam = np.array([rng.randrange(spec.q) for _ in range(code.k)], dtype=np.uint8)
+    return spec.sum_arr(spec.mul_arr(lam[:, None], code.gen.data), axis=0)
 
 
 def _sample_inside(
     ambient: LinearCode,
     dim: int,
     rng: random.Random,
-    memo: dict,
     *,
     so_ell: int | None = None,
     tries: int = 200,
@@ -109,70 +93,61 @@ def _sample_inside(
         return None
     if dim == 0:
         return LinearCode.zero(spec, ambient.n)
-    rows: list[list[int]] = []
+    rows: list[np.ndarray] = []
     space = ambient
     for _ in range(tries):
         if len(rows) == dim:
             break
         vec = _random_vector_in(space, rng)
-        if vec is None or not any(vec):
+        if not vec.any():
             continue
         # rows + [vec] is self-orthogonal iff <vec, vec>_l = 0: the rows
         # are, and vec lies in space, inside dual_l(rows) and
         # dual_(e-l)(rows), so both cross products with each row vanish;
         # as <a*u, b*v>_l = a * b^(p^l) * <u, v>_l, the generators decide
-        if so_ell is not None:
-            arr = np.array(vec, dtype=np.uint8)
-            prods = spec.mul_arr(arr, spec.frobenius_arr(arr, so_ell))
-            if spec.sum_arr(prods, axis=0):
-                continue
-        if _extends_rank(rows, vec, spec):
+        if so_ell is not None and spec.sum_arr(
+                spec.mul_arr(vec, spec.frobenius_arr(vec, so_ell)), axis=0):
+            continue
+        if MatGF(spec, np.vstack([*rows, vec])).rank() == len(rows) + 1:
             rows.append(vec)
             if so_ell is not None and len(rows) < dim:
-                # restrict further samples to vectors orthogonal to the
-                # rows chosen so far, in both slot orders
-                row_code = LinearCode.from_generator(MatGF(spec, rows))
-                space = ambient & _galois_dual(memo, row_code, so_ell)
-                other_ell = (spec.e - so_ell) % spec.e
-                if other_ell != so_ell:
-                    space = space & _galois_dual(memo, row_code, other_ell)
+                # restrict further samples to vectors orthogonal to vec in
+                # both slot orders; dual(R + <vec>) = dual(R) & dual(<vec>),
+                # so space stays ambient & both duals of all the rows
+                one = LinearCode.from_generator(MatGF(spec, vec[None, :]))
+                for level in dict.fromkeys((so_ell, (spec.e - so_ell) % spec.e)):
+                    space = space & one.galois_dual(level)
     if len(rows) != dim:
         return None
-    return LinearCode.from_generator(MatGF(spec, rows))
+    return LinearCode.from_generator(MatGF(spec, np.vstack(rows)))
 
 
 def _sample_dual_containing(
-    spec: FieldSpec,
-    n: int,
-    dim: int,
-    ell: int,
-    base: LinearCode,
-    rng: random.Random,
-    memo: dict,
+    dim: int, ell: int, base: LinearCode, rng: random.Random, dual
 ) -> LinearCode | None:
     """A random code of the given dimension that contains ``base`` and
-    its own l-Galois dual.
+    its own l-Galois dual; ``dual`` is the search's cached
+    ``LinearCode.galois_dual``.
 
     Works through the complement: C contains its dual iff the dual D has
     the complementary dimension, lies inside the dual of ``base`` and is
     (e-l)-Galois self-orthogonal with C the (e-l)-Galois dual of D.
     """
+    n = base.n
     if 2 * dim < n or dim < base.k:
         return None
-    co_dim = n - dim
-    inv_ell = (spec.e - ell) % spec.e
-    ambient = _galois_dual(memo, base, ell)
-    d = _sample_inside(ambient, co_dim, rng, memo, so_ell=inv_ell)
+    inv_ell = (base.spec.e - ell) % base.spec.e
+    d = _sample_inside(dual(base, ell), n - dim, rng, so_ell=inv_ell)
     if d is None:
         return None
-    # needs no re-check: dual_(e-l)(d) has dimension n - co_dim = dim,
+    # needs no re-check: dual_(e-l)(d) has dimension n - (n - dim) = dim,
     # d <= dual_l(base) gives base <= dual_(e-l)(d), and d is
     # (e-l)-self-orthogonal, so dual_l(dual_(e-l)(d)) = d <= dual_(e-l)(d)
-    return _galois_dual(memo, d, inv_ell)
+    return dual(d, inv_ell)
 
 
 def _so_attempt(
-    a: MatGF, cond: MatGF, req: SearchRequest, rng: random.Random, memo: dict
+    a: MatGF, cond: MatGF, req: SearchRequest, rng: random.Random, dual
 ) -> MPCode | None:
     spec = a.spec
     m = a.rows
@@ -191,9 +166,9 @@ def _so_attempt(
                 # the (e-l)-Galois dual of C_j (the same when l == e - l)
                 levels.append(inv_ell)
             for level in levels:
-                ambient = ambient & _galois_dual(memo, chosen[j - 1], level)
+                ambient = ambient & dual(chosen[j - 1], level)
         so_ell = ell if cond.data[i - 1, i - 1] != 0 else None
-        c = _sample_inside(ambient, req.dims[i - 1], rng, memo, so_ell=so_ell)
+        c = _sample_inside(ambient, req.dims[i - 1], rng, so_ell=so_ell)
         if c is None:
             return None
         chosen.append(c)
@@ -228,7 +203,7 @@ def _dc_plan(a: MatGF, req: SearchRequest) -> tuple[set[int], list[tuple[int, in
 
 def _dc_attempt(
     a: MatGF, plan: tuple[set[int], list[tuple[int, int]]],
-    req: SearchRequest, rng: random.Random, memo: dict,
+    req: SearchRequest, rng: random.Random, dual,
 ) -> MPCode | None:
     forced, pairs = plan
     spec = a.spec
@@ -250,17 +225,17 @@ def _dc_attempt(
                 # inverse-Galois dual of C_dst
                 duals.append((dst, inv_ell))
         # the sum of those duals
-        gens = [_galois_dual(memo, chosen[j], level).gen for j, level in dict.fromkeys(duals)]
+        gens = [dual(chosen[j], level).gen for j, level in dict.fromkeys(duals)]
         base = (LinearCode.from_generator(MatGF.vstack(gens)) if gens
                 else LinearCode.zero(spec, req.n))
         dim = req.dims[i - 1]
         if (i, i) in pairs:
-            c = _sample_dual_containing(spec, req.n, dim, ell, base, rng, memo)
+            c = _sample_dual_containing(dim, ell, base, rng, dual)
         elif base.k > dim:
             c = None
         else:
             # base plus a random complement; resample if the two meet
-            extra = _sample_inside(LinearCode.full(spec, req.n), dim - base.k, rng, memo)
+            extra = _sample_inside(LinearCode.full(spec, req.n), dim - base.k, rng)
             c = None if extra is None else LinearCode.from_generator(
                 MatGF.vstack([base.gen, extra.gen]))
             if c is not None and c.k != dim:
@@ -279,8 +254,12 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     attempt, so an infeasible DC request raises even when
     ``max_candidates`` is 0.  Returns up to ``req.count`` hits, each
     verified by the exact checker and (when a target is given) meeting
-    the distance target.  Constituent duals are memoised for the length
-    of one call, so repeated searches each compute their own.
+    the distance target.  A target no hit can meet is refused with no
+    attempt, after those checks: a hit is a nonzero [nN, K] code, so by
+    the Singleton bound d <= nN - K + 1, with K = sum(dims) when A has
+    full row rank and K >= 1 otherwise.  Constituent duals go through
+    one ``functools.cache`` of ``LinearCode.galois_dual`` made per call,
+    so repeated searches each compute their own.
     """
     if req.mode not in ("so", "dc"):
         raise ValueError(f"unknown search mode {req.mode!r}")
@@ -294,7 +273,8 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
         raise ValueError(f"count={req.count} must be >= 1")
     if req.max_candidates < 0:
         raise ValueError(f"max_candidates={req.max_candidates} must be >= 0")
-    if req.mode == "dc" and a.rank() != a.rows:
+    full_rank = a.rank() == a.rows
+    if req.mode == "dc" and not full_rank:
         raise InfeasibleSearchError(
             "dual-containment search requires a full-row-rank defining matrix"
         )
@@ -305,11 +285,15 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     else:
         plan = _dc_plan(a, req)
         sample, check = _dc_attempt, check_dual_containing_general
+    k_min = sum(req.dims) if full_rank else 1
+    if req.target is not None and req.target > req.n * a.cols - k_min + 1:
+        return []
     rng = random.Random(req.seed)
-    memo: dict = {}  # (code, level) -> its Galois dual, for this search
+    # looked up now, not at import, so a wrapped galois_dual is cached too
+    dual = functools.cache(LinearCode.galois_dual)
     hits: list[SearchHit] = []
     for attempt in range(1, req.max_candidates + 1):
-        mp = sample(a, plan, req, rng, memo)
+        mp = sample(a, plan, req, rng, dual)
         if mp is None or check(mp, req.ell).verdict is not Verdict.HOLDS:
             continue
         big = expand(mp)

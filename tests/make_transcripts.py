@@ -9,6 +9,9 @@ the recorded file.  After a deliberate output change, regenerate it
 from the repository root and commit the result::
 
     python tests/make_transcripts.py
+
+It prints one ``changed:``, ``added:`` or ``removed:`` line for each
+argv whose recorded entry it alters.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ MALFORMED = {
 }
 
 SEARCH_ARGS = ["--mode", "so", "--n", "9", "--dims", "1,2", "--target", "24"]
+# A target below the Singleton bound (43 for this [45, 3] expansion) that
+# no sample meets: the search runs all its attempts and exits 2.
+CAPPED_SEARCH = ["search", "--matrix", "fixtures/f2_2x5_so_matrix.mat", "--mode", "so",
+                 "--n", "9", "--dims", "1,2", "--target", "25", "--search-cap", "20"]
 # Dual-containing searches: one that samples constituents, and one whose
 # condition matrix no constituent choice can meet (exit 13).
 DC_SEARCHES = (
@@ -102,7 +109,7 @@ def commands() -> list[list[str]]:
     """The argv of every recorded command, in replay order: every
     fixture under info, mp and search; every MP fixture under dual,
     check and verify at each valid ell; the dual-containing searches;
-    the malformed inputs; each of
+    a search that runs out of attempts; the malformed inputs; each of
     these plain and with --machine; then the capped distance runs of
     info, mp and dual."""
     base = []
@@ -124,7 +131,7 @@ def commands() -> list[list[str]]:
                 ["check", rel, "--mode", "dc", *e],
                 ["verify", rel, *e],
             ]
-    base += DC_SEARCHES
+    base += [*DC_SEARCHES, CAPPED_SEARCH]
     base += _malformed()
     out = [argv + extra for argv in base for extra in ([], ["--machine"])]
     for path in fixtures:
@@ -176,8 +183,27 @@ def record() -> list[dict]:
         return [run(argv) for argv in commands()]
 
 
+def differences(old: list[dict], new: list[dict]) -> list[str]:
+    """One ``changed:``, ``added:`` or ``removed:`` line per argv whose
+    entry differs between two recordings, in the order of ``new`` and
+    then of ``old``."""
+    before = {tuple(e["argv"]): e for e in old}
+    after = {tuple(e["argv"]): e for e in new}
+    lines = []
+    for argv, entry in after.items():
+        if argv not in before:
+            lines.append(f"added: {' '.join(argv)}")
+        elif before[argv] != entry:
+            lines.append(f"changed: {' '.join(argv)}")
+    lines += [f"removed: {' '.join(argv)}" for argv in before if argv not in after]
+    return lines
+
+
 def main() -> None:
+    old = json.loads(TRANSCRIPTS.read_text(encoding="utf-8")) if TRANSCRIPTS.exists() else []
     entries = record()
+    for line in differences(old, entries):
+        print(line)
     TRANSCRIPTS.write_text(
         json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
     )

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from mpcodes import (
@@ -20,8 +21,10 @@ from conftest import mat, random_code, random_matrix
 
 
 def sample_inside_by_code_check(ambient, dim, rng, *, so_ell=None, tries=200):
-    """_sample_inside with its former rule: a sampled vector is kept only
-    if the code spanned by the rows so far and it is self-orthogonal."""
+    """_sample_inside with its former rules: a sampled vector is kept only
+    if the code spanned by the rows so far and it is self-orthogonal, and
+    after each kept row the space is ambient intersected with both duals
+    of all the rows so far."""
     spec = ambient.spec
     if dim > ambient.k:
         return None
@@ -33,28 +36,29 @@ def sample_inside_by_code_check(ambient, dim, rng, *, so_ell=None, tries=200):
         if len(rows) == dim:
             break
         vec = srch._random_vector_in(space, rng)
-        if vec is None or not any(vec):
+        if not vec.any():
             continue
         if so_ell is not None:
-            cand = LinearCode.from_generator(MatGF(spec, rows + [vec]))
+            cand = LinearCode.from_generator(MatGF(spec, np.vstack(rows + [vec])))
             if not cand.is_galois_self_orthogonal(so_ell):
                 continue
-        if srch._extends_rank(rows, vec, spec):
+        if MatGF(spec, np.vstack(rows + [vec])).rank() == len(rows) + 1:
             rows.append(vec)
             if so_ell is not None and len(rows) < dim:
-                row_code = LinearCode.from_generator(MatGF(spec, rows))
+                row_code = LinearCode.from_generator(MatGF(spec, np.vstack(rows)))
                 space = ambient & row_code.galois_dual(so_ell)
                 other_ell = (spec.e - so_ell) % spec.e
                 if other_ell != so_ell:
                     space = space & row_code.galois_dual(other_ell)
     if len(rows) != dim:
         return None
-    return LinearCode.from_generator(MatGF(spec, rows))
+    return LinearCode.from_generator(MatGF(spec, np.vstack(rows)))
 
 
 def test_sample_inside_self_product_rule_matches_code_check(rng):
     # same draws, same result: only <vec, vec>_l can fail once vec lies in
-    # the duals of the rows chosen so far
+    # the duals of the rows chosen so far, and narrowing by one row's
+    # duals at a time gives the same space as re-dualising all the rows
     found = 0
     for trial in range(120):
         f = field(rng.choice([2, 3, 4, 5, 8, 9]))
@@ -64,12 +68,30 @@ def test_sample_inside_self_product_rule_matches_code_check(rng):
         so_ell = rng.choice([None, *range(f.e)])
         seed = rng.randrange(1 << 30)
         r_new, r_ref = random.Random(seed), random.Random(seed)
-        got = srch._sample_inside(ambient, dim, r_new, {}, so_ell=so_ell, tries=30)
+        got = srch._sample_inside(ambient, dim, r_new, so_ell=so_ell, tries=30)
         want = sample_inside_by_code_check(ambient, dim, r_ref, so_ell=so_ell, tries=30)
         assert got == want, (trial, f, ambient, dim, so_ell)
         assert r_new.getstate() == r_ref.getstate()
         found += got is not None and so_ell is not None
     assert found > 10
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16])
+def test_random_vector_is_the_scalar_combination_of_the_rows(rng, q):
+    # one draw per generator row, in order, combined with scalar add/mul;
+    # the zero code draws nothing and gives the zero word
+    f = field(q)
+    for k in range(4):
+        code = random_code(f, 5, k, rng)
+        seed = rng.randrange(1 << 30)
+        r_arr, r_ref = random.Random(seed), random.Random(seed)
+        want = [0] * code.n
+        for row in code.gen.data.tolist():
+            lam = r_ref.randrange(q)
+            want = [f.add(x, f.mul(lam, y)) for x, y in zip(want, row)]
+        got = srch._random_vector_in(code, r_arr)
+        assert got.dtype == np.uint8 and got.tolist() == want
+        assert r_arr.getstate() == r_ref.getstate()
 
 
 def test_so_search_backward_identity_gram():
@@ -150,11 +172,12 @@ def test_dc_search_constituent_with_pair_conditions_only(q, rows):
 @pytest.mark.parametrize("max_candidates", [0, 5])
 def test_dc_search_infeasible_raises_before_any_attempt(monkeypatch, max_candidates):
     # the plan is made once, before the first attempt, so even a search
-    # allowed no attempt reports an infeasible request
+    # allowed no attempt reports an infeasible request, and it outranks
+    # the refusal of a target no [20, 8] hit can meet
     monkeypatch.setattr(srch, "_dc_attempt", lambda *args: pytest.fail("attempted"))
     f5 = field(5)
     a = mat(f5, ["1 1 2 2", "0 4 1 4", "1 4 2 3"])
-    req = SearchRequest(mode="dc", ell=0, n=5, dims=(3, 3, 2),
+    req = SearchRequest(mode="dc", ell=0, n=5, dims=(3, 3, 2), target=100,
                         max_candidates=max_candidates)
     with pytest.raises(InfeasibleSearchError, match="constituent 3 is forced"):
         search_mp_codes(a, req)
@@ -164,6 +187,30 @@ def test_dc_search_infeasible_raises_before_any_attempt(monkeypatch, max_candida
                         max_candidates=max_candidates)
     with pytest.raises(InfeasibleSearchError, match=r"entry \(3,4\) is nonzero"):
         search_mp_codes(a, req)
+
+
+def test_unreachable_target_is_refused_before_any_attempt(monkeypatch):
+    # [45, 3] expansion: d <= 45 - 3 + 1 = 43 for every hit
+    monkeypatch.setattr(srch, "_so_attempt", lambda *args: pytest.fail("attempted"))
+    a = MatGF(field(2), [[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]])
+    req = SearchRequest(mode="so", ell=0, n=9, dims=(1, 2), target=44)
+    assert search_mp_codes(a, req) == []
+
+
+@pytest.mark.parametrize("rows, n, dims, target, attempts", [
+    # full row rank: the [45, 3] expansion's bound 43 itself is attempted
+    ([[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]], 9, (1, 2), 43, 3),
+    # rank-deficient: only K >= 1 is known, so d <= nN = 6, though
+    # sum(dims) = 6 would allow only d <= 1 at full rank
+    ([[1, 1], [1, 1]], 3, (3, 3), 6, 3),
+    ([[1, 1], [1, 1]], 3, (3, 3), 7, 0),
+])
+def test_target_bound_decides_whether_to_attempt(monkeypatch, rows, n, dims, target, attempts):
+    calls = []
+    monkeypatch.setattr(srch, "_so_attempt", lambda *args: calls.append(1))
+    req = SearchRequest(mode="so", ell=0, n=n, dims=dims, target=target, max_candidates=3)
+    assert search_mp_codes(MatGF(field(2), rows), req) == []
+    assert len(calls) == attempts
 
 
 def test_dc_search_requires_full_row_rank():

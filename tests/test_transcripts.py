@@ -32,3 +32,13 @@ def test_cli_output_matches_transcripts():
                 diff = "".join(difflib.unified_diff(
                     _text(want), _text(got), "recorded", "now"))
                 pytest.fail(f"mpcodes {' '.join(want['argv'])} changed:\n{diff}")
+
+
+def test_differences_name_each_changed_added_and_removed_argv():
+    old = [{"argv": ["info", "a"], "rc": 0}, {"argv": ["info", "b"], "rc": 0},
+           {"argv": ["mp", "c"], "rc": 0}]
+    new = [{"argv": ["info", "a"], "rc": 0}, {"argv": ["info", "b"], "rc": 1},
+           {"argv": ["dual", "d"], "rc": 0}]
+    assert make_transcripts.differences(old, new) == [
+        "changed: info b", "added: dual d", "removed: mp c"]
+    assert make_transcripts.differences(new, new) == []
