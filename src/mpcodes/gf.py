@@ -8,8 +8,11 @@ the coefficients of the residue polynomial ``d_0 + d_1*x + ... +
 d_{e-1}*x^(e-1)``.  With this encoding zero is ``0``, one is ``1``, and
 the prime subfield occupies the encodings ``0 .. p-1``.
 
-Every operation reads one set of lookup tables (add, sub, mul, neg,
-inv and Frobenius), built once in ``FieldSpec.__init__``.  The tables are
+Every ``FieldSpec(p, e, modulus)`` and :func:`field` call for one field
+returns one shared instance.  Every operation reads its one set of
+lookup tables (add, sub, mul, neg, inv and Frobenius), built when the
+field is first asked for, never at import; a failed build is not kept,
+so an invalid field raises every time.  The tables are
 generated from direct polynomial arithmetic (``_add_direct`` and
 ``_mul_direct``), which is kept only as that generator and as the test
 reference.  Scalar operations index plain-list copies.  Bulk (numpy)
@@ -73,18 +76,8 @@ DEFAULT_MODULI: dict[int, tuple[int, ...]] = {
 # Largest supported field size: every encoding and table entry is a uint8.
 _MAX_Q = 256
 
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+# The one FieldSpec of each field, by (p, e, modulus or None).
+_SPECS: dict[tuple, "FieldSpec"] = {}
 
 
 # ----------------------------------------------------------------------
@@ -126,8 +119,8 @@ def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
 class FieldSpec:
     """The field GF(p^e) with an explicit irreducible modulus.
 
-    Instances are immutable values: equal specs (same p, e, modulus)
-    describe the same field.  All arithmetic methods are pure and take
+    Instances are immutable values, interned: equal specs (same p, e,
+    modulus) are one object.  All arithmetic methods are pure and take
     and return plain integer encodings.
     """
 
@@ -158,7 +151,18 @@ class FieldSpec:
         "_log",
     )
 
-    def __init__(self, p: int, e: int = 1, modulus: Iterable[int] | None = None):
+    def __new__(cls, p: int, e: int = 1, modulus: Iterable[int] | None = None):
+        if modulus is not None:
+            modulus = tuple(int(c) % p if p else int(c) for c in modulus)
+        spec = _SPECS.get((p, e, modulus))
+        if spec is None:
+            spec = object.__new__(cls)
+            spec._setup(p, e, modulus)
+            # a default modulus is also found under its explicit key
+            spec = _SPECS[p, e, modulus] = _SPECS.setdefault((p, e, spec.modulus), spec)
+        return spec
+
+    def _setup(self, p: int, e: int, modulus: tuple[int, ...] | None) -> None:
         if e < 1:
             raise ValueError(f"extension degree e={e} must be >= 1")
         # before the primality test, which is slow for a huge p; as p >= 2,
@@ -167,7 +171,7 @@ class FieldSpec:
             raise ValueError(
                 f"{p}^{e} is too large: fields are limited to q <= {_MAX_Q}"
             )
-        if not _is_prime(p):
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise ValueError(f"p={p} is not prime")
         q = p**e
         # a prime field outside DEFAULT_MODULI gets x - g for the primitive
@@ -178,7 +182,6 @@ class FieldSpec:
             raise ValueError(f"no default modulus for q={q}; supply one explicitly")
         if modulus is None:
             modulus = DEFAULT_MODULI.get(q, (0, 1))
-        modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != e + 1:
             raise ValueError(
                 f"modulus must have degree e={e} (got {len(modulus) - 1})"
@@ -248,7 +251,7 @@ class FieldSpec:
     # -- value semantics -------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FieldSpec)
             and self.p == other.p
             and self.e == other.e

@@ -15,6 +15,11 @@ field header, a ``defmatrix`` section containing a matrix body, and one
 ``constituent <i>`` section per defining-matrix row, each containing a
 code body.
 
+Tokens are read and written through two tables built once per field:
+canonical token -> encoding and encoding -> token.  Any other token
+(``01``, ``+1``, ``a^01``, invalid ones) goes to ``parse_element``.
+Parsed rows are valid, so they need no ``MatGF`` range check.
+
 Check reports serialize as a ``verdict:`` line, a ``product:`` or
 ``zeta:`` matrix block, one ``witness i j <condition> ok|FAIL`` line per
 condition and optional trailing ``note:`` lines.
@@ -22,7 +27,10 @@ condition and optional trailing ``note:`` lines.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .gf import DEFAULT_MODULI, FieldSpec, format_element, parse_element
 from .lincode import LinearCode
@@ -143,12 +151,22 @@ def parse_field_header(line: str, lineno: int = 1) -> FieldSpec:
 # matrices
 # ----------------------------------------------------------------------
 
+@functools.cache
+def _token_tables(spec: FieldSpec) -> tuple[dict[str, int], list[str]]:
+    """(token -> encoding, encoding -> token) of the canonical tokens:
+    each encoding integer, ``a`` and ``a^k`` for 0 <= k < max(q-1, 1)."""
+    q = spec.q
+    names = [str(x) for x in range(q)] + ["a"] + [f"a^{k}" for k in range(max(q - 1, 1))]
+    return {t: parse_element(t, spec) for t in names}, [format_element(x, spec) for x in range(q)]
+
+
 def _parse_row(spec: FieldSpec, lineno: int, line: str, cols: int) -> list[int]:
     toks = line.split()
     if len(toks) != cols:
         raise ParseError(lineno, f"expected {cols} entries, got {len(toks)}")
+    enc = _token_tables(spec)[0]
     try:
-        return [parse_element(t, spec) for t in toks]
+        return [enc[t] if t in enc else parse_element(t, spec) for t in toks]
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from None
 
@@ -169,16 +187,14 @@ def _parse_matrix_body(lines: _Lines, spec: FieldSpec) -> MatGF:
         item = lines.next()
         if item is None:
             raise ParseError(len(lines.raw) + 1, f"matrix body ended early ({len(data)}/{rows} rows)")
-        rl, rline = item
-        data.append(_parse_row(spec, rl, rline, cols))
-    if rows == 0:
-        return MatGF.zeros(spec, 0, cols)
-    return MatGF(spec, data)
+        data.append(_parse_row(spec, *item, cols))
+    return MatGF._of(spec, np.array(data, dtype=np.uint8).reshape(rows, cols))
 
 
 def _row_lines(spec: FieldSpec, data) -> list[str]:
     """One line of element tokens per row of an encoding array."""
-    return [" ".join(format_element(x, spec) for x in row) for row in data.tolist()]
+    names = _token_tables(spec)[1]
+    return [" ".join([names[x] for x in row]) for row in data.tolist()]
 
 
 def _matrix_body_lines(m: MatGF) -> list[str]:
@@ -228,9 +244,8 @@ def _parse_code_body(
         nxt = lines.peek()
         if nxt is None or nxt[1].split()[0] in _SECTION_KEYWORDS:
             break
-        rl, rline = lines.next()
-        rows.append(_parse_row(spec, rl, rline, n))
-    gen = MatGF(spec, rows) if rows else MatGF.zeros(spec, 0, n)
+        rows.append(_parse_row(spec, *lines.next(), n))
+    gen = MatGF._of(spec, np.array(rows, dtype=np.uint8).reshape(len(rows), n))
     return LinearCode.from_generator(gen), n, k, lineno
 
 

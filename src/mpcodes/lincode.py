@@ -127,7 +127,7 @@ class LinearCode:
             raise FieldMismatchError("generator over a different field")
         if not _canonical:
             red, pivots = gen.rref()
-            gen = MatGF(spec, red.data[: len(pivots)])
+            gen = MatGF._of(spec, red.data[: len(pivots)])
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gen", gen)
@@ -207,8 +207,8 @@ class LinearCode:
         """
         spec = self.spec
         if 2 * self.k <= self.n:
-            rev = MatGF(spec, self.gen.data[:, ::-1]).kernel_basis()
-            gen = MatGF(spec, rev.data[::-1, ::-1])
+            rev = MatGF._of(spec, self.gen.data[:, ::-1]).kernel_basis()
+            gen = MatGF._of(spec, rev.data[::-1, ::-1])
             return LinearCode(spec, self.n, gen, _canonical=True)
         return LinearCode.from_generator(self.parity_check())
 
@@ -312,7 +312,7 @@ def _information_sets(code: LinearCode) -> Iterator[tuple[int, np.ndarray]]:
     unused = [c for c in range(n) if c not in taken]
     while unused:
         order = unused + used
-        red, pivots = MatGF(spec, gen[:, order]).rref()
+        red, pivots = MatGF._of(spec, gen[:, order]).rref()
         cols = [order[p - 1] for p in pivots if p <= len(unused)]
         if not cols:
             return

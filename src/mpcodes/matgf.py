@@ -12,6 +12,12 @@ the multiplication table scales the pivot row, a column gather of it
 takes the row's q multiples, and one field subtraction clears the pivot
 column.  Each has one code path for every q <= 256.
 
+Data is checked where it enters, by ``MatGF(spec, data)``: 2-D integer
+entries in [0, q), stored as a read-only uint8 copy.  Matrices built
+inside the package skip that through ``MatGF._of(spec, arr)``: the
+producer hands over a fresh 2-D uint8 array (or a view of read-only
+data) and never writes to it again; no scan, no copy.
+
 Rows and columns are numbered from 1 throughout the public API, matching
 the usual coding-theory convention; the underlying ``.data`` array is an
 ordinary 0-based numpy array.
@@ -61,19 +67,28 @@ class MatGF:
 
     def __init__(self, spec: FieldSpec, data):
         arr = np.asarray(data)
-        if arr.dtype != np.uint8:
-            arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 2:
             raise DimensionError(f"matrix data must be 2-D, got shape {arr.shape}")
+        if arr.size and arr.dtype.kind not in "biu":
+            raise ValueError(f"matrix entries must be integers, got dtype {arr.dtype}")
         # checked before the cast to uint8, which would wrap -1 and 256
         if arr.size and (
-            arr.max() >= spec.q or (arr.dtype != np.uint8 and arr.min() < 0)
+            arr.max() >= spec.q or (arr.dtype.kind == "i" and arr.min() < 0)
         ):
             raise ValueError(f"entries out of range for GF({spec.q})")
         arr = arr.astype(np.uint8)
         arr.setflags(write=False)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "data", arr)
+
+    @classmethod
+    def _of(cls, spec: FieldSpec, arr: np.ndarray) -> "MatGF":
+        """The trusted constructor: takes ``arr`` over, read-only."""
+        arr.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "data", arr)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("MatGF is immutable")
@@ -82,11 +97,11 @@ class MatGF:
 
     @classmethod
     def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "MatGF":
-        return cls(spec, np.zeros((rows, cols), dtype=np.uint8))
+        return cls._of(spec, np.zeros((rows, cols), dtype=np.uint8))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "MatGF":
-        return cls(spec, np.eye(n, dtype=np.uint8))
+        return cls._of(spec, np.eye(n, dtype=np.uint8))
 
     @classmethod
     def vstack(cls, mats: Sequence["MatGF"]) -> "MatGF":
@@ -100,7 +115,7 @@ class MatGF:
         blocks = [m.data for m in mats if m.rows] or [
             np.zeros((0, ncol), dtype=np.uint8)
         ]
-        return cls(mats[0].spec, np.vstack(blocks))
+        return cls._of(mats[0].spec, np.vstack(blocks))
 
     @classmethod
     def block_diag(cls, spec: FieldSpec, mats: Sequence["MatGF"]) -> "MatGF":
@@ -114,7 +129,7 @@ class MatGF:
             out[r : r + m.rows, c : c + m.cols] = m.data
             r += m.rows
             c += m.cols
-        return cls(spec, out)
+        return cls._of(spec, out)
 
     # -- basic attributes ---------------------------------------------------
 
@@ -132,7 +147,7 @@ class MatGF:
 
     @property
     def T(self) -> "MatGF":
-        return MatGF(self.spec, self.data.T)
+        return MatGF._of(self.spec, self.data.T)
 
     def is_zero(self) -> bool:
         return not self.data.any()
@@ -189,7 +204,7 @@ class MatGF:
             acc += left @ right
         np.fmod(acc, spec.p, out=acc)
         out = acc.reshape(r, c, e) @ (spec.p ** np.arange(e, dtype=np.float64))
-        return MatGF(spec, out.astype(np.uint8))
+        return MatGF._of(spec, out.astype(np.uint8))
 
     def kron(self, other: "MatGF") -> "MatGF":
         """Kronecker product, (rows*rows') x (cols*cols')."""
@@ -199,16 +214,14 @@ class MatGF:
         rb, cb = other.shape
         if min(ra, ca, rb, cb) == 0:
             return MatGF.zeros(spec, ra * rb, ca * cb)
-        out = spec.mul_arr(
-            self.data[:, None, :, None], other.data[None, :, None, :]
-        )
-        return MatGF(spec, out.reshape(ra * rb, ca * cb))
+        out = spec.mul_arr(self.data[:, None, :, None], other.data[None, :, None, :])
+        return MatGF._of(spec, out.reshape(ra * rb, ca * cb))
 
     def frobenius_map(self, ell: int) -> "MatGF":
         """Apply the Frobenius power entrywise."""
         if self.data.size == 0:
             return self
-        return MatGF(self.spec, self.spec.frobenius_arr(self.data, ell))
+        return MatGF._of(self.spec, self.spec.frobenius_arr(self.data, ell))
 
     # -- elimination ----------------------------------------------------------
 
@@ -259,7 +272,7 @@ class MatGF:
                 m[nz, c:] = spec.sub_arr(m[nz, c:], multiples[factors])
             pivots.append(c + 1)
             r += 1
-        return MatGF(spec, m), tuple(pivots)
+        return MatGF._of(spec, m), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -270,13 +283,11 @@ class MatGF:
         n = self.rows
         if n == 0:
             return self
-        aug = MatGF(
-            self.spec, np.hstack([self.data, np.eye(n, dtype=np.uint8)])
-        )
+        aug = MatGF._of(self.spec, np.hstack([self.data, np.eye(n, dtype=np.uint8)]))
         red, pivots = aug.rref()
         if list(pivots) != list(range(1, n + 1)):
             raise SingularMatrixError("matrix is singular")
-        return MatGF(self.spec, red.data[:, n:])
+        return MatGF._of(self.spec, red.data[:, n:])
 
     def kernel_basis(self) -> "MatGF":
         """Rows form a basis of the right kernel {x : self @ x^T = 0}:
@@ -305,7 +316,7 @@ class MatGF:
         # x_pivot = -(RREF entry in the free column), one free column per row
         block = self.data[: piv0.size][:, free0]
         out[:, piv0] = self.spec.neg_arr(block).T
-        return MatGF(self.spec, out)
+        return MatGF._of(self.spec, out)
 
     # -- row selection and completion ------------------------------------------
 
@@ -319,7 +330,7 @@ class MatGF:
                 raise ValueError(f"duplicate row index {i}")
             seen.add(i)
         sel = [i - 1 for i in indices]
-        return MatGF(self.spec, self.data[sel, :])
+        return MatGF._of(self.spec, self.data[sel, :])
 
     def complete_to_invertible(self) -> "MatGF":
         """Extend a full-row-rank M x N matrix to an invertible N x N one.
@@ -341,7 +352,7 @@ class MatGF:
         out[: self.rows] = self.data
         for r, j in enumerate(extra):
             out[self.rows + r, j - 1] = 1
-        return MatGF(self.spec, out)
+        return MatGF._of(self.spec, out)
 
     def is_nsc(self) -> bool:
         """Non-singular by columns: every i x i submatrix of the first
@@ -356,7 +367,7 @@ class MatGF:
         for i in range(1, m + 1):
             top = self.data[:i]
             for cols in combinations(range(n), i):
-                sq = MatGF(self.spec, top[:, cols])
+                sq = MatGF._of(self.spec, top[:, cols])
                 if sq.rank() != i:
                     return False
         return True

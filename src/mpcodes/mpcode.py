@@ -258,13 +258,6 @@ def row_partition(a: MatGF) -> RowPartition:
     return RowPartition(tuple(blocks), tuple(discarded))
 
 
-def _sub_mp(mp: MPCode, rows: tuple[int, ...]) -> MPCode:
-    return MPCode(
-        [mp.constituents[i - 1] for i in rows],
-        mp.defmatrix.row_submatrix(list(rows)),
-    )
-
-
 def dual_general(mp: MPCode, ell: int = 0) -> LinearCode:
     """The l-Galois dual for any defining matrix.
 
@@ -297,18 +290,18 @@ def check_self_orthogonal(mp: MPCode, ell: int = 0) -> CheckReport:
     mp.spec.check_ell(ell)
     a = mp.defmatrix
     cond = a.frobenius_map(ell) @ a.T
-    twisted = [c.gen.frobenius_map(ell) for c in mp.constituents]
-    witnesses = []
-    for i in range(1, a.rows + 1):
-        for j in range(1, a.rows + 1):
-            if cond.data[i - 1, j - 1] == 0:
-                continue
-            ok = (twisted[i - 1] @ mp.constituents[j - 1].gen.T).is_zero()
-            witnesses.append(
-                Witness(i, j, f"C{i}<=dual_{ell}(C{j})", ok)
-            )
+    witnesses = tuple(_so_witnesses(cond, mp, ell))
     verdict = Verdict.HOLDS if all(w.ok for w in witnesses) else Verdict.FAILS
-    return CheckReport(verdict, cond, "product", tuple(witnesses))
+    return CheckReport(verdict, cond, "product", witnesses)
+
+
+def _so_witnesses(cond: MatGF, mp: MPCode, ell: int) -> Iterator[Witness]:
+    """One condition per nonzero entry (i, j) of cond = sigma^l(A) @ A^T,
+    row-major: C_i <= dual_l(C_j), i.e. sigma^l(G_i) @ G_j^T = 0."""
+    twisted = [c.gen.frobenius_map(ell) for c in mp.constituents]
+    for i, j in (np.argwhere(cond.data) + 1).tolist():
+        ok = (twisted[i - 1] @ mp.constituents[j - 1].gen.T).is_zero()
+        yield Witness(i, j, f"C{i}<=dual_{ell}(C{j})", ok)
 
 
 # ----------------------------------------------------------------------
@@ -333,33 +326,30 @@ def dc_conditions(zeta: MatGF, m: int) -> Iterator[tuple[int, int, int | None]]:
 
 
 def _dc_witnesses(
-    zeta: MatGF, mp: MPCode, rows: tuple[int, ...], ell: int
-) -> list[Witness]:
+    zeta: MatGF, mp: MPCode, ell: int, rows: tuple[int, ...] | None = None
+) -> Iterator[Witness]:
     """The four containment conditions read off the nonzero pattern of
-    zeta, for a full-row-rank MP code whose constituents are the original
-    constituents ``rows``.
+    zeta, row-major, for a full-row-rank MP code whose constituents are
+    the original constituents ``rows`` (default: all of them, in order).
 
     Condition strings name original constituent indices; the (i, j)
     coordinates address zeta itself.  With H spanning a constituent's
     Euclidean dual, dual_l(C_i) <= C_j iff sigma^(e-l)(H_i) @ H_j^T = 0.
     """
     twist = mp.spec.e - ell
+    rows = rows or range(1, mp.num_constituents + 1)
     # each H is built at most once
     parity = functools.cache(LinearCode.parity_check)
-    out: list[Witness] = []
     for i, j, forced in dc_conditions(zeta, mp.num_constituents):
         if forced == 0:
-            out.append(Witness(i, j, f"zeta[{i},{j}]=0", False))
+            yield Witness(i, j, f"zeta[{i},{j}]=0", False)
         elif forced is not None:
             c = mp.constituents[forced - 1]
-            out.append(Witness(i, j, f"C{rows[forced - 1]}=F", c.is_full))
+            yield Witness(i, j, f"C{rows[forced - 1]}=F", c.is_full)
         else:
             h_i = parity(mp.constituents[i - 1]).frobenius_map(twist)
             ok = (h_i @ parity(mp.constituents[j - 1]).T).is_zero()
-            out.append(
-                Witness(i, j, f"dual_{ell}(C{rows[i - 1]})<=C{rows[j - 1]}", ok)
-            )
-    return out
+            yield Witness(i, j, f"dual_{ell}(C{rows[i - 1]})<=C{rows[j - 1]}", ok)
 
 
 def check_dual_containing_full_rank(
@@ -375,9 +365,9 @@ def check_dual_containing_full_rank(
     """
     mp.spec.check_ell(ell)
     zeta = zeta_matrix(mp.defmatrix, ell, completion)
-    wit = _dc_witnesses(zeta, mp, tuple(range(1, mp.num_constituents + 1)), ell)
+    wit = tuple(_dc_witnesses(zeta, mp, ell))
     verdict = Verdict.HOLDS if all(w.ok for w in wit) else Verdict.FAILS
-    return CheckReport(verdict, zeta, "zeta", tuple(wit))
+    return CheckReport(verdict, zeta, "zeta", wit)
 
 
 def check_dual_containing_general(mp: MPCode, ell: int = 0) -> CheckReport:
@@ -405,12 +395,12 @@ def check_dual_containing_general(mp: MPCode, ell: int = 0) -> CheckReport:
     blocks = row_partition(a).blocks
     if blocks:
         first = blocks[0]
-        sub = _sub_mp(mp, first)
+        sub = MPCode([mp.constituents[i - 1] for i in first], a.row_submatrix(list(first)))
         zeta = zeta_matrix(sub.defmatrix, ell)
-        wit = _dc_witnesses(zeta, sub, first, ell)
+        wit = tuple(_dc_witnesses(zeta, sub, ell, first))
         if all(w.ok for w in wit):
             notes = (f"pair: left={first} right={first}", "path: partition search")
-            return CheckReport(Verdict.HOLDS, zeta, "zeta", tuple(wit), notes)
+            return CheckReport(Verdict.HOLDS, zeta, "zeta", wit, notes)
 
     holds = expand(mp).is_galois_dual_containing(ell)
     return CheckReport(

@@ -300,7 +300,7 @@ def dual_by_definition(
         rows = _scan_dual(code, ell, cap)[1:]  # the zero vector sorts first
     else:
         rows = _dual_basis(code, ell, cap)
-    return LinearCode.from_generator(MatGF(code.spec, rows))
+    return LinearCode.from_generator(MatGF._of(code.spec, rows))
 
 
 def so_by_definition(code: LinearCode, ell: int = 0, cap: int = DEFAULT_CAP) -> bool:

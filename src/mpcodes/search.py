@@ -35,9 +35,8 @@ from .lincode import DistanceBudget, DistanceResult, LinearCode
 from .matgf import MatGF
 from .mpcode import (
     MPCode,
-    Verdict,
-    check_dual_containing_general,
-    check_self_orthogonal,
+    _dc_witnesses,
+    _so_witnesses,
     dc_conditions,
     expand,
     zeta_matrix,
@@ -108,18 +107,18 @@ def _sample_inside(
         if so_ell is not None and spec.sum_arr(
                 spec.mul_arr(vec, spec.frobenius_arr(vec, so_ell)), axis=0):
             continue
-        if MatGF(spec, np.vstack([*rows, vec])).rank() == len(rows) + 1:
+        if MatGF._of(spec, np.vstack([*rows, vec])).rank() == len(rows) + 1:
             rows.append(vec)
             if so_ell is not None and len(rows) < dim:
                 # restrict further samples to vectors orthogonal to vec in
                 # both slot orders; dual(R + <vec>) = dual(R) & dual(<vec>),
                 # so space stays ambient & both duals of all the rows
-                one = LinearCode.from_generator(MatGF(spec, vec[None, :]))
+                one = LinearCode.from_generator(MatGF._of(spec, vec[None, :].copy()))
                 for level in dict.fromkeys((so_ell, (spec.e - so_ell) % spec.e)):
                     space = space & one.galois_dual(level)
     if len(rows) != dim:
         return None
-    return LinearCode.from_generator(MatGF(spec, np.vstack(rows)))
+    return LinearCode.from_generator(MatGF._of(spec, np.vstack(rows)))
 
 
 def _sample_dual_containing(
@@ -175,13 +174,13 @@ def _so_attempt(
     return MPCode(chosen, a)
 
 
-def _dc_plan(a: MatGF, req: SearchRequest) -> tuple[set[int], list[tuple[int, int]]]:
+def _dc_plan(zeta: MatGF, m: int, req: SearchRequest) -> tuple[set[int], list[tuple[int, int]]]:
     """Forced whole-space constituents and containment pairs read off
-    the zeta matrix of a full-row-rank defining matrix; raises
+    the zeta matrix of a full-row-rank m-row defining matrix; raises
     InfeasibleSearchError when no constituent choice can meet them."""
     forced: set[int] = set()
     pairs: list[tuple[int, int]] = []
-    for i, j, f in dc_conditions(zeta_matrix(a, req.ell), a.rows):
+    for i, j, f in dc_conditions(zeta, m):
         if f == 0:
             raise InfeasibleSearchError(
                 f"condition matrix entry ({i},{j}) is nonzero but both "
@@ -249,11 +248,12 @@ def _dc_attempt(
 def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     """Seeded search for MP codes passing the requested check.
 
-    The constraints come from the SO condition matrix sigma^l(A) @ A^T
-    or from ``dc_conditions``, computed once per search before the first
+    The condition matrix, sigma^l(A) @ A^T (so) or zeta (dc, read by
+    ``dc_conditions``), is computed once per search before the first
     attempt, so an infeasible DC request raises even when
-    ``max_candidates`` is 0.  Returns up to ``req.count`` hits, each
-    verified by the exact checker and (when a target is given) meeting
+    ``max_candidates`` is 0; every attempt is checked by the exact
+    checker's witness rule on that same matrix.  Returns up to
+    ``req.count`` hits passing it and (when a target is given) meeting
     the distance target.  A target no hit can meet is refused with no
     attempt, after those checks: a hit is a nonzero [nN, K] code, so by
     the Singleton bound d <= nN - K + 1, with K = sum(dims) when A has
@@ -280,11 +280,12 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
         )
     a.spec.check_ell(req.ell)
     if req.mode == "so":
-        plan = a.frobenius_map(req.ell) @ a.T
-        sample, check = _so_attempt, check_self_orthogonal
+        plan = cond = a.frobenius_map(req.ell) @ a.T
+        sample, witnesses = _so_attempt, _so_witnesses
     else:
-        plan = _dc_plan(a, req)
-        sample, check = _dc_attempt, check_dual_containing_general
+        cond = zeta_matrix(a, req.ell)
+        plan = _dc_plan(cond, a.rows, req)
+        sample, witnesses = _dc_attempt, _dc_witnesses
     k_min = sum(req.dims) if full_rank else 1
     if req.target is not None and req.target > req.n * a.cols - k_min + 1:
         return []
@@ -294,7 +295,7 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     hits: list[SearchHit] = []
     for attempt in range(1, req.max_candidates + 1):
         mp = sample(a, plan, req, rng, dual)
-        if mp is None or check(mp, req.ell).verdict is not Verdict.HOLDS:
+        if mp is None or not all(w.ok for w in witnesses(cond, mp, req.ell)):
             continue
         big = expand(mp)
         if big.k == 0:

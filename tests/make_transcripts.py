@@ -29,8 +29,8 @@ from unittest import mock
 ROOT = Path(__file__).resolve().parent.parent
 TRANSCRIPTS = Path(__file__).resolve().parent / "cli_transcripts.json"
 
-# Input files of the malformed commands, written next to the fixture
-# link before the matrix runs.
+# Input files of the malformed and the token-spelling commands, written
+# next to the fixture link before the matrix runs.
 MALFORMED = {
     "bad/bad_header.code": "field p=x e=1\ncode 3 1\n1 1 1\n",
     "bad/bad_entry.mp": (
@@ -43,7 +43,18 @@ MALFORMED = {
     ),
     "bad/big_field.code": "field p=257 e=1\ncode 3 1\n1 1 1\n",
     "bad/zero.code": "field p=2 e=1\ncode 4 0\n",
+    "bad/bad_exponent.mp": (
+        "field p=2 e=2\ndefmatrix\nmatrix 1 1\n1\n"
+        "constituent 1\ncode 3 1\n1 a^3 1\n"
+    ),
+    "tokens/spelled.mp": (
+        "field p=2 e=2\ndefmatrix\nmatrix 1 2\n01 a^01\n"
+        "constituent 1\ncode 4 2\n+1 a^0 0 a^01\n0 01 a^01 a^2\n"
+    ),
 }
+# Lenient spellings of valid tokens (printed in canonical tokens, exit
+# 0) and an exponent outside GF(4)'s range (exit 10).
+SPELLINGS = [["mp", "tokens/spelled.mp"], ["mp", "bad/bad_exponent.mp"]]
 
 SEARCH_ARGS = ["--mode", "so", "--n", "9", "--dims", "1,2", "--target", "24"]
 # A target below the Singleton bound (43 for this [45, 3] expansion) that
@@ -109,7 +120,8 @@ def commands() -> list[list[str]]:
     """The argv of every recorded command, in replay order: every
     fixture under info, mp and search; every MP fixture under dual,
     check and verify at each valid ell; the dual-containing searches;
-    a search that runs out of attempts; the malformed inputs; each of
+    a search that runs out of attempts; the malformed inputs; the token
+    spellings; each of
     these plain and with --machine; then the capped distance runs of
     info, mp and dual."""
     base = []
@@ -132,7 +144,7 @@ def commands() -> list[list[str]]:
                 ["verify", rel, *e],
             ]
     base += [*DC_SEARCHES, CAPPED_SEARCH]
-    base += _malformed()
+    base += _malformed() + SPELLINGS
     out = [argv + extra for argv in base for extra in ([], ["--machine"])]
     for path in fixtures:
         rel = f"fixtures/{path.name}"

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from functools import reduce
 from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from mpcodes import (
 from mpcodes.gf import _poly_mul
 
 ALL_Q = sorted(DEFAULT_MODULI)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_default_table_matches_classic_moduli():
@@ -296,6 +301,36 @@ def test_field_refuses_a_large_prime_quickly():
         field(2**31 - 2)
     with pytest.raises(ValueError, match="not a prime power"):
         field(257 * 263)
+
+
+def test_one_spec_per_field(monkeypatch):
+    specs = [field(q) for q in ALL_Q]
+    # the tables of a field are built once
+    monkeypatch.setattr(FieldSpec, "_build_tables", lambda self: pytest.fail("rebuilt"))
+    for q, f in zip(ALL_Q, specs):
+        assert field(q) is f
+        assert FieldSpec(f.p, f.e) is f
+        assert FieldSpec(f.p, f.e, DEFAULT_MODULI[q]) is f
+    monkeypatch.undo()
+    # the modulus is reduced mod p, and a found default is the explicit one
+    m = (1, 0, 1)
+    assert FieldSpec(3, 2, m) is FieldSpec(3, 2, [c + 3 for c in m])
+    assert FieldSpec(3, 2, m) is not field(9)
+    assert FieldSpec(3, 2, m) != field(9)
+    assert field(17) is FieldSpec(17, 1, (14, 1))
+    # a failed build is not kept: it raises again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="reducible"):
+            FieldSpec(2, 2, (1, 0, 1))
+        with pytest.raises(ValueError, match="not prime"):
+            FieldSpec(4, 1)
+
+
+def test_no_field_is_built_at_import():
+    code = "import mpcodes, mpcodes.gf as g; print(len(g._SPECS))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize("q", ALL_Q)

@@ -1,6 +1,16 @@
 import pytest
 
-from mpcodes import LinearCode, MatGF, MPCode, Verdict, field
+from mpcodes import (
+    DEFAULT_MODULI,
+    FieldSpec,
+    LinearCode,
+    MatGF,
+    MPCode,
+    Verdict,
+    field,
+    format_element,
+    parse_element,
+)
 from mpcodes import io as fmt
 from mpcodes.mpcode import check_self_orthogonal
 
@@ -33,6 +43,49 @@ def test_field_header_errors():
             fmt.parse_field_header(bad, 3)
     with pytest.raises(fmt.ParseError, match="q <= 256"):
         fmt.parse_field_header("field p=257 e=1")
+
+
+def test_files_with_one_header_share_one_spec():
+    text = (FIXTURES / "f4_2x4_so.mp").read_text()
+    first, _ = fmt.load_mp(text)
+    second, _ = fmt.load_mp(text)
+    assert first.spec is second.spec is field(4)
+    assert fmt.parse_field_header("field p=2 e=2 mod=3,1,1") is field(4)
+    # a failed header is not kept: it raises on every load
+    for _ in range(2):
+        with pytest.raises(fmt.ParseError, match="reducible"):
+            fmt.parse_field_header("field p=2 e=2 mod=1,0,1")
+        with pytest.raises(fmt.ParseError, match="bad field characteristic 'x'"):
+            fmt.load_code("field p=x e=1\ncode 3 1\n1 1 1\n")
+
+
+# x^8+x^4+x^3+x+1: irreducible, but x has order 51, so a is not x
+GF256 = FieldSpec(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("spec", [field(q) for q in sorted(DEFAULT_MODULI)] + [field(251), GF256],
+                         ids=repr)
+def test_token_tables_agree_with_parse_and_format_element(spec):
+    q = spec.q
+    header = fmt.field_header(spec)
+    dumped = fmt.dump_matrix(MatGF(spec, [list(range(q))])).splitlines()[-1].split()
+    assert dumped == [format_element(x, spec) for x in range(q)]
+    tokens = [str(x) for x in range(q)] + ["a"] + [f"a^{k}" for k in range(max(q - 1, 1))]
+    loaded = fmt.load_matrix(f"{header}\nmatrix 1 {len(tokens)}\n{' '.join(tokens)}\n")
+    assert loaded.data[0].tolist() == [parse_element(t, spec) for t in tokens]
+
+
+def test_lenient_spellings_and_token_errors():
+    # int() accepts signs and leading zeros; they miss the token table
+    # and fall back to parse_element
+    f4 = fmt.load_matrix("field p=2 e=2\nmatrix 1 4\n01 +1 a^0 a^01\n")
+    assert f4.data.tolist() == [[1, 1, 1, 2]]
+    with pytest.raises(fmt.ParseError) as exc:
+        fmt.load_matrix("field p=2 e=1\nmatrix 1 2\n1 7\n")
+    assert str(exc.value) == "line 3: encoding 7 out of range for GF(2)"
+    with pytest.raises(fmt.ParseError) as exc:
+        fmt.load_code("field p=2 e=2\ncode 2 1\n1 a^3\n")
+    assert str(exc.value) == "line 3: exponent 3 out of range [0, 3) in 'a^3'"
 
 
 def test_matrix_roundtrip(rng):

@@ -286,9 +286,34 @@ def test_entries_out_of_range_are_refused(q):
         for data in ([[0, bad]], np.array([[bad, 0]])):
             with pytest.raises(ValueError, match="out of range"):
                 MatGF(f, data)
+    # 2^63 wraps to -2^63 as an int64; alone it makes a uint64 array
+    for data in ([[2**63]], np.array([[2**63, 0]], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="out of range"):
+            MatGF(f, data)
+    with pytest.raises(ValueError):
+        MatGF(f, [[0, 2**63]])  # no integer dtype holds both
     with pytest.raises(ValueError, match="out of range"):
         MatGF(f, np.array([[q]], dtype=np.uint8))
     assert MatGF(f, [[q - 1]]).data.dtype == np.uint8
+
+
+def test_non_integer_entries_are_refused():
+    # a float would be truncated and a string parsed by the uint8 cast
+    f4 = field(4)
+    for data in (
+        [[1.5, 2.7]],
+        np.array([[1.0, 2.0]]),
+        [[1, "2"]],
+        np.array([["1", "2"]]),
+        np.array([[1, 2]], dtype=object),
+        [[1, None]],
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            MatGF(f4, data)
+    # bool and every integer dtype are accepted
+    for dtype in (bool, np.int8, np.uint16, np.int64, np.uint64):
+        assert MatGF(f4, np.array([[1, 0]], dtype=dtype)).data.tolist() == [[1, 0]]
+    assert MatGF(f4, [[]]).shape == (1, 0)
 
 
 def test_rank_paper_partition_matrix():

@@ -230,6 +230,29 @@ def test_search_determinism():
     assert h1 == h2
 
 
+@pytest.mark.parametrize("mode, a, n, dims", [
+    ("so", [[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]], 9, (1, 2)),
+    ("dc", [[1, 2], [0, 1]], 6, (4, 4)),
+])
+def test_search_computes_its_condition_matrix_once(monkeypatch, mode, a, n, dims):
+    # sigma^l(A) starts the so matrix, a completion of A the dc one; the
+    # attempts' checks reuse the matrix instead of starting again from A
+    a = MatGF(field(2 if mode == "so" else 5), a)
+    calls = []
+
+    def counted(real):
+        def method(self, *args):
+            calls.append(self is a)
+            return real(self, *args)
+        return method
+
+    for name in ("frobenius_map", "complete_to_invertible"):
+        monkeypatch.setattr(MatGF, name, counted(getattr(MatGF, name)))
+    req = SearchRequest(mode=mode, ell=0, n=n, dims=dims, seed=3, count=2, max_candidates=20)
+    assert len(search_mp_codes(a, req)) == 2
+    assert sum(calls) == 1
+
+
 def test_search_request_validation():
     f2 = field(2)
     a = MatGF(f2, [[1, 1]])
