@@ -28,8 +28,6 @@ from .mpcode import (
     RowPartition,
     Verdict,
     Witness,
-    blackmore_bound,
-    cao_bound,
     check_dual_containing_full_rank,
     check_dual_containing_general,
     check_self_orthogonal,
@@ -62,8 +60,6 @@ __all__ = [
     "UndefinedDistanceError",
     "Verdict",
     "Witness",
-    "blackmore_bound",
-    "cao_bound",
     "check_dual_containing_full_rank",
     "check_dual_containing_general",
     "check_self_orthogonal",

@@ -11,13 +11,18 @@ Subcommands::
 
 Exit codes are a stable contract: 0 = success / condition holds,
 1 = condition fails / verification disagreement, 2 = ``search`` found no
-candidate within ``--search-cap``, or made no attempt because
-``--target`` exceeds the Singleton bound of every possible hit,
-10 = usage or parse error, 11 = validation error, 12 = cap exceeded,
-13 = infeasible search.  Both
-checkers are exact for every defining matrix, so ``check`` answers
-holds (0) or fails (1) on every valid input.  With ``--machine`` every
+candidate within ``--search-cap``, or made no attempt because no hit
+can exist (``--target`` above the Singleton bound of every possible
+hit, or ``--dims`` all 0), 10 = usage or parse error, 11 = validation
+error, 12 = cap exceeded, 13 = infeasible search.  Both checkers are
+exact for every defining matrix, so ``check`` answers holds (0) or
+fails (1) on every valid input.  With ``--machine`` every
 fact is printed as one ``key: value`` line.
+
+Every subcommand takes ``--machine``; the other shared options go only
+where they are read.  The distance caps ``--enum-cap`` and ``--lw-cap``
+go with the subcommands that compute minimum distances (info, mp, dual,
+search), and ``--out`` with those that write files (mp, dual, search).
 """
 
 from __future__ import annotations
@@ -280,20 +285,22 @@ def cmd_search(args) -> int:
 # wiring
 # ----------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, *, ell: bool = True):
+def _add_common(p: argparse.ArgumentParser, *, ell=True, caps=True, out=True):
     if ell:
         p.add_argument("--ell", type=int, default=0, help="Galois level (0 = Euclidean)")
-    p.add_argument("--enum-cap", dest="enum_cap", type=int,
-                   default=DistanceBudget.enum_cap,
-                   help="max q^k for which the distance enumeration runs "
-                        "without a cap (strategy enum)")
-    p.add_argument("--lw-cap", dest="lw_cap", type=int,
-                   default=DistanceBudget.lw_cap,
-                   help="above --enum-cap: max codewords the information-set "
-                        "enumeration lists before settling for bounds")
+    if caps:
+        p.add_argument("--enum-cap", dest="enum_cap", type=int,
+                       default=DistanceBudget.enum_cap,
+                       help="max q^k for which the distance enumeration runs "
+                            "without a cap (strategy enum)")
+        p.add_argument("--lw-cap", dest="lw_cap", type=int,
+                       default=DistanceBudget.lw_cap,
+                       help="above --enum-cap: max codewords the information-set "
+                            "enumeration lists before settling for bounds")
     p.add_argument("--machine", action="store_true",
                    help="machine-readable one-fact-per-line output")
-    p.add_argument("--out", default=None, help="output file path")
+    if out:
+        p.add_argument("--out", default=None, help="output file path")
 
 
 @functools.cache  # one parser per process: parse_args leaves it unchanged
@@ -304,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="parameters of a code file")
     p.add_argument("codefile")
-    _add_common(p, ell=False)
+    _add_common(p, ell=False, out=False)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("mp", help="expand an MP description")
@@ -320,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="self-orthogonality / dual-containment check")
     p.add_argument("mpfile")
     p.add_argument("--mode", choices=("so", "dc"), required=True)
-    _add_common(p)
+    _add_common(p, caps=False, out=False)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="cross-check against the brute-force oracle")
@@ -330,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max codewords the oracle may enumerate, and max "
                         "work q^(n+k) of its ambient dual scan (q^n candidates "
                         "times q^k codewords)")
-    _add_common(p)
+    _add_common(p, caps=False, out=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="search constituents meeting a check")
@@ -358,7 +365,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _budget(args)  # every subcommand takes the distance caps: check them
+        if "enum_cap" in vars(args):  # check the distance caps before any work
+            _budget(args)
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

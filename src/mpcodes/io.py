@@ -65,8 +65,8 @@ class MPFileClaims:
     """Dimensions declared in an MP file, next to what was parsed.
 
     ``constituent_claims`` holds one (declared_n, declared_k, actual_k)
-    triple per constituent; loaders in strict mode reject mismatches,
-    the verification command reports them as disagreements instead.
+    triple per constituent; ``load_mp`` in strict mode rejects a
+    mismatch, the verification command reports it as a disagreement.
     """
 
     constituent_claims: tuple[tuple[int, int, int], ...]
@@ -257,14 +257,14 @@ def dump_code(c: LinearCode) -> str:
     return "\n".join([field_header(c.spec), *_code_body_lines(c)]) + "\n"
 
 
-def load_code(text: str, *, strict: bool = True) -> LinearCode:
+def load_code(text: str) -> LinearCode:
     lines = _Lines(text)
     item = lines.next()
     if item is None:
         raise ParseError(1, "empty file")
     spec = parse_field_header(item[1], item[0])
     code, n, k, lineno = _parse_code_body(lines, spec)
-    if strict and code.k != k:
+    if code.k != k:
         raise ParseError(
             lineno, f"declared dimension {k} but generator has rank {code.k}"
         )

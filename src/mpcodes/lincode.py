@@ -120,16 +120,10 @@ class LinearCode:
 
     __slots__ = ("spec", "n", "gen")
 
-    def __init__(self, spec: FieldSpec, n: int, gen: MatGF, *, _canonical: bool = False):
-        if gen.cols != n:
-            raise DimensionError(f"generator has {gen.cols} columns, expected {n}")
-        if gen.spec != spec:
-            raise FieldMismatchError("generator over a different field")
-        if not _canonical:
-            red, pivots = gen.rref()
-            gen = MatGF._of(spec, red.data[: len(pivots)])
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "n", n)
+    def __init__(self, gen: MatGF):
+        """Wrap a canonical generator; :meth:`from_generator` makes one."""
+        object.__setattr__(self, "spec", gen.spec)
+        object.__setattr__(self, "n", gen.cols)
         object.__setattr__(self, "gen", gen)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -140,15 +134,16 @@ class LinearCode:
     @classmethod
     def from_generator(cls, gen: MatGF) -> "LinearCode":
         """Canonicalize a generating set (RREF, zero rows dropped)."""
-        return cls(gen.spec, gen.cols, gen)
+        red, pivots = gen.rref()
+        return cls(MatGF._of(gen.spec, red.data[: len(pivots)]))
 
     @classmethod
     def zero(cls, spec: FieldSpec, n: int) -> "LinearCode":
-        return cls(spec, n, MatGF.zeros(spec, 0, n), _canonical=True)
+        return cls(MatGF.zeros(spec, 0, n))
 
     @classmethod
     def full(cls, spec: FieldSpec, n: int) -> "LinearCode":
-        return cls(spec, n, MatGF.identity(spec, n), _canonical=True)
+        return cls(MatGF.identity(spec, n))
 
     # -- basic attributes -----------------------------------------------------
 
@@ -209,7 +204,7 @@ class LinearCode:
         if 2 * self.k <= self.n:
             rev = MatGF._of(spec, self.gen.data[:, ::-1]).kernel_basis()
             gen = MatGF._of(spec, rev.data[::-1, ::-1])
-            return LinearCode(spec, self.n, gen, _canonical=True)
+            return LinearCode(gen)
         return LinearCode.from_generator(self.parity_check())
 
     def galois_dual(self, ell: int) -> "LinearCode":
@@ -222,7 +217,7 @@ class LinearCode:
         # sigma fixes 0 and 1 and maps nonzero entries to nonzero ones, so
         # it keeps a canonical generator canonical, with the same pivots
         mapped = dual.gen.frobenius_map(self.spec.e - ell)
-        return LinearCode(self.spec, self.n, mapped, _canonical=True)
+        return LinearCode(mapped)
 
     def is_subcode(self, other: "LinearCode") -> bool:
         """True iff self is contained in other: G_self @ H_other^T = 0,

@@ -25,7 +25,6 @@ ordinary 0-based numpy array.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -51,10 +50,6 @@ class SingularMatrixError(ValueError):
 class RankDeficientError(ValueError):
     """A matrix required to have full row rank does not."""
 
-
-# is_nsc enumerates all square minors of leading row blocks; refuse
-# inputs where that count explodes.
-_NSC_ROW_LIMIT = 12
 
 # Inner-axis entries per GEMM of a product, which bounds its operands.
 _GEMM_INNER = 64
@@ -353,21 +348,3 @@ class MatGF:
         for r, j in enumerate(extra):
             out[self.rows + r, j - 1] = 1
         return MatGF._of(self.spec, out)
-
-    def is_nsc(self) -> bool:
-        """Non-singular by columns: every i x i submatrix of the first
-        i rows is nonsingular, for 1 <= i <= rows (requires rows <= cols)."""
-        m, n = self.shape
-        if m > _NSC_ROW_LIMIT:
-            raise ValueError(
-                f"is_nsc limited to {_NSC_ROW_LIMIT} rows (got {m})"
-            )
-        if m == 0 or m > n:
-            return False
-        for i in range(1, m + 1):
-            top = self.data[:i]
-            for cols in combinations(range(n), i):
-                sq = MatGF._of(self.spec, top[:, cols])
-                if sq.rank() != i:
-                    return False
-        return True

@@ -17,8 +17,7 @@ This module provides
   its first partition block, dual containment is decided by one product
   against a parity-check matrix of the expansion),
 * the dual-containment condition matrix ``zeta_matrix`` and its reading
-  ``dc_conditions``, shared by the checkers and the search,
-* two classical lower bounds on the minimum distance.
+  ``dc_conditions``, shared by the checkers and the search.
 
 Row, column and constituent indices are 1-based everywhere, as in the
 rest of the package.
@@ -34,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .gf import FieldMismatchError, FieldSpec
-from .lincode import DistanceBudget, LinearCode
+from .lincode import LinearCode
 from .matgf import DimensionError, MatGF, RankDeficientError
 
 __all__ = [
@@ -43,8 +42,6 @@ __all__ = [
     "RowPartition",
     "Verdict",
     "Witness",
-    "blackmore_bound",
-    "cao_bound",
     "check_dual_containing_full_rank",
     "check_dual_containing_general",
     "check_self_orthogonal",
@@ -105,10 +102,6 @@ class MPCode:
     @property
     def num_constituents(self) -> int:
         return len(self.constituents)
-
-    @property
-    def width(self) -> int:
-        return self.defmatrix.cols
 
     def __eq__(self, other) -> bool:
         return (
@@ -410,35 +403,3 @@ def check_dual_containing_general(mp: MPCode, ell: int = 0) -> CheckReport:
         (),
         ("path: containment product (exact)",),
     )
-
-
-# ----------------------------------------------------------------------
-# distance bounds
-# ----------------------------------------------------------------------
-
-def blackmore_bound(mp: MPCode, budget: DistanceBudget | None = None) -> int:
-    """Lower bound min_i (N - i + 1) * d_i; requires a defining matrix
-    that is non-singular by columns."""
-    if not mp.defmatrix.is_nsc():
-        raise ValueError("defining matrix is not non-singular by columns")
-    n_cols = mp.width
-    vals = []
-    for i, c in enumerate(mp.constituents, start=1):
-        d = c.min_distance(budget).d
-        vals.append((n_cols - i + 1) * d)
-    return min(vals)
-
-
-def cao_bound(mp: MPCode, budget: DistanceBudget | None = None) -> int:
-    """Lower bound min_i d_i * D_i, where D_i is the minimum distance of
-    the length-N code generated by the first i defining-matrix rows;
-    requires full row rank."""
-    a = mp.defmatrix
-    if a.rank() != a.rows:
-        raise RankDeficientError("defining matrix must have full row rank")
-    vals = []
-    for i, c in enumerate(mp.constituents, start=1):
-        d = c.min_distance(budget).d
-        head = LinearCode.from_generator(a.row_submatrix(list(range(1, i + 1))))
-        vals.append(d * head.min_distance(budget).d)
-    return min(vals)

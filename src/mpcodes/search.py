@@ -10,17 +10,17 @@ conditions by construction where possible:
 * a self-orthogonality constraint on a single constituent is met by
   greedy extension: each sampled row is drawn orthogonal to the rows
   chosen so far, and kept only if its own self-product vanishes; after
-  each kept row the sampling space is narrowed by the two Galois duals
-  of that one row;
+  each kept row the sampling space is narrowed, by one kernel, to its
+  intersection with the two Galois duals of that one row;
 * a dual-containment constraint on a single constituent is met by
   sampling a self-orthogonal complement and dualizing it.
 
 Sampled vectors are uint8 encoding arrays throughout.  Candidates whose
 expanded minimum distance meets the target are reported; a target above
-the Singleton bound of every possible hit is refused before the first
-attempt.  Constituent duals are cached for the length of one search.
-Everything is driven by a seeded generator, so a rerun with the same
-request reproduces the same candidates.
+the Singleton bound of every possible hit, or dims that are all 0, are
+refused before the first attempt.  Constituent duals are cached for the
+length of one search.  Everything is driven by a seeded generator, so a
+rerun with the same request reproduces the same candidates.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ from .mpcode import (
 )
 
 __all__ = ["InfeasibleSearchError", "SearchHit", "SearchRequest", "search_mp_codes"]
+
+
+# Draws one _sample_inside call makes before it gives up.
+_SAMPLE_TRIES = 200
 
 
 class InfeasibleSearchError(ValueError):
@@ -78,15 +82,11 @@ def _random_vector_in(code: LinearCode, rng: random.Random) -> np.ndarray:
 
 
 def _sample_inside(
-    ambient: LinearCode,
-    dim: int,
-    rng: random.Random,
-    *,
-    so_ell: int | None = None,
-    tries: int = 200,
+    ambient: LinearCode, dim: int, rng: random.Random, *, so_ell: int | None = None
 ) -> LinearCode | None:
-    """A random dim-dimensional subcode of ambient; when ``so_ell`` is
-    given, the result is additionally l-Galois self-orthogonal."""
+    """A random dim-dimensional subcode of ambient, from at most
+    ``_SAMPLE_TRIES`` draws; when ``so_ell`` is given, the result is
+    additionally l-Galois self-orthogonal."""
     spec = ambient.spec
     if dim > ambient.k:
         return None
@@ -94,7 +94,7 @@ def _sample_inside(
         return LinearCode.zero(spec, ambient.n)
     rows: list[np.ndarray] = []
     space = ambient
-    for _ in range(tries):
+    for _ in range(_SAMPLE_TRIES):
         if len(rows) == dim:
             break
         vec = _random_vector_in(space, rng)
@@ -112,10 +112,13 @@ def _sample_inside(
             if so_ell is not None and len(rows) < dim:
                 # restrict further samples to vectors orthogonal to vec in
                 # both slot orders; dual(R + <vec>) = dual(R) & dual(<vec>),
-                # so space stays ambient & both duals of all the rows
-                one = LinearCode.from_generator(MatGF._of(spec, vec[None, :].copy()))
-                for level in dict.fromkeys((so_ell, (spec.e - so_ell) % spec.e)):
-                    space = space & one.galois_dual(level)
+                # so space stays ambient & both duals of all the rows.  With
+                # G its generator, x = lam @ G is orthogonal to vec in both
+                # iff lam @ G @ [sigma^l(vec); sigma^(e-l)(vec)]^T = 0
+                twists = np.vstack([spec.frobenius_arr(vec, lv)
+                                    for lv in (so_ell, (spec.e - so_ell) % spec.e)])
+                msgs = (space.gen @ MatGF._of(spec, twists).T).T.kernel_basis()
+                space = LinearCode.from_generator(msgs @ space.gen)
     if len(rows) != dim:
         return None
     return LinearCode.from_generator(MatGF._of(spec, np.vstack(rows)))
@@ -254,15 +257,18 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     ``max_candidates`` is 0; every attempt is checked by the exact
     checker's witness rule on that same matrix.  Returns up to
     ``req.count`` hits passing it and (when a target is given) meeting
-    the distance target.  A target no hit can meet is refused with no
-    attempt, after those checks: a hit is a nonzero [nN, K] code, so by
-    the Singleton bound d <= nN - K + 1, with K = sum(dims) when A has
-    full row rank and K >= 1 otherwise.  Constituent duals go through
-    one ``functools.cache`` of ``LinearCode.galois_dual`` made per call,
-    so repeated searches each compute their own.
+    the distance target.  A request no hit can meet is refused with no
+    attempt, after those checks: a hit is a nonzero [nN, K] code, so
+    some dim is positive and, by the Singleton bound, d <= nN - K + 1,
+    with K = sum(dims) when A has full row rank and K >= 1 otherwise.
+    Constituent duals go through one ``functools.cache`` of
+    ``LinearCode.galois_dual`` made per call, so repeated searches each
+    compute their own.
     """
     if req.mode not in ("so", "dc"):
         raise ValueError(f"unknown search mode {req.mode!r}")
+    if req.n < 1:
+        raise ValueError(f"n={req.n} must be >= 1")
     if len(req.dims) != a.rows:
         raise ValueError(
             f"dims has {len(req.dims)} entries, defining matrix has {a.rows} rows"
@@ -287,7 +293,8 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
         plan = _dc_plan(cond, a.rows, req)
         sample, witnesses = _dc_attempt, _dc_witnesses
     k_min = sum(req.dims) if full_rank else 1
-    if req.target is not None and req.target > req.n * a.cols - k_min + 1:
+    if not any(req.dims) or (
+            req.target is not None and req.target > req.n * a.cols - k_min + 1):
         return []
     rng = random.Random(req.seed)
     # looked up now, not at import, so a wrapped galois_dual is cached too

@@ -95,8 +95,8 @@ def test_info_parse_error_exit_code(tmp_path):
         (["mp", "{f2}", "--enum-cap", "-1"], 11),
         (["mp", "{f2}", "--lw-cap", "-1"], 11),
         (["info", "{zero}", "--enum-cap", "-1"], 11),
-        (["check", "{f2}", "--mode", "so", "--lw-cap", "-1"], 11),
-        (["verify", "{f2}", "--enum-cap", "-1"], 11),
+        (["check", "{f2}", "--mode", "so", "--lw-cap", "-1"], 10),
+        (["verify", "{f2}", "--enum-cap", "-1"], 10),
         (["mp", "{f2}", "--out", "{nodir}/x.code"], 10),
         (["search", "--matrix", "{mat}", "--mode", "so", "--n", "4", "--dims", "1,1",
           "--out", "{nodir}/hit"], 10),

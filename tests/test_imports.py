@@ -1,18 +1,30 @@
-"""Every name a module of the package imports is used or re-exported.
+"""Every name the package imports, exports or parses has a reader.
 
-A stand-in for an unused-import lint: each ``src/mpcodes/*.py`` module
-except ``__init__.py`` is parsed with ``ast``, and an imported name must
-be read somewhere in the module (string annotations included) or be
-listed in its ``__all__``.
+Stand-ins for an unused-code lint, on modules parsed with ``ast``:
+
+* each ``src/mpcodes/*.py`` module except ``__init__.py`` reads every
+  name it imports (string annotations included) or lists it in its
+  ``__all__``;
+* every name in a module's ``__all__`` is read, as a name or an
+  attribute, somewhere in ``src/mpcodes`` or ``bench`` outside its own
+  definition (the export lists and imports are not reads);
+* every option of every CLI subcommand except ``--machine`` is read as
+  ``args.<dest>`` by the subcommand's ``cmd_*`` function or by a ``cli``
+  function that it calls, directly or not.
 """
 
+import argparse
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from mpcodes import cli
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "mpcodes"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+READERS = sorted(SRC.glob("*.py")) + sorted((SRC.parent.parent / "bench").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -66,3 +78,58 @@ def test_no_unused_imports(path):
 
 def test_every_module_is_checked():
     assert {p.name for p in MODULES} >= {"cli.py", "lincode.py", "matgf.py", "mpcode.py"}
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read in the subtree, as a name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def test_every_exported_name_has_a_reader():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in READERS}
+    reads = {p: _reads(tree) for p, tree in trees.items()}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = trees[path]
+        inside = {node.name: _reads(node) for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for name in sorted(_exported(tree)):
+            own = reads[path][name] - inside.get(name, Counter())[name]
+            if not own and not any(reads[p][name] for p in READERS if p != path):
+                unread.append(f"{path.name}: {name}")
+    assert not unread, f"exported but never read: {unread}"
+
+
+def _args_read(funcs: dict[str, ast.FunctionDef], name: str) -> set[str]:
+    """Every ``args.<attr>`` read by ``name`` and the cli functions it calls."""
+    seen, todo, attrs = set(), [name], set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for n in ast.walk(funcs[fn]):
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                    and n.value.id == "args":
+                attrs.add(n.attr)
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) \
+                    and n.func.id in funcs:
+                todo.append(n.func.id)
+    return attrs
+
+
+def test_every_cli_option_is_read_by_its_subcommand():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for command, parser in subparsers.choices.items():
+        read = _args_read(funcs, parser.get_default("func").__name__)
+        unread += [f"{command} {'/'.join(a.option_strings) or a.dest}" for a in parser._actions
+                   if a.dest not in ("help", "machine") and a.dest not in read]
+    assert not unread, f"options their subcommand never reads: {unread}"

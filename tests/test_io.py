@@ -132,11 +132,10 @@ def test_code_roundtrip_and_canonicalization(rng):
     text = "field p=2 e=1\ncode 3 1\n1 1 0\n1 1 0"
     c = fmt.load_code(text)
     assert c.k == 1
-    # declared k mismatch rejected in strict mode, tolerated otherwise
+    # declared k mismatch rejected
     text = "field p=2 e=1\ncode 3 2\n1 1 0\n1 1 0"
     with pytest.raises(fmt.ParseError, match="rank"):
         fmt.load_code(text)
-    assert fmt.load_code(text, strict=False).k == 1
 
 
 def test_prime_field_outside_the_default_table_roundtrips(rng):

@@ -434,20 +434,6 @@ def test_complete_to_invertible_randomized(rng):
         assert b.rank() == n
 
 
-def test_is_nsc():
-    f5 = field(5)
-    a = MatGF(f5, [[4, 1, 1, 3], [3, 3, 1, 2], [1, 4, 3, 4]])
-    assert a.is_nsc() is True
-    f2 = field(2)
-    assert MatGF.identity(f2, 2).is_nsc() is False
-    assert MatGF(f2, [[0, 1], [1, 1]]).is_nsc() is False
-    assert MatGF(f2, [[1, 1], [1, 0]]).is_nsc() is True
-    # more rows than columns can never be NSC
-    assert MatGF(f2, [[1], [1]]).is_nsc() is False
-    with pytest.raises(ValueError):
-        random_matrix(f2, 13, 13, random.Random(0)).is_nsc()
-
-
 def test_kernel_basis():
     f2 = field(2)
     assert MatGF.identity(f2, 3).kernel_basis().rows == 0

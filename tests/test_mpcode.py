@@ -11,8 +11,6 @@ from mpcodes import (
     MPCode,
     RankDeficientError,
     Verdict,
-    blackmore_bound,
-    cao_bound,
     check_dual_containing_full_rank,
     check_dual_containing_general,
     check_self_orthogonal,
@@ -534,52 +532,3 @@ def test_check_dc_general_rank_deficient_matches_oracle():
             for lv, want in ((0, Verdict.FAILS), (ell, Verdict.HOLDS)):
                 rep = check_dual_containing_general(mp, lv)
                 assert rep.verdict is want and PRODUCT_PATH in rep.notes, (q, lv)
-
-
-def test_blackmore_bound():
-    f2 = field(2)
-    rep = code(f2, ["1 1 1"])
-    ones = MatGF(f2, [[1, 1, 1, 1]])
-    assert blackmore_bound(MPCode([rep], ones)) == 4 * 3
-    with pytest.raises(ValueError):
-        blackmore_bound(MPCode([rep, rep], MatGF.identity(f2, 2)))
-
-
-def test_cao_bound():
-    f3 = field(3)
-    c1 = code(f3, ["1 1 1"])
-    c2 = code(f3, ["1 0 2", "0 1 1"])
-    mp = MPCode([c1, c2], MatGF.identity(f3, 2))
-    # D_i = 1 for the identity, so the bound is min over constituent distances
-    assert cao_bound(mp) == min(3, c2.min_distance().d)
-    a = MatGF(f3, [[1, 1], [2, 2]])
-    with pytest.raises(RankDeficientError):
-        cao_bound(MPCode([c1, c2], a))
-
-
-def test_bounds_never_exceed_true_distance(rng):
-    checked_nsc = checked_cao = 0
-    for _ in range(200):
-        q = rng.choice([2, 3, 4, 5])
-        f = field(q)
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 3)
-        ncols = rng.randint(m, 4)
-        a = random_matrix(f, m, ncols, rng)
-        cons = [random_code(f, n, rng.randint(1, n), rng) for _ in range(m)]
-        if any(c.k == 0 for c in cons):
-            continue
-        mp = MPCode(cons, a)
-        big = expand(mp)
-        if big.k == 0:
-            continue
-        d = big.min_distance().d
-        if a.rank() == m:
-            assert cao_bound(mp) <= d
-            checked_cao += 1
-            if a.is_nsc():
-                assert blackmore_bound(mp) <= d
-                checked_nsc += 1
-        if checked_nsc >= 25 and checked_cao >= 60:
-            break
-    assert checked_nsc >= 5 and checked_cao >= 20

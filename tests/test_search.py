@@ -55,10 +55,11 @@ def sample_inside_by_code_check(ambient, dim, rng, *, so_ell=None, tries=200):
     return LinearCode.from_generator(MatGF(spec, np.vstack(rows)))
 
 
-def test_sample_inside_self_product_rule_matches_code_check(rng):
+def test_sample_inside_self_product_rule_matches_code_check(rng, monkeypatch):
     # same draws, same result: only <vec, vec>_l can fail once vec lies in
     # the duals of the rows chosen so far, and narrowing by one row's
     # duals at a time gives the same space as re-dualising all the rows
+    monkeypatch.setattr(srch, "_SAMPLE_TRIES", 30)  # some samples run out of draws
     found = 0
     for trial in range(120):
         f = field(rng.choice([2, 3, 4, 5, 8, 9]))
@@ -68,7 +69,7 @@ def test_sample_inside_self_product_rule_matches_code_check(rng):
         so_ell = rng.choice([None, *range(f.e)])
         seed = rng.randrange(1 << 30)
         r_new, r_ref = random.Random(seed), random.Random(seed)
-        got = srch._sample_inside(ambient, dim, r_new, so_ell=so_ell, tries=30)
+        got = srch._sample_inside(ambient, dim, r_new, so_ell=so_ell)
         want = sample_inside_by_code_check(ambient, dim, r_ref, so_ell=so_ell, tries=30)
         assert got == want, (trial, f, ambient, dim, so_ell)
         assert r_new.getstate() == r_ref.getstate()
@@ -197,6 +198,13 @@ def test_unreachable_target_is_refused_before_any_attempt(monkeypatch):
     assert search_mp_codes(a, req) == []
 
 
+def test_zero_dimension_search_is_refused_before_any_attempt(monkeypatch):
+    # every candidate would be the zero code, which is never a hit
+    monkeypatch.setattr(srch, "_so_attempt", lambda *args: pytest.fail("attempted"))
+    a = MatGF(field(2), [[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]])
+    assert search_mp_codes(a, SearchRequest(mode="so", ell=0, n=4, dims=(0, 0))) == []
+
+
 @pytest.mark.parametrize("rows, n, dims, target, attempts", [
     # full row rank: the [45, 3] expansion's bound 43 itself is attempted
     ([[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]], 9, (1, 2), 43, 3),
@@ -262,6 +270,8 @@ def test_search_request_validation():
         search_mp_codes(a, SearchRequest(mode="so", ell=0, n=3, dims=(1, 1)))
     with pytest.raises(ValueError):
         search_mp_codes(a, SearchRequest(mode="so", ell=0, n=3, dims=(4,)))
+    with pytest.raises(ValueError, match="n=0 must be >= 1"):
+        search_mp_codes(a, SearchRequest(mode="so", ell=0, n=0, dims=(0,)))
     with pytest.raises(ValueError):
         search_mp_codes(a, SearchRequest(mode="so", ell=0, n=3, dims=(1,), count=0))
     with pytest.raises(ValueError):
