@@ -23,6 +23,7 @@ from .lincode import (
 )
 from .matgf import DimensionError, MatGF, RankDeficientError, SingularMatrixError
 from .mpcode import (
+    CheckPath,
     CheckReport,
     MPCode,
     RowPartition,
@@ -42,6 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_MODULI",
+    "CheckPath",
     "CheckReport",
     "DimensionError",
     "DistanceBudget",

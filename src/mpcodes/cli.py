@@ -14,10 +14,10 @@ Exit codes are a stable contract: 0 = success / condition holds,
 candidate within ``--search-cap``, or made no attempt because no hit
 can exist (``--target`` above the Singleton bound of every possible
 hit, or ``--dims`` all 0), 10 = usage or parse error, 11 = validation
-error, 12 = cap exceeded, 13 = infeasible search.  Both checkers are
-exact for every defining matrix, so ``check`` answers holds (0) or
-fails (1) on every valid input.  With ``--machine`` every
-fact is printed as one ``key: value`` line.
+error, 13 = infeasible search.  Both checkers are exact for every
+defining matrix, so ``check`` answers holds (0) or fails (1) on every
+valid input.  With ``--machine`` every fact is printed as one
+``key: value`` line.
 
 Every subcommand takes ``--machine``; the other shared options go only
 where they are read.  The distance caps ``--enum-cap`` and ``--lw-cap``
@@ -50,7 +50,6 @@ EXIT_FAILS = 1
 EXIT_NO_CANDIDATE = 2
 EXIT_USAGE = 10
 EXIT_VALIDATION = 11
-EXIT_CAP = 12
 EXIT_INFEASIBLE = 13
 
 _VERDICT_EXIT = {Verdict.HOLDS: EXIT_HOLDS, Verdict.FAILS: EXIT_FAILS}
@@ -183,7 +182,7 @@ def cmd_verify(args) -> int:
     mp, claims = fmt.load_mp(_read(args.mpfile), strict=False)
     lines: list[tuple[str, str]] = []  # (check name, agree|disagree|skip ...)
 
-    for i, (_, declared_k, actual_k) in enumerate(claims.constituent_claims, 1):
+    for i, (declared_k, actual_k) in enumerate(claims.constituent_claims, 1):
         ok = declared_k == actual_k
         lines.append(
             (

@@ -10,18 +10,19 @@ the prime subfield occupies the encodings ``0 .. p-1``.
 
 Every ``FieldSpec(p, e, modulus)`` and :func:`field` call for one field
 returns one shared instance.  Every operation reads its one set of
-lookup tables (add, sub, mul, neg, inv and Frobenius), built when the
-field is first asked for, never at import; a failed build is not kept,
-so an invalid field raises every time.  The tables are
-generated from direct polynomial arithmetic (``_add_direct`` and
-``_mul_direct``), which is kept only as that generator and as the test
-reference.  Scalar operations index plain-list copies.  Bulk (numpy)
-binary operations make one ``take`` from a flat q*q uint8 table at the
-uint16 index ``a*q + b``; characteristic-2 bulk addition is XOR, the
-same function.  Two float64 tables, the base-p digits of each element
-and its regular representation (the digits of x^s * b), serve the exact
-matrix product of :mod:`mpcodes.matgf`.  Fields are limited to q <= 256,
-so every entry fits in uint8 (a q x q table is 64 KiB).
+lookup tables, built from direct polynomial arithmetic (``_add_direct``
+and ``_mul_direct``, kept only as that generator and as the test
+reference) when the field is first asked for, never at import; a failed
+build is not kept, so an invalid field raises every time.  Each table is
+stored once, as a read-only numpy array.  Scalar operations read one
+entry with ``item``, a Python int; an encoding >= q raises
+``IndexError``.  Bulk binary operations make one ``take`` from a q x q
+uint8 table read flat, at the uint16 index ``a*q + b``;
+characteristic-2 bulk addition is XOR, the same function.  Two float64
+tables, the base-p digits of each element and its regular
+representation (the digits of x^s * b), serve the exact matrix product
+of :mod:`mpcodes.matgf`.  Fields are limited to q <= 256, so every
+entry fits in uint8 (a q x q table is 64 KiB).
 
 The default modulus table uses Conway polynomials, so for instance
 GF(4) is built with x^2+x+1, GF(8) with x^3+x+1 and GF(9) with
@@ -130,25 +131,19 @@ class FieldSpec:
         "q",
         "modulus",
         "_prim",
-        # uint8 numpy tables, read by the bulk operations (ADD, SUB and
-        # MUL flat, at a*q + b)
+        # read-only uint8 tables for scalar and bulk operations: ADD, SUB
+        # and MUL q x q, FROB e x q (row ell is sigma^ell), NEG, INV, LOG q
         "_ADD",
         "_SUB",
         "_MUL",
         "_NEG",
+        "_INV",
         "_FROB",
-        # float64, read by MatGF.__matmul__: _DIG[s, a] is digit s of a,
-        # _REG[s, b, t] is digit t of x^s * b
+        "_LOG",
+        # read-only float64, read by MatGF.__matmul__: _DIG[s, a] is digit
+        # s of a, _REG[s, b, t] is digit t of x^s * b
         "_DIG",
         "_REG",
-        # the same tables as nested lists, read by the scalar operations
-        "_add",
-        "_sub",
-        "_mul",
-        "_neg",
-        "_inv",
-        "_frob",
-        "_log",
     )
 
     def __new__(cls, p: int, e: int = 1, modulus: Iterable[int] | None = None):
@@ -236,16 +231,16 @@ class FieldSpec:
         frob = np.zeros((e, q), dtype=np.int64)
         frob[:, 1:] = exp[(lg[None, :] * (p ** np.arange(e))[:, None]) % n]
         sub = add[:, neg]
-        tables = {"ADD": add, "SUB": sub, "MUL": mul, "NEG": neg, "FROB": frob}
-        for name, tab in tables.items():
-            flat = tab.ravel() if name in ("ADD", "SUB", "MUL") else tab
-            object.__setattr__(self, f"_{name}", flat.astype(np.uint8))
-            object.__setattr__(self, f"_{name.lower()}", tab.tolist())
+        # every entry, logs included (at most q-2 = 254), fits in uint8
+        tables = dict(_ADD=add, _SUB=sub, _MUL=mul, _NEG=neg, _INV=inv)
+        tables.update(_FROB=frob, _LOG=log)
+        tables = {name: tab.astype(np.uint8) for name, tab in tables.items()}
         # x^s is encoded p^s, so x^s * b is mul[p^s, b]
-        object.__setattr__(self, "_DIG", digits.T.astype(np.float64))
-        object.__setattr__(self, "_REG", digits[mul[weights]].astype(np.float64))
-        object.__setattr__(self, "_inv", inv.tolist())
-        object.__setattr__(self, "_log", log.tolist())
+        tables["_DIG"] = digits.T.astype(np.float64)
+        tables["_REG"] = digits[mul[weights]].astype(np.float64)
+        for name, tab in tables.items():
+            tab.setflags(write=False)  # shared by every holder of the field
+            object.__setattr__(self, name, tab)
         object.__setattr__(self, "_prim", g)
 
     # -- value semantics -------------------------------------------------
@@ -301,21 +296,21 @@ class FieldSpec:
             raise ValueError(f"ell={ell} out of range [0, {self.e})")
 
     def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
+        return self._ADD.item(a, b)
 
     def neg(self, a: int) -> int:
-        return self._neg[a]
+        return self._NEG.item(a)
 
     def sub(self, a: int, b: int) -> int:
-        return self._sub[a][b]
+        return self._SUB.item(a, b)
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        return self._MUL.item(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self._inv[a]
+        return self._INV.item(a)
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:
@@ -332,13 +327,14 @@ class FieldSpec:
         """a^(p^ell); ell is reduced modulo e."""
         if ell < 0:
             raise ValueError("Frobenius power must be non-negative")
-        return self._frob[ell % self.e][a]
+        return self._FROB.item(ell % self.e, a)
 
     # -- bulk (numpy) operations on encoding arrays -----------------------
 
     def _pairwise(self, table: np.ndarray, a, b) -> np.ndarray:
-        """table[a, b] of a flat q*q table; the temporaries are the uint16
-        index and take's intp copy of it, 10 bytes per output entry."""
+        """table[a, b] of a q x q table, ``take`` at a*q + b; the
+        temporaries are the uint16 index and its intp copy, 10 bytes per
+        output entry."""
         return table.take(np.asarray(a, dtype=np.uint16) * self.q + b)
 
     def add_arr(self, a, b) -> np.ndarray:
@@ -427,5 +423,5 @@ def format_element(enc: int, spec: FieldSpec) -> str:
     """The token of an encoding; round-trips through :func:`parse_element`."""
     if spec.e == 1 or enc in (0, 1):
         return str(enc)
-    k = spec._log[enc]
+    k = spec._LOG.item(enc)
     return "a" if k == 1 else f"a^{k}"

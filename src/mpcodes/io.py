@@ -22,7 +22,7 @@ Parsed rows are valid, so they need no ``MatGF`` range check.
 
 Check reports serialize as a ``verdict:`` line, a ``product:`` or
 ``zeta:`` matrix block, one ``witness i j <condition> ok|FAIL`` line per
-condition and optional trailing ``note:`` lines.
+condition and the ``note: pair:`` and ``note: path:`` lines of its path.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .gf import DEFAULT_MODULI, FieldSpec, format_element, parse_element
 from .lincode import LinearCode
 from .matgf import MatGF
-from .mpcode import CheckReport, MPCode
+from .mpcode import CheckPath, CheckReport, MPCode
 
 __all__ = [
     "MPFileClaims",
@@ -64,18 +64,18 @@ class ParseError(ValueError):
 class MPFileClaims:
     """Dimensions declared in an MP file, next to what was parsed.
 
-    ``constituent_claims`` holds one (declared_n, declared_k, actual_k)
-    triple per constituent; ``load_mp`` in strict mode rejects a
-    mismatch, the verification command reports it as a disagreement.
+    ``constituent_claims`` holds one (declared_k, actual_k) pair per
+    constituent; ``load_mp`` in strict mode rejects a mismatch, the
+    verification command reports it as a disagreement.
     """
 
-    constituent_claims: tuple[tuple[int, int, int], ...]
+    constituent_claims: tuple[tuple[int, int], ...]
 
     def mismatches(self) -> list[tuple[int, int, int]]:
         """(index, declared_k, actual_k) for every wrong dimension claim."""
         return [
             (i, dk, ak)
-            for i, (_, dk, ak) in enumerate(self.constituent_claims, start=1)
+            for i, (dk, ak) in enumerate(self.constituent_claims, start=1)
             if dk != ak
         ]
 
@@ -225,10 +225,8 @@ def load_matrix(text: str) -> MatGF:
 _SECTION_KEYWORDS = ("constituent", "defmatrix")
 
 
-def _parse_code_body(
-    lines: _Lines, spec: FieldSpec
-) -> tuple[LinearCode, int, int, int]:
-    """Returns (code, declared_n, declared_k, header_lineno)."""
+def _parse_code_body(lines: _Lines, spec: FieldSpec) -> tuple[LinearCode, int, int]:
+    """Returns (code, declared_k, header_lineno)."""
     item = lines.next()
     if item is None:
         raise ParseError(len(lines.raw) + 1, "missing code header")
@@ -246,7 +244,7 @@ def _parse_code_body(
             break
         rows.append(_parse_row(spec, *lines.next(), n))
     gen = MatGF._of(spec, np.array(rows, dtype=np.uint8).reshape(len(rows), n))
-    return LinearCode.from_generator(gen), n, k, lineno
+    return LinearCode.from_generator(gen), k, lineno
 
 
 def _code_body_lines(c: LinearCode) -> list[str]:
@@ -263,7 +261,7 @@ def load_code(text: str) -> LinearCode:
     if item is None:
         raise ParseError(1, "empty file")
     spec = parse_field_header(item[1], item[0])
-    code, n, k, lineno = _parse_code_body(lines, spec)
+    code, k, lineno = _parse_code_body(lines, spec)
     if code.k != k:
         raise ParseError(
             lineno, f"declared dimension {k} but generator has rank {code.k}"
@@ -315,14 +313,14 @@ def load_mp(text: str, *, strict: bool = True) -> tuple[MPCode, MPFileClaims]:
             raise ParseError(
                 lineno, f"constituent sections out of order: expected {want}"
             )
-        code, n, k, body_lineno = _parse_code_body(lines, spec)
+        code, k, body_lineno = _parse_code_body(lines, spec)
         if strict and code.k != k:
             raise ParseError(
                 body_lineno,
                 f"constituent {want}: declared dimension {k} but generator has rank {code.k}",
             )
         constituents.append(code)
-        claims.append((n, k, code.k))
+        claims.append((k, code.k))
     trailing = lines.next()
     if trailing is not None:
         raise ParseError(trailing[0], f"unexpected trailing content {trailing[1]!r}")
@@ -338,12 +336,14 @@ def load_mp(text: str, *, strict: bool = True) -> tuple[MPCode, MPFileClaims]:
 
 def report_lines(report: CheckReport) -> list[str]:
     out = [f"verdict: {report.verdict.value}"]
-    out.append(f"{report.matrix_kind}:")
+    out.append("product:" if report.path is CheckPath.GRAM else "zeta:")
     out.extend(_matrix_body_lines(report.condition_matrix))
     for w in report.witnesses:
         out.append(
             f"witness {w.i} {w.j} {w.condition} {'ok' if w.ok else 'FAIL'}"
         )
-    for note in report.notes:
-        out.append(f"note: {note}")
+    if report.block:
+        out.append(f"note: pair: left={report.block} right={report.block}")
+    if report.path is not CheckPath.GRAM:
+        out.append(f"note: path: {report.path.value}")
     return out

@@ -227,19 +227,19 @@ class MatGF:
         first nonzero entry at or below the current row is the pivot.
         In place on one uint8 copy, a pivot step makes three table calls
         for every q, from the pivot column on (the pivot row is zero to
-        its left): one row of the q x q multiplication table scales the
-        pivot row to a leading 1; one column gather of that table takes
-        the row's q multiples, a q x w table; and each other row with a
-        nonzero in the pivot column subtracts its entry's multiple in one
-        field subtraction.  A step's temporaries, per entry of the
-        updated rows x w block, are that block and its multiples (1 byte
-        each) and the difference (1 byte); for odd p the subtraction's
-        uint16 table index and take's intp copy of it add 10 bytes, so
-        the peak is 13 bytes an entry (3 when p = 2, where it is XOR).
-        The q x w table adds q bytes per column.
+        its left): the row of the field's q x q table ``_MUL`` at the
+        pivot's inverse (from ``_INV``) scales the pivot row to a leading
+        1; one column gather of that table takes the row's q multiples, a
+        q x w table; and each other row with a nonzero in the pivot column
+        subtracts its entry's multiple in one field subtraction.  A step's
+        temporaries, per entry of the updated rows x w block, are that
+        block and its multiples (1 byte each) and the difference (1 byte);
+        for odd p the subtraction's uint16 table index and take's intp
+        copy of it add 10 bytes, so the peak is 13 bytes an entry (3 when
+        p = 2, where it is XOR).  The q x w table adds q bytes per column.
         """
         spec = self.spec
-        mul = spec._MUL.reshape(spec.q, spec.q)
+        mul = spec._MUL
         m = self.data.copy()
         rows, cols = m.shape
         pivots: list[int] = []
@@ -259,7 +259,7 @@ class MatGF:
                 m[r, c:], m[pr, c:] = m[pr, c:], m[r, c:].copy()
             row = m[r, c:]
             if row[0] != 1:
-                row[:] = mul[spec.inv(int(row[0]))].take(row)
+                row[:] = mul[spec._INV[row[0]]].take(row)
             if nz.size > 1:
                 factors = col[nz]
                 factors[i] = 0  # leaves the row at nz[i] as it is

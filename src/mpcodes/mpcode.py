@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -37,6 +37,7 @@ from .lincode import LinearCode
 from .matgf import DimensionError, MatGF, RankDeficientError
 
 __all__ = [
+    "CheckPath",
     "CheckReport",
     "MPCode",
     "RowPartition",
@@ -150,24 +151,33 @@ class Witness:
     ok: bool
 
 
+class CheckPath(Enum):
+    """How a checker reached its verdict."""
+
+    GRAM = "gram product"  # self-orthogonality, twisted Gram product of A
+    FULL_RANK = "full-rank (exact)"  # zeta of a full-row-rank A
+    FIRST_BLOCK = "partition search"  # zeta of the first partition block
+    PRODUCT = "containment product (exact)"  # on the expansion
+
+
 @dataclass(frozen=True)
 class CheckReport:
-    """Verdict plus the condition matrix and per-entry witnesses.
+    """Verdict plus the condition matrix, per-entry witnesses and path.
 
-    ``matrix_kind`` is ``"product"`` when the condition matrix is the
-    Frobenius-twisted Gram product of the defining matrix (used by the
-    self-orthogonality check) and ``"zeta"`` when it is the inverse used
-    by the dual-containment checks.  The verdict is HOLDS iff every
-    witness is satisfied, except on the dual-containment product path for
-    rank-deficient defining matrices: there the condition matrix is empty,
-    there are no witnesses, and a ``path:`` note says so.
+    The condition matrix is the Frobenius-twisted Gram product of the
+    defining matrix on the ``GRAM`` path (the self-orthogonality check)
+    and the inverse zeta on the dual-containment paths; ``block`` lists
+    the rows of the first partition block on the ``FIRST_BLOCK`` path.
+    The verdict is HOLDS iff every witness is satisfied, except on the
+    ``PRODUCT`` path for rank-deficient defining matrices: there the
+    condition matrix is empty and there are no witnesses.
     """
 
     verdict: Verdict
     condition_matrix: MatGF
-    matrix_kind: str  # "product" | "zeta"
     witnesses: tuple[Witness, ...]
-    notes: tuple[str, ...] = ()
+    path: CheckPath
+    block: tuple[int, ...] = ()
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +295,7 @@ def check_self_orthogonal(mp: MPCode, ell: int = 0) -> CheckReport:
     cond = a.frobenius_map(ell) @ a.T
     witnesses = tuple(_so_witnesses(cond, mp, ell))
     verdict = Verdict.HOLDS if all(w.ok for w in witnesses) else Verdict.FAILS
-    return CheckReport(verdict, cond, "product", witnesses)
+    return CheckReport(verdict, cond, witnesses, CheckPath.GRAM)
 
 
 def _so_witnesses(cond: MatGF, mp: MPCode, ell: int) -> Iterator[Witness]:
@@ -360,7 +370,7 @@ def check_dual_containing_full_rank(
     zeta = zeta_matrix(mp.defmatrix, ell, completion)
     wit = tuple(_dc_witnesses(zeta, mp, ell))
     verdict = Verdict.HOLDS if all(w.ok for w in wit) else Verdict.FAILS
-    return CheckReport(verdict, zeta, "zeta", wit)
+    return CheckReport(verdict, zeta, wit, CheckPath.FULL_RANK)
 
 
 def check_dual_containing_general(mp: MPCode, ell: int = 0) -> CheckReport:
@@ -371,19 +381,17 @@ def check_dual_containing_general(mp: MPCode, ell: int = 0) -> CheckReport:
     spans the row space of the defining matrix) lies in C, so if C_B is
     dual-containing, so is C: dual_l(C) <= dual_l(C_B) <= C_B <= C.  The
     four zeta conditions of C_B are tried first, and a certificate is
-    reported with its zeta and witnesses (path "partition search").
-    Failing that, the verdict is decided on the expansion (path
-    "containment product (exact)", empty zeta, no witnesses): dual_l(C)
-    has dimension nN - k, so it cannot lie in C when 2k < nN; else, with
-    H spanning the Euclidean dual of C, dual_l(C) <= C iff
-    sigma^(e-l)(H) @ H^T = 0.
+    reported with its zeta and witnesses (path ``FIRST_BLOCK``).  Failing
+    that, the verdict is decided on the expansion (path ``PRODUCT``, empty
+    zeta, no witnesses): dual_l(C) has dimension nN - k, so it cannot lie
+    in C when 2k < nN; else, with H spanning the Euclidean dual of C,
+    dual_l(C) <= C iff sigma^(e-l)(H) @ H^T = 0.
     """
     spec = mp.spec
     spec.check_ell(ell)
     a = mp.defmatrix
     if a.rank() == a.rows:
-        report = check_dual_containing_full_rank(mp, ell)
-        return replace(report, notes=report.notes + ("path: full-rank (exact)",))
+        return check_dual_containing_full_rank(mp, ell)
 
     blocks = row_partition(a).blocks
     if blocks:
@@ -392,14 +400,8 @@ def check_dual_containing_general(mp: MPCode, ell: int = 0) -> CheckReport:
         zeta = zeta_matrix(sub.defmatrix, ell)
         wit = tuple(_dc_witnesses(zeta, sub, ell, first))
         if all(w.ok for w in wit):
-            notes = (f"pair: left={first} right={first}", "path: partition search")
-            return CheckReport(Verdict.HOLDS, zeta, "zeta", wit, notes)
+            return CheckReport(Verdict.HOLDS, zeta, wit, CheckPath.FIRST_BLOCK, first)
 
     holds = expand(mp).is_galois_dual_containing(ell)
-    return CheckReport(
-        Verdict.HOLDS if holds else Verdict.FAILS,
-        MatGF.zeros(spec, 0, 0),
-        "zeta",
-        (),
-        ("path: containment product (exact)",),
-    )
+    verdict = Verdict.HOLDS if holds else Verdict.FAILS
+    return CheckReport(verdict, MatGF.zeros(spec, 0, 0), (), CheckPath.PRODUCT)

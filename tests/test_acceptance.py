@@ -10,6 +10,7 @@ import warnings
 from contextlib import contextmanager
 
 from mpcodes import (
+    CheckPath,
     DistanceBudget,
     LinearCode,
     MatGF,
@@ -251,7 +252,8 @@ def test_criterion_5_dual_containment():
         assert (sub @ sub.T).inverse() == mat(f3, ["1 1 1", "1 2 0", "1 0 0"])
         rep43 = check_dual_containing_general(mp43, 0)
         assert rep43.verdict is Verdict.HOLDS
-        assert any("partition search" in note for note in rep43.notes)
+        assert rep43.path is CheckPath.FIRST_BLOCK
+        assert rep43.block == (1, 2, 3)
         assert rep43.condition_matrix == mat(f3, ["1 1 1", "1 2 0", "1 0 0"])
         assert params(expand(mp43))[:3] == (18, 12, 4)
         big43 = expand(mp43)

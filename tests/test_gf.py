@@ -237,7 +237,7 @@ def test_prime_field_default_modulus_is_x_minus_primitive_root():
     # an explicit linear modulus is kept, with the same tables
     f = FieldSpec(17, 1, (0, 1))
     assert f.modulus == (0, 1)
-    assert f._mul == field(17)._mul
+    assert np.array_equal(f._MUL, field(17)._MUL)
     # an extension field outside the table has no default
     with pytest.raises(ValueError, match="no default modulus"):
         field(49)
@@ -281,6 +281,39 @@ def test_bulk_ops_bit_identical_to_scalar(name):
         assert [f.frobenius(x, ell) for x in range(q)] == conj
         assert f.frobenius_arr(np.arange(q), ell).tolist() == conj
         conj = [reduce(lambda acc, _: f._mul_direct(acc, x), range(p), 1) for x in conj]
+
+
+TABLES = ("_ADD", "_SUB", "_MUL", "_NEG", "_INV", "_FROB", "_LOG", "_DIG", "_REG")
+
+
+@pytest.mark.parametrize("name", REFERENCE_FIELDS)
+def test_tables_are_stored_once_read_only(name):
+    # one FieldSpec per field is shared by every holder, so a write to a
+    # table would change the field for all of them
+    f = field(*REFERENCE_FIELDS[name])
+    q = f.q
+    assert not [s for s in FieldSpec.__slots__ if isinstance(getattr(f, s), list)]
+    for table in TABLES:
+        tab = getattr(f, table)
+        assert isinstance(tab, np.ndarray) and not tab.flags.writeable, table
+        with pytest.raises(ValueError, match="read-only"):
+            tab[(0,) * tab.ndim] = 1
+    assert f.mul_arr(1, 1) == 1
+    # scalar ops return Python ints ...
+    one = q - 1
+    for value in (
+        f.add(one, 1), f.sub(one, 1), f.mul(one, one), f.neg(one),
+        f.inv(one), f.pow(one, 3), f.frobenius(one, f.e - 1),
+    ):
+        assert type(value) is int
+    # ... and refuse an encoding >= q, where a flat q*q table would
+    # read the next row instead
+    with pytest.raises(IndexError):
+        f.mul(1, q)
+    with pytest.raises(IndexError):
+        f.add(q, 0)
+    with pytest.raises(IndexError):
+        f.frobenius(q, 0)
 
 
 def test_field_size_cap():

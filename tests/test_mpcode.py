@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from mpcodes import (
+    CheckPath,
     DimensionError,
     LinearCode,
     MatGF,
@@ -431,16 +432,13 @@ def test_check_dc_full_rank_completion_invariance(rng):
             assert alt.verdict == base.verdict
 
 
-PRODUCT_PATH = "path: containment product (exact)"
-
-
 def test_check_dc_general_delegates_and_sufficiency(rng):
     # full-rank input delegates to the exact checker
     mp = _random_mp(rng, full_rank=True)
     exact = check_dual_containing_full_rank(mp, 0)
     general = check_dual_containing_general(mp, 0)
     assert general.verdict == exact.verdict
-    assert any("full-rank" in note for note in general.notes)
+    assert general.path is CheckPath.FULL_RANK
     # rank-deficient verdicts are exact: a first-block certificate is
     # sound, and the containment product decides everything else
     seen = set()
@@ -450,11 +448,11 @@ def test_check_dc_general_delegates_and_sufficiency(rng):
         big = expand(mp)
         truth = big.galois_dual(0).is_subcode(big)
         assert rep.verdict is (Verdict.HOLDS if truth else Verdict.FAILS)
-        if PRODUCT_PATH in rep.notes:
+        if rep.path is CheckPath.PRODUCT:
             assert rep.witnesses == () and rep.condition_matrix.rows == 0
             seen.add((rep.verdict, "product"))
         else:
-            assert "path: partition search" in rep.notes
+            assert rep.path is CheckPath.FIRST_BLOCK
             assert all(w.ok for w in rep.witnesses)
             seen.add((rep.verdict, "partition"))
     assert seen == {
@@ -478,7 +476,7 @@ def test_check_dc_general_decides_the_former_gap():
         big = expand(mp)
         truth = big.galois_dual(0).is_subcode(big)
         assert rep.verdict is (Verdict.HOLDS if truth else Verdict.FAILS)
-        by_product += truth and PRODUCT_PATH in rep.notes
+        by_product += truth and rep.path is CheckPath.PRODUCT
     assert by_product, "expected a true instance decided by the product"
 
 
@@ -506,7 +504,7 @@ def test_check_dc_general_rank_deficient_matches_oracle():
                 dual = oracle.dual_by_definition(big, ell)
                 truth = oracle.is_subset_by_enumeration(dual, big)
                 assert rep.verdict is (Verdict.HOLDS if truth else Verdict.FAILS), (q, ell, mp)
-                path = "product" if PRODUCT_PATH in rep.notes else "partition"
+                path = "product" if rep.path is CheckPath.PRODUCT else "partition"
                 seen.add((rep.verdict, path))
                 sides.add((q, ell, 2 * big.k >= big.n))
                 count += 1
@@ -531,4 +529,4 @@ def test_check_dc_general_rank_deficient_matches_oracle():
             mp = MPCode([LinearCode.zero(f, 3), big], a)
             for lv, want in ((0, Verdict.FAILS), (ell, Verdict.HOLDS)):
                 rep = check_dual_containing_general(mp, lv)
-                assert rep.verdict is want and PRODUCT_PATH in rep.notes, (q, lv)
+                assert rep.verdict is want and rep.path is CheckPath.PRODUCT, (q, lv)
