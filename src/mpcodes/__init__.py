@@ -29,7 +29,6 @@ from .mpcode import (
     RowPartition,
     Verdict,
     Witness,
-    check_dual_containing_full_rank,
     check_dual_containing_general,
     check_self_orthogonal,
     dual_full_rank,
@@ -62,7 +61,6 @@ __all__ = [
     "UndefinedDistanceError",
     "Verdict",
     "Witness",
-    "check_dual_containing_full_rank",
     "check_dual_containing_general",
     "check_self_orthogonal",
     "dual_full_rank",

@@ -15,7 +15,7 @@ and ``_mul_direct``, kept only as that generator and as the test
 reference) when the field is first asked for, never at import; a failed
 build is not kept, so an invalid field raises every time.  Each table is
 stored once, as a read-only numpy array.  Scalar operations read one
-entry with ``item``, a Python int; an encoding >= q raises
+entry with ``item``, a Python int; an encoding outside [0, q) raises
 ``IndexError``.  Bulk binary operations make one ``take`` from a q x q
 uint8 table read flat, at the uint16 index ``a*q + b``;
 characteristic-2 bulk addition is XOR, the same function.  Two float64
@@ -79,6 +79,13 @@ _MAX_Q = 256
 
 # The one FieldSpec of each field, by (p, e, modulus or None).
 _SPECS: dict[tuple, "FieldSpec"] = {}
+
+
+def _enc(a: int) -> int:
+    """a, refused below 0, where numpy would index from the table's end."""
+    if a < 0:
+        raise IndexError(f"field encoding {a} is negative")
+    return a
 
 
 # ----------------------------------------------------------------------
@@ -296,21 +303,21 @@ class FieldSpec:
             raise ValueError(f"ell={ell} out of range [0, {self.e})")
 
     def add(self, a: int, b: int) -> int:
-        return self._ADD.item(a, b)
+        return self._ADD.item(_enc(a), _enc(b))
 
     def neg(self, a: int) -> int:
-        return self._NEG.item(a)
+        return self._NEG.item(_enc(a))
 
     def sub(self, a: int, b: int) -> int:
-        return self._SUB.item(a, b)
+        return self._SUB.item(_enc(a), _enc(b))
 
     def mul(self, a: int, b: int) -> int:
-        return self._MUL.item(a, b)
+        return self._MUL.item(_enc(a), _enc(b))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self._INV.item(a)
+        return self._INV.item(_enc(a))
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:
@@ -327,7 +334,7 @@ class FieldSpec:
         """a^(p^ell); ell is reduced modulo e."""
         if ell < 0:
             raise ValueError("Frobenius power must be non-negative")
-        return self._FROB.item(ell % self.e, a)
+        return self._FROB.item(ell % self.e, _enc(a))
 
     # -- bulk (numpy) operations on encoding arrays -----------------------
 

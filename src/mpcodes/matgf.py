@@ -332,15 +332,15 @@ class MatGF:
 
         Deterministic: appends the standard basis row e_j for every
         non-pivot column j of the RREF, in ascending column order.  The
-        first M rows of the result equal the input.
+        first M rows of the result equal the input.  Raises
+        ``RankDeficientError`` iff the rank is below M (which covers every
+        M > N).
         """
         _, pivots = self.rref()
         if len(pivots) != self.rows:
             raise RankDeficientError(
                 f"matrix has rank {len(pivots)} < {self.rows} rows"
             )
-        if self.rows > self.cols:
-            raise RankDeficientError("more rows than columns")
         n = self.cols
         extra = [j for j in range(1, n + 1) if j not in pivots]
         out = np.zeros((n, n), dtype=np.uint8)

@@ -11,13 +11,15 @@ This module provides
   A, and ``dual_general`` for any A, which reads the dual for a
   rank-deficient A off the expansion (the intersection of the row
   partition blocks' duals is the dual of their sum, the code itself),
-* exact self-orthogonality and dual-containment checkers for every
-  defining matrix, driven by the nonzero pattern of a small condition
-  matrix (for a rank-deficient defining matrix that is not certified by
-  its first partition block, dual containment is decided by one product
-  against a parity-check matrix of the expansion),
+* one exact self-orthogonality and one exact dual-containment checker
+  for every defining matrix, driven by the nonzero pattern of a small
+  condition matrix (for a rank-deficient defining matrix that is not
+  certified by its first partition block, dual containment is decided
+  by one product against a parity-check matrix of the expansion),
 * the dual-containment condition matrix ``zeta_matrix`` and its reading
-  ``dc_conditions``, shared by the checkers and the search.
+  ``dc_conditions``, shared by the checker and the search.  Both duals
+  and zeta complete A with ``MatGF.complete_to_invertible``; no verdict
+  and no dual code depends on that choice.
 
 Row, column and constituent indices are 1-based everywhere, as in the
 rest of the package.
@@ -34,7 +36,7 @@ import numpy as np
 
 from .gf import FieldMismatchError, FieldSpec
 from .lincode import LinearCode
-from .matgf import DimensionError, MatGF, RankDeficientError
+from .matgf import DimensionError, MatGF
 
 __all__ = [
     "CheckPath",
@@ -43,7 +45,6 @@ __all__ = [
     "RowPartition",
     "Verdict",
     "Witness",
-    "check_dual_containing_full_rank",
     "check_dual_containing_general",
     "check_self_orthogonal",
     "dc_conditions",
@@ -155,9 +156,9 @@ class CheckPath(Enum):
     """How a checker reached its verdict."""
 
     GRAM = "gram product"  # self-orthogonality, twisted Gram product of A
-    FULL_RANK = "full-rank (exact)"  # zeta of a full-row-rank A
-    FIRST_BLOCK = "partition search"  # zeta of the first partition block
-    PRODUCT = "containment product (exact)"  # on the expansion
+    FULL_RANK = "full-rank (exact)"  # first partition block is every row of A
+    FIRST_BLOCK = "partition search"  # a proper first block's zeta certifies
+    PRODUCT = "containment product (exact)"  # decided on the expansion
 
 
 @dataclass(frozen=True)
@@ -200,36 +201,19 @@ def expand(mp: MPCode) -> LinearCode:
     return LinearCode.from_generator(MatGF.vstack(blocks))
 
 
-def _completion(a: MatGF, completion: MatGF | None = None) -> MatGF:
-    """The given completion of a, checked to be invertible N x N with a
-    as its first rows; else ``a.complete_to_invertible()``."""
-    if completion is None:
-        return a.complete_to_invertible()  # raises if rank-deficient
-    m, n_cols = a.rows, a.cols
-    if completion.rows != n_cols or completion.cols != n_cols:
-        raise DimensionError("completion must be square of size N")
-    if m > n_cols or completion.row_submatrix(list(range(1, m + 1))) != a:
-        raise ValueError("completion does not extend the defining matrix")
-    if completion.rank() != n_cols:
-        raise RankDeficientError("completion is singular")
-    return completion
-
-
-def dual_full_rank(
-    mp: MPCode, ell: int = 0, *, completion: MatGF | None = None
-) -> tuple[MPCode, LinearCode]:
+def dual_full_rank(mp: MPCode, ell: int = 0) -> tuple[MPCode, LinearCode]:
     """The l-Galois dual of an MP code with full-row-rank defining matrix.
 
     Returns the dual in MP form (constituent duals, padded with the
     whole-space code, mixed by the inverse-transpose of the Frobenius
-    image of a completion) together with its expansion.  Any completion
-    whose first M rows equal the defining matrix yields the same dual
-    code; pass one explicitly to reproduce a specific presentation.
+    image of ``complete_to_invertible()`` of A) together with its
+    expansion.  Every completion gives the same dual code; only the MP
+    form depends on it.  A rank-deficient A raises RankDeficientError.
     """
     spec = mp.spec
     spec.check_ell(ell)
     a = mp.defmatrix
-    twisted = _completion(a, completion).frobenius_map((spec.e - ell) % spec.e)
+    twisted = a.complete_to_invertible().frobenius_map((spec.e - ell) % spec.e)
     mixer = twisted.inverse().T
     # equal constituents share one dual
     dual_of = {c: c.galois_dual(ell) for c in dict.fromkeys(mp.constituents)}
@@ -311,10 +295,11 @@ def _so_witnesses(cond: MatGF, mp: MPCode, ell: int) -> Iterator[Witness]:
 # dual containment
 # ----------------------------------------------------------------------
 
-def zeta_matrix(a: MatGF, ell: int, completion: MatGF | None = None) -> MatGF:
-    """The dual-containment condition matrix: the inverse of
-    sigma^l(B) @ B^T for an invertible completion B of a."""
-    b = _completion(a, completion)
+def zeta_matrix(a: MatGF, ell: int) -> MatGF:
+    """The dual-containment condition matrix of a full-row-rank a: the
+    inverse of sigma^l(B) @ B^T for B = ``a.complete_to_invertible()``
+    (zeta depends on B, the verdict read off it does not)."""
+    b = a.complete_to_invertible()
     return (b.frobenius_map(ell) @ b.T).inverse()
 
 
@@ -355,51 +340,36 @@ def _dc_witnesses(
             yield Witness(i, j, f"dual_{ell}(C{rows[i - 1]})<=C{rows[j - 1]}", ok)
 
 
-def check_dual_containing_full_rank(
-    mp: MPCode, ell: int = 0, *, completion: MatGF | None = None
-) -> CheckReport:
-    """Exact l-Galois dual-containment test for full-row-rank defining
-    matrices.
-
-    The condition matrix zeta is the inverse of the twisted Gram product
-    of a completion of the defining matrix.  The verdict does not depend
-    on the completion (zeta itself may); pass one to reproduce a
-    specific zeta.
-    """
-    mp.spec.check_ell(ell)
-    zeta = zeta_matrix(mp.defmatrix, ell, completion)
-    wit = tuple(_dc_witnesses(zeta, mp, ell))
-    verdict = Verdict.HOLDS if all(w.ok for w in wit) else Verdict.FAILS
-    return CheckReport(verdict, zeta, wit, CheckPath.FULL_RANK)
-
-
 def check_dual_containing_general(mp: MPCode, ell: int = 0) -> CheckReport:
     """Exact l-Galois dual-containment test for any defining matrix.
 
-    A full-row-rank defining matrix goes to the exact zeta checker.
-    Otherwise the MP code C_B of the first row-partition block B (which
-    spans the row space of the defining matrix) lies in C, so if C_B is
-    dual-containing, so is C: dual_l(C) <= dual_l(C_B) <= C_B <= C.  The
-    four zeta conditions of C_B are tried first, and a certificate is
-    reported with its zeta and witnesses (path ``FIRST_BLOCK``).  Failing
-    that, the verdict is decided on the expansion (path ``PRODUCT``, empty
-    zeta, no witnesses): dual_l(C) has dimension nN - k, so it cannot lie
-    in C when 2k < nN; else, with H spanning the Euclidean dual of C,
+    One row partition of the defining matrix A decides the path.  Its
+    first block B spans the row space of A, and the MP code C_B of its
+    rows lies in C; the four conditions on the nonzero pattern of the
+    zeta of C_B are read once.  If B holds every row, A has full row rank
+    and those conditions are the exact verdict (path ``FULL_RANK``).
+    Otherwise, if they all hold, C_B is dual-containing and so is C:
+    dual_l(C) <= dual_l(C_B) <= C_B <= C (path ``FIRST_BLOCK``, with
+    ``block`` = B).  Failing that, or for an all-zero A, the verdict is
+    decided on the expansion (path ``PRODUCT``, empty zeta, no
+    witnesses): dual_l(C) has dimension nN - k, so it cannot lie in C
+    when 2k < nN; else, with H spanning the Euclidean dual of C,
     dual_l(C) <= C iff sigma^(e-l)(H) @ H^T = 0.
     """
     spec = mp.spec
     spec.check_ell(ell)
     a = mp.defmatrix
-    if a.rank() == a.rows:
-        return check_dual_containing_full_rank(mp, ell)
-
     blocks = row_partition(a).blocks
     if blocks:
         first = blocks[0]
         sub = MPCode([mp.constituents[i - 1] for i in first], a.row_submatrix(list(first)))
         zeta = zeta_matrix(sub.defmatrix, ell)
         wit = tuple(_dc_witnesses(zeta, sub, ell, first))
-        if all(w.ok for w in wit):
+        holds = all(w.ok for w in wit)
+        if len(first) == a.rows:
+            verdict = Verdict.HOLDS if holds else Verdict.FAILS
+            return CheckReport(verdict, zeta, wit, CheckPath.FULL_RANK)
+        if holds:
             return CheckReport(Verdict.HOLDS, zeta, wit, CheckPath.FIRST_BLOCK, first)
 
     holds = expand(mp).is_galois_dual_containing(ell)

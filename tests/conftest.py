@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from mpcodes import LinearCode, MatGF, parse_element
+from mpcodes.mpcode import _dc_witnesses
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -43,6 +44,13 @@ def random_completion(a, rng, tries=200):
         if cand.rank() == n:
             return cand
     raise AssertionError("could not complete matrix randomly")
+
+
+def completion_holds(mp, ell, b):
+    """Whether every dual-containment condition read off the zeta of the
+    completion b of mp's defining matrix holds: zeta = (sigma^l(B) B^T)^-1."""
+    zeta = (b.frobenius_map(ell) @ b.T).inverse()
+    return all(w.ok for w in _dc_witnesses(zeta, mp, ell))
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from mpcodes import (
     MPCode,
     SearchRequest,
     Verdict,
-    check_dual_containing_full_rank,
     check_dual_containing_general,
     check_self_orthogonal,
     dual_full_rank,
@@ -30,8 +29,12 @@ from mpcodes import (
 from mpcodes import io as fmt
 from mpcodes import oracle
 from mpcodes.cli import main as cli_main
+from mpcodes.mpcode import _dc_witnesses
 
-from conftest import FIXTURES, code, code_sum, mat, random_code, random_completion, random_matrix
+from conftest import (
+    FIXTURES, code, code_sum, completion_holds, mat, random_code, random_completion,
+    random_matrix,
+)
 
 
 @contextmanager
@@ -104,9 +107,11 @@ def test_criterion_2_f8_galois_dual():
         ])
         mixer = completion.frobenius_map(1).inverse().T
         assert mixer == displayed
-        dual_mp, dual_from_completion = dual_full_rank(mp, 2, completion=completion)
-        assert dual_mp.defmatrix == displayed
-        assert dual_from_completion == dual
+        # the displayed dual MP form: constituent 2-Galois duals, padded
+        # with the whole space, mixed by the displayed matrix
+        duals = [c.galois_dual(2) for c in mp.constituents]
+        duals += [LinearCode.full(f8, mp.n)] * (displayed.rows - len(duals))
+        assert expand(MPCode(duals, displayed)) == dual
 
 
 def test_criterion_3_rank_deficient_duals():
@@ -188,28 +193,22 @@ def test_criterion_5_dual_containment():
         assert dc_code.galois_dual(1).is_subcode(dc_code)
         non_dc = code(f9, ["1 0 0 0 0"])
         # both conditions met -> holds; each violated alone -> fails
-        ok = check_dual_containing_full_rank(
-            MPCode([full5, dc_code], a), 1, completion=completion
+        ok, bad1, bad2 = (
+            MPCode(cons, a) for cons in ([full5, dc_code], [dc_code, dc_code], [full5, non_dc])
         )
-        assert ok.verdict is Verdict.HOLDS
-        bad1 = check_dual_containing_full_rank(
-            MPCode([dc_code, dc_code], a), 1, completion=completion
-        )
-        assert bad1.verdict is Verdict.FAILS  # C1 != whole space
-        bad2 = check_dual_containing_full_rank(
-            MPCode([full5, non_dc], a), 1, completion=completion
-        )
-        assert bad2.verdict is Verdict.FAILS  # C2 not dual-containing
-        conditions = {w.condition for w in ok.witnesses}
+        ok_witnesses = tuple(_dc_witnesses(zeta, ok, 1))
+        assert all(w.ok for w in ok_witnesses)
+        assert not completion_holds(bad1, 1, completion)  # C1 != whole space
+        assert not completion_holds(bad2, 1, completion)  # C2 not dual-containing
+        conditions = {w.condition for w in ok_witnesses}
         assert conditions == {"C1=F", "dual_1(C1)<=C2", "dual_1(C2)<=C1", "dual_1(C2)<=C2"}
-        # the checker verdict matches true containment in all three cases
-        for mp_case, rep in (
-            (MPCode([full5, dc_code], a), ok),
-            (MPCode([dc_code, dc_code], a), bad1),
-            (MPCode([full5, non_dc], a), bad2),
-        ):
+        # the paper's conditions and the checker's verdict match true
+        # containment in all three cases
+        for mp_case, holds in ((ok, True), (bad1, False), (bad2, False)):
             big = expand(mp_case)
-            assert (rep.verdict is Verdict.HOLDS) == big.galois_dual(1).is_subcode(big)
+            assert big.galois_dual(1).is_subcode(big) == holds
+            rep = check_dual_containing_general(mp_case, 1)
+            assert (rep.verdict is Verdict.HOLDS) == holds
 
         # 4x4 invertible over GF(9): [20,17,3]
         mp44 = load_fixture("f9_4x4_dc.mp")
@@ -217,14 +216,14 @@ def test_criterion_5_dual_containment():
         assert (a44.frobenius_map(1) @ a44.T).inverse() == mat(
             f9, ["1 0 a^7 a", "0 0 0 a", "a^5 0 1 a^3", "a^3 a^3 a 0"]
         )
-        rep44 = check_dual_containing_full_rank(mp44, 1)
+        rep44 = check_dual_containing_general(mp44, 1)
         assert rep44.verdict is Verdict.HOLDS
         n, k, d, strategy = params(expand(mp44))
         assert (n, k, d) == (20, 17, 3) and strategy == "low-weight"
 
         # 3x4 over GF(5): [20,11,4]
         mp54 = load_fixture("f5_3x4_dc.mp")
-        rep54 = check_dual_containing_full_rank(mp54, 0)
+        rep54 = check_dual_containing_general(mp54, 0)
         assert rep54.verdict is Verdict.HOLDS
         assert params(expand(mp54))[:3] == (20, 11, 4)
 
@@ -241,7 +240,7 @@ def test_criterion_5_dual_containment():
             "a^2 a^5 0 0 0",
         ])
         assert inv_gram.data[0, 0] == 2
-        rep88 = check_dual_containing_full_rank(mp88, 0)
+        rep88 = check_dual_containing_general(mp88, 0)
         assert rep88.verdict is Verdict.HOLDS
         assert params(expand(mp88))[:3] == (25, 22, 3)
 
@@ -325,9 +324,10 @@ def _dc_wide_instance(rng):
 
 def _check_dc_full_rank(mp, ell, rng):
     """Block (c) on one instance: the checker's verdict equals containment
-    of the kernel-computed dual, and, when M < N, it is the same under five
-    random completions.  Returns the truth and the expanded code."""
-    rep = check_dual_containing_full_rank(mp, ell)
+    of the kernel-computed dual, and, when M < N, so do the conditions read
+    off the zeta of five random completions.  Returns the truth and the
+    expanded code."""
+    rep = check_dual_containing_general(mp, ell)
     big = expand(mp)
     truth = big.galois_dual(ell).is_subcode(big)
     assert (rep.verdict is Verdict.HOLDS) == truth
@@ -335,8 +335,7 @@ def _check_dc_full_rank(mp, ell, rng):
     if a.cols > a.rows:
         for _ in range(5):
             b = random_completion(a, rng)
-            alt = check_dual_containing_full_rank(mp, ell, completion=b)
-            assert alt.verdict == rep.verdict
+            assert completion_holds(mp, ell, b) == truth
     return truth, big
 
 

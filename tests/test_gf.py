@@ -314,6 +314,15 @@ def test_tables_are_stored_once_read_only(name):
         f.add(q, 0)
     with pytest.raises(IndexError):
         f.frobenius(q, 0)
+    # ... and refuse a negative encoding, where numpy would read from
+    # the end of the table
+    for op, args in (
+        (f.add, (-1, 0)), (f.add, (0, -1)), (f.sub, (-1, 0)), (f.sub, (0, -1)),
+        (f.mul, (-1, -1)), (f.mul, (1, -1)), (f.neg, (-1,)), (f.inv, (-2,)),
+        (f.frobenius, (-1, 1)),
+    ):
+        with pytest.raises(IndexError):
+            op(*args)
 
 
 def test_field_size_cap():

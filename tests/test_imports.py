@@ -10,7 +10,10 @@ Stand-ins for an unused-code lint, on modules parsed with ``ast``:
   definition (the export lists and imports are not reads);
 * every option of every CLI subcommand except ``--machine`` is read as
   ``args.<dest>`` by the subcommand's ``cmd_*`` function or by a ``cli``
-  function that it calls, directly or not.
+  function that it calls, directly or not;
+* every keyword-only parameter of a ``src/mpcodes`` function is passed by
+  name, to a call of that function's name, somewhere in ``src/mpcodes``
+  or ``bench``.
 """
 
 import argparse
@@ -133,3 +136,28 @@ def test_every_cli_option_is_read_by_its_subcommand():
         unread += [f"{command} {'/'.join(a.option_strings) or a.dest}" for a in parser._actions
                    if a.dest not in ("help", "machine") and a.dest not in read]
     assert not unread, f"options their subcommand never reads: {unread}"
+
+
+def _called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_keyword_only_parameter_is_passed_by_name():
+    passed = {
+        (_called_name(node), kw.arg)
+        for path in READERS
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+    }
+    params = [
+        (path.name, fn.name, arg.arg)
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in fn.args.kwonlyargs
+    ]
+    assert params, "no keyword-only parameter found"
+    unpassed = [f"{mod}: {fn}({arg})" for mod, fn, arg in params if (fn, arg) not in passed]
+    assert not unpassed, f"keyword-only parameters never passed by name: {unpassed}"

@@ -12,7 +12,6 @@ from mpcodes import (
     MPCode,
     RankDeficientError,
     Verdict,
-    check_dual_containing_full_rank,
     check_dual_containing_general,
     check_self_orthogonal,
     dual_full_rank,
@@ -21,10 +20,12 @@ from mpcodes import (
     field,
     row_partition,
 )
-from mpcodes import oracle
+from mpcodes import mpcode, oracle
 from mpcodes.mpcode import dc_conditions
 
-from conftest import code, code_sum, mat, random_code, random_completion, random_matrix
+from conftest import (
+    code, code_sum, completion_holds, mat, random_code, random_completion, random_matrix,
+)
 
 
 def _random_mp(rng, *, full_rank=None, q_choices=(2, 3, 4, 5, 8, 9)):
@@ -156,31 +157,14 @@ def test_dual_full_rank_requires_full_rank():
         dual_full_rank(MPCode([c, c], a), 0)
 
 
-def test_dual_full_rank_rejects_bad_completion():
-    f2 = field(2)
-    c = LinearCode.full(f2, 2)
-    a = MatGF(f2, [[1, 0]])
-    with pytest.raises(ValueError):
-        dual_full_rank(MPCode([c], a), 0, completion=MatGF(f2, [[0, 1], [1, 0]]))
-
-
-def test_check_dc_full_rank_validates_completion():
-    # the 1 x 2 defining matrix is not a completion of itself; it used
-    # to give HOLDS with a 1 x 1 zeta where the truth is FAILS
+def test_check_dc_one_by_two_matrix_fails():
+    # zeta must come from a 2 x 2 completion of the 1 x 2 defining
+    # matrix; a 1 x 1 zeta of A itself would read HOLDS, but C lacks the
+    # whole second block that its dual contains
     f2 = field(2)
     a = MatGF(f2, [[1, 0]])
     mp = MPCode([LinearCode.full(f2, 3)], a)
-    assert check_dual_containing_full_rank(mp, 0).verdict is Verdict.FAILS
-    with pytest.raises(DimensionError):
-        check_dual_containing_full_rank(mp, 0, completion=a)
-    with pytest.raises(RankDeficientError):
-        check_dual_containing_full_rank(mp, 0, completion=MatGF(f2, [[1, 0], [1, 0]]))
-    with pytest.raises(ValueError, match="does not extend"):
-        check_dual_containing_full_rank(mp, 0, completion=MatGF(f2, [[0, 1], [1, 0]]))
-    # more defining-matrix rows than columns: no square matrix extends it
-    tall = MPCode([mp.constituents[0]] * 3, MatGF(f2, [[1, 0], [0, 1], [1, 1]]))
-    with pytest.raises(ValueError, match="does not extend"):
-        check_dual_containing_full_rank(tall, 0, completion=MatGF.identity(f2, 2))
+    assert check_dual_containing_general(mp, 0).verdict is Verdict.FAILS
 
 
 def test_dc_conditions_regions():
@@ -413,7 +397,7 @@ def test_check_dc_full_rank_iff_containment(rng):
         mp = _random_mp(rng, full_rank=True, q_choices=(2, 3, 4))
         f = mp.spec
         for ell in range(f.e):
-            rep = check_dual_containing_full_rank(mp, ell)
+            rep = check_dual_containing_general(mp, ell)
             big = expand(mp)
             truth = big.galois_dual(ell).is_subcode(big)
             assert (rep.verdict is Verdict.HOLDS) == truth
@@ -425,39 +409,64 @@ def test_check_dc_full_rank_completion_invariance(rng):
         a = mp.defmatrix
         if a.rows == a.cols:
             continue
-        base = check_dual_containing_full_rank(mp, 0)
+        base = check_dual_containing_general(mp, 0)
         for _ in range(5):
             b = random_completion(a, random.Random(rng.randrange(10**9)))
-            alt = check_dual_containing_full_rank(mp, 0, completion=b)
-            assert alt.verdict == base.verdict
+            assert completion_holds(mp, 0, b) == (base.verdict is Verdict.HOLDS)
 
 
-def test_check_dc_general_delegates_and_sufficiency(rng):
-    # full-rank input delegates to the exact checker
-    mp = _random_mp(rng, full_rank=True)
-    exact = check_dual_containing_full_rank(mp, 0)
-    general = check_dual_containing_general(mp, 0)
-    assert general.verdict == exact.verdict
-    assert general.path is CheckPath.FULL_RANK
-    # rank-deficient verdicts are exact: a first-block certificate is
-    # sound, and the containment product decides everything else
+def test_check_dc_general_delegates_and_sufficiency(rng, monkeypatch):
+    # one row partition per check decides the path, and no separate rank
+    # test runs: FULL_RANK iff the first block holds every row, where the
+    # zeta witnesses are exact; a first-block certificate is sound, and
+    # the containment product decides everything else
+    calls = []
+
+    def counted(name, real):
+        def method(*args):
+            calls.append(name)
+            return real(*args)
+        return method
+
+    monkeypatch.setattr(mpcode, "row_partition", counted("row_partition", mpcode.row_partition))
+    monkeypatch.setattr(MatGF, "rank", counted("rank", MatGF.rank))
+
+    def check(mp, ell):
+        calls.clear()
+        rep = check_dual_containing_general(mp, ell)
+        assert calls == ["row_partition"], calls
+        return rep
+
     seen = set()
-    for _ in range(80):
-        mp = _random_mp(rng, full_rank=False, q_choices=(2, 3))
-        rep = check_dual_containing_general(mp, 0)
-        big = expand(mp)
-        truth = big.galois_dual(0).is_subcode(big)
-        assert rep.verdict is (Verdict.HOLDS if truth else Verdict.FAILS)
-        if rep.path is CheckPath.PRODUCT:
-            assert rep.witnesses == () and rep.condition_matrix.rows == 0
-            seen.add((rep.verdict, "product"))
-        else:
-            assert rep.path is CheckPath.FIRST_BLOCK
-            assert all(w.ok for w in rep.witnesses)
-            seen.add((rep.verdict, "partition"))
+    for full_rank in (True, False):
+        for _ in range(80):
+            mp = _random_mp(rng, full_rank=full_rank, q_choices=(2, 3))
+            rep = check(mp, 0)
+            big = expand(mp)
+            truth = big.galois_dual(0).is_subcode(big)
+            assert rep.verdict is (Verdict.HOLDS if truth else Verdict.FAILS)
+            blocks = row_partition(mp.defmatrix).blocks
+            every_row = bool(blocks) and len(blocks[0]) == mp.num_constituents
+            assert (rep.path is CheckPath.FULL_RANK) == every_row == full_rank
+            if rep.path is CheckPath.PRODUCT:
+                assert rep.witnesses == () and rep.condition_matrix.rows == 0
+            elif rep.path is CheckPath.FIRST_BLOCK:
+                assert rep.block == blocks[0]
+                assert all(w.ok for w in rep.witnesses)
+            else:
+                assert rep.block == ()
+            seen.add((rep.verdict, rep.path))
     assert seen == {
-        (Verdict.HOLDS, "partition"), (Verdict.HOLDS, "product"), (Verdict.FAILS, "product"),
+        (Verdict.HOLDS, CheckPath.FULL_RANK), (Verdict.FAILS, CheckPath.FULL_RANK),
+        (Verdict.HOLDS, CheckPath.FIRST_BLOCK),
+        (Verdict.HOLDS, CheckPath.PRODUCT), (Verdict.FAILS, CheckPath.PRODUCT),
     }, seen
+    # an all-zero defining matrix has no partition block; its code is
+    # zero, whose dual is the whole space
+    f2 = field(2)
+    c = LinearCode.full(f2, 2)
+    rep = check(MPCode([c, c], MatGF.zeros(f2, 2, 3)), 0)
+    assert rep.path is CheckPath.PRODUCT and rep.verdict is Verdict.FAILS
 
 
 def test_check_dc_general_decides_the_former_gap():

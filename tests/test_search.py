@@ -15,7 +15,7 @@ from mpcodes import (
     search_mp_codes,
 )
 from mpcodes import search as srch
-from mpcodes.mpcode import check_dual_containing_full_rank, check_self_orthogonal
+from mpcodes.mpcode import check_dual_containing_general, check_self_orthogonal
 
 from conftest import mat, random_code, random_matrix
 
@@ -140,7 +140,7 @@ def test_dc_search_produces_verified_instances():
                         max_candidates=400)
     hits = search_mp_codes(a, req)
     assert hits
-    rep = check_dual_containing_full_rank(hits[0].mp, 0)
+    rep = check_dual_containing_general(hits[0].mp, 0)
     assert rep.verdict is Verdict.HOLDS
 
 
@@ -167,7 +167,7 @@ def test_dc_search_constituent_with_pair_conditions_only(q, rows):
     hits = search_mp_codes(a, req)
     assert len(hits) == 3
     for hit in hits:
-        assert check_dual_containing_full_rank(hit.mp, 0).verdict is Verdict.HOLDS
+        assert check_dual_containing_general(hit.mp, 0).verdict is Verdict.HOLDS
 
 
 @pytest.mark.parametrize("max_candidates", [0, 5])
