@@ -32,6 +32,7 @@ import functools
 import sys
 
 from .lincode import DistanceBudget, DistanceResult, LinearCode
+from .matgf import RankDeficientError
 from .mpcode import (
     Verdict,
     check_dual_containing_general,
@@ -142,14 +143,13 @@ def cmd_mp(args) -> int:
 
 def cmd_dual(args) -> int:
     mp, _ = fmt.load_mp(_read(args.mpfile))
-    a = mp.defmatrix
-    if a.rank() == a.rows:
+    try:
         dual_mp, dual_code = dual_full_rank(mp, args.ell)
         path = "full-rank"
-    else:
+    except RankDeficientError:
         dual_code = dual_general(mp, args.ell)
         dual_mp = None
-        part = row_partition(a)
+        part = row_partition(mp.defmatrix)
         path = "partition{" + "|".join(
             ",".join(str(i) for i in b) for b in part.blocks
         ) + "}"

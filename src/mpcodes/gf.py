@@ -266,6 +266,9 @@ class FieldSpec:
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, e={self.e}, modulus={self.modulus})"
 
+    def __reduce__(self):
+        return FieldSpec, (self.p, self.e, self.modulus)  # the interned instance
+
     # -- polynomial reference: the table generator -----------------------
 
     def _digits(self, a: int) -> list[int]:

@@ -128,7 +128,12 @@ def parse_field_header(line: str, lineno: int = 1) -> FieldSpec:
         raise ParseError(lineno, f"expected field header, got {line!r}")
     p = e = None
     modulus = None
+    seen = set()
     for tok in parts[1:]:
+        key = tok.partition("=")[0]
+        if key in seen:
+            raise ParseError(lineno, f"repeated field attribute {key}=")
+        seen.add(key)
         if tok.startswith("p="):
             p = _int(tok[2:], lineno, "field characteristic")
         elif tok.startswith("e="):
@@ -205,17 +210,23 @@ def dump_matrix(m: MatGF) -> str:
     return "\n".join([field_header(m.spec)] + _matrix_body_lines(m)) + "\n"
 
 
-def load_matrix(text: str) -> MatGF:
+def _load(text: str, body):
+    """``body(lines, spec)`` after the field header; refuses an empty file
+    and any content after the body."""
     lines = _Lines(text)
     item = lines.next()
     if item is None:
         raise ParseError(1, "empty file")
     spec = parse_field_header(item[1], item[0])
-    m = _parse_matrix_body(lines, spec)
+    out = body(lines, spec)
     trailing = lines.next()
     if trailing is not None:
         raise ParseError(trailing[0], f"unexpected trailing content {trailing[1]!r}")
-    return m
+    return out
+
+
+def load_matrix(text: str) -> MatGF:
+    return _load(text, _parse_matrix_body)
 
 
 # ----------------------------------------------------------------------
@@ -225,8 +236,11 @@ def load_matrix(text: str) -> MatGF:
 _SECTION_KEYWORDS = ("constituent", "defmatrix")
 
 
-def _parse_code_body(lines: _Lines, spec: FieldSpec) -> tuple[LinearCode, int, int]:
-    """Returns (code, declared_k, header_lineno)."""
+def _parse_code_body(
+    lines: _Lines, spec: FieldSpec, strict: bool = True, label: str = ""
+) -> tuple[LinearCode, int]:
+    """Returns (code, declared_k); ``strict`` refuses a declared k other
+    than the rank, naming the code by ``label``."""
     item = lines.next()
     if item is None:
         raise ParseError(len(lines.raw) + 1, "missing code header")
@@ -244,7 +258,12 @@ def _parse_code_body(lines: _Lines, spec: FieldSpec) -> tuple[LinearCode, int, i
             break
         rows.append(_parse_row(spec, *lines.next(), n))
     gen = MatGF._of(spec, np.array(rows, dtype=np.uint8).reshape(len(rows), n))
-    return LinearCode.from_generator(gen), k, lineno
+    code = LinearCode.from_generator(gen)
+    if strict and code.k != k:
+        raise ParseError(
+            lineno, f"{label}declared dimension {k} but generator has rank {code.k}"
+        )
+    return code, k
 
 
 def _code_body_lines(c: LinearCode) -> list[str]:
@@ -256,20 +275,7 @@ def dump_code(c: LinearCode) -> str:
 
 
 def load_code(text: str) -> LinearCode:
-    lines = _Lines(text)
-    item = lines.next()
-    if item is None:
-        raise ParseError(1, "empty file")
-    spec = parse_field_header(item[1], item[0])
-    code, k, lineno = _parse_code_body(lines, spec)
-    if code.k != k:
-        raise ParseError(
-            lineno, f"declared dimension {k} but generator has rank {code.k}"
-        )
-    trailing = lines.next()
-    if trailing is not None:
-        raise ParseError(trailing[0], f"unexpected trailing content {trailing[1]!r}")
-    return code
+    return _load(text, lambda lines, spec: _parse_code_body(lines, spec)[0])
 
 
 # ----------------------------------------------------------------------
@@ -283,12 +289,8 @@ def dump_mp(mp: MPCode) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_mp(text: str, *, strict: bool = True) -> tuple[MPCode, MPFileClaims]:
-    lines = _Lines(text)
-    item = lines.next()
-    if item is None:
-        raise ParseError(1, "empty file")
-    spec = parse_field_header(item[1], item[0])
+def _parse_mp_body(lines: _Lines, spec: FieldSpec, strict: bool):
+    """Returns (constituents, defmatrix, claims)."""
     item = lines.next()
     if item is None or item[1] != "defmatrix":
         lineno = item[0] if item else len(lines.raw) + 1
@@ -301,10 +303,7 @@ def load_mp(text: str, *, strict: bool = True) -> tuple[MPCode, MPFileClaims]:
     for want in range(1, defmatrix.rows + 1):
         item = lines.next()
         if item is None:
-            raise ParseError(
-                len(lines.raw) + 1,
-                f"missing 'constituent {want}' section",
-            )
+            raise ParseError(len(lines.raw) + 1, f"missing 'constituent {want}' section")
         lineno, line = item
         parts = line.split()
         if len(parts) != 2 or parts[0] != "constituent":
@@ -313,17 +312,16 @@ def load_mp(text: str, *, strict: bool = True) -> tuple[MPCode, MPFileClaims]:
             raise ParseError(
                 lineno, f"constituent sections out of order: expected {want}"
             )
-        code, k, body_lineno = _parse_code_body(lines, spec)
-        if strict and code.k != k:
-            raise ParseError(
-                body_lineno,
-                f"constituent {want}: declared dimension {k} but generator has rank {code.k}",
-            )
+        code, k = _parse_code_body(lines, spec, strict, f"constituent {want}: ")
         constituents.append(code)
         claims.append((k, code.k))
-    trailing = lines.next()
-    if trailing is not None:
-        raise ParseError(trailing[0], f"unexpected trailing content {trailing[1]!r}")
+    return constituents, defmatrix, claims
+
+
+def load_mp(text: str, *, strict: bool = True) -> tuple[MPCode, MPFileClaims]:
+    constituents, defmatrix, claims = _load(
+        text, lambda lines, spec: _parse_mp_body(lines, spec, strict)
+    )
     lengths = {c.n for c in constituents}
     if len(lengths) != 1:
         raise ParseError(1, f"constituent lengths differ: {sorted(lengths)}")

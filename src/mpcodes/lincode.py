@@ -31,7 +31,7 @@ Strategy selection and caps live in :class:`DistanceBudget`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations, islice, product
 from math import comb
 from typing import Iterator
@@ -110,24 +110,23 @@ class DistanceResult:
         return f"≥{self.lower}≤{self.upper}"
 
 
+@dataclass(frozen=True, slots=True)
 class LinearCode:
     """A length-n linear code over GF(p^e) in canonical generator form.
 
-    The canonical generator is the RREF of any generating set with zero
-    rows dropped; two codes are equal iff their canonical generators are
+    ``LinearCode(gen)`` wraps a canonical generator, the RREF of any
+    generating set with zero rows dropped (:meth:`from_generator` makes
+    one); two codes are equal iff their canonical generators are
     identical.  ``k == 0`` is the zero code, ``k == n`` the whole space.
     """
 
-    __slots__ = ("spec", "n", "gen")
+    gen: MatGF
+    spec: FieldSpec = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, gen: MatGF):
-        """Wrap a canonical generator; :meth:`from_generator` makes one."""
-        object.__setattr__(self, "spec", gen.spec)
-        object.__setattr__(self, "n", gen.cols)
-        object.__setattr__(self, "gen", gen)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("LinearCode is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "spec", self.gen.spec)
+        object.__setattr__(self, "n", self.gen.cols)
 
     # -- constructors -------------------------------------------------------
 
@@ -158,17 +157,6 @@ class LinearCode:
     @property
     def is_full(self) -> bool:
         return self.k == self.n
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinearCode)
-            and self.spec == other.spec
-            and self.n == other.n
-            and self.gen == other.gen
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.n, self.gen))
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.spec.q}))"

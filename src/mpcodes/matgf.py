@@ -161,6 +161,9 @@ class MatGF:
     def __repr__(self) -> str:
         return f"MatGF({self.rows}x{self.cols} over GF({self.spec.q}))"
 
+    def __reduce__(self):
+        return MatGF, (self.spec, self.data)  # validated again, read-only
+
     def _check_same_field(self, other: "MatGF") -> None:
         if self.spec != other.spec:
             raise FieldMismatchError("matrices over different fields")

@@ -5,12 +5,16 @@ M x N defining matrix A: its generator is diag[G_1 .. G_M] (A kron I_n),
 whose row block i is a_i kron G_i = [a_i1 G_i | .. | a_iN G_i].
 This module provides
 
+* ``MPCode``, a frozen dataclass value like the other records here, so
+  it compares, hashes, copies and pickles by its fields,
 * ``expand``: the mixed code as a plain :class:`~mpcodes.lincode.LinearCode`,
   built by stacking the row blocks a_i kron G_i,
 * l-Galois duals: the closed form ``dual_full_rank`` for full-row-rank
-  A, and ``dual_general`` for any A, which reads the dual for a
-  rank-deficient A off the expansion (the intersection of the row
-  partition blocks' duals is the dual of their sum, the code itself),
+  A, and ``dual_general`` for any A, which tries the closed form first
+  (the completion's ``RankDeficientError`` is the full-row-rank test)
+  and reads the dual for a rank-deficient A off the expansion (the
+  intersection of the row partition blocks' duals is the dual of their
+  sum, the code itself),
 * one exact self-orthogonality and one exact dual-containment checker
   for every defining matrix, driven by the nonzero pattern of a small
   condition matrix (for a rank-deficient defining matrix that is not
@@ -36,7 +40,7 @@ import numpy as np
 
 from .gf import FieldMismatchError, FieldSpec
 from .lincode import LinearCode
-from .matgf import DimensionError, MatGF
+from .matgf import DimensionError, MatGF, RankDeficientError
 
 __all__ = [
     "CheckPath",
@@ -56,19 +60,22 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class MPCode:
     """Constituent codes plus a defining matrix.
 
     The defining matrix may be rank-deficient and may have more rows
     than columns; the only structural requirements are that every
     constituent has the same field and length and that the constituent
-    count equals the number of defining-matrix rows.
+    count equals the number of defining-matrix rows.  ``constituents``
+    is stored as a tuple.
     """
 
-    __slots__ = ("constituents", "defmatrix")
+    constituents: tuple[LinearCode, ...]
+    defmatrix: MatGF
 
-    def __init__(self, constituents, defmatrix: MatGF):
-        constituents = tuple(constituents)
+    def __post_init__(self):
+        constituents = tuple(self.constituents)
         if not constituents:
             raise ValueError("at least one constituent required")
         spec = constituents[0].spec
@@ -78,6 +85,7 @@ class MPCode:
                 raise FieldMismatchError("constituents over different fields")
             if c.n != n:
                 raise DimensionError("constituent lengths differ")
+        defmatrix = self.defmatrix
         if defmatrix.spec != spec:
             raise FieldMismatchError("defining matrix over a different field")
         if defmatrix.rows != len(constituents):
@@ -88,10 +96,6 @@ class MPCode:
         if defmatrix.cols < 1:
             raise DimensionError("defining matrix needs at least one column")
         object.__setattr__(self, "constituents", constituents)
-        object.__setattr__(self, "defmatrix", defmatrix)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("MPCode is immutable")
 
     @property
     def spec(self) -> FieldSpec:
@@ -104,23 +108,6 @@ class MPCode:
     @property
     def num_constituents(self) -> int:
         return len(self.constituents)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MPCode)
-            and self.constituents == other.constituents
-            and self.defmatrix == other.defmatrix
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.constituents, self.defmatrix))
-
-    def __repr__(self) -> str:
-        return (
-            f"MPCode({self.num_constituents} constituents of length {self.n} "
-            f"over GF({self.spec.q}), defining matrix "
-            f"{self.defmatrix.rows}x{self.defmatrix.cols})"
-        )
 
 
 @dataclass(frozen=True)
@@ -248,18 +235,18 @@ def row_partition(a: MatGF) -> RowPartition:
 def dual_general(mp: MPCode, ell: int = 0) -> LinearCode:
     """The l-Galois dual for any defining matrix.
 
-    A full-row-rank matrix takes the closed form of
-    :func:`dual_full_rank`, which costs less than eliminating the
-    expansion.  Otherwise C is the sum of the MP codes C_B of the
+    The closed form of :func:`dual_full_rank` is tried first; it costs
+    less than eliminating the expansion, and the completion's
+    ``RankDeficientError`` is the full-row-rank test.  For a
+    rank-deficient A, C is the sum of the MP codes C_B of the
     row-partition blocks B, and the intersection of their closed-form
     duals is dual_l(sum_B C_B) = dual_l(C); so the dual is read off the
     expansion directly, with one elimination for C and one for its dual.
     """
-    mp.spec.check_ell(ell)
-    a = mp.defmatrix
-    if a.rank() == a.rows:
+    try:
         return dual_full_rank(mp, ell)[1]
-    return expand(mp).galois_dual(ell)
+    except RankDeficientError:
+        return expand(mp).galois_dual(ell)
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,7 @@ MALFORMED = {
         "constituent one\ncode 3 1\n1 1 1\n"
     ),
     "bad/big_field.code": "field p=257 e=1\ncode 3 1\n1 1 1\n",
+    "bad/repeated_attr.code": "field p=3 e=1 p=2\ncode 3 1\n1 1 1\n",
     "bad/zero.code": "field p=2 e=1\ncode 4 0\n",
     "bad/bad_exponent.mp": (
         "field p=2 e=2\ndefmatrix\nmatrix 1 1\n1\n"
@@ -101,6 +102,7 @@ def _malformed() -> list[list[str]]:
         ["info", "bad/missing.code"],
         ["mp", "bad/bad_index.mp"],
         ["info", "bad/big_field.code"],
+        ["info", "bad/repeated_attr.code"],
         search + ["--dims", "1,1", "--count", "0"],
         search + ["--dims", "1,1", "--count", "-1"],
         search + ["--dims", "1,1", "--search-cap", "-1"],

@@ -38,6 +38,9 @@ def test_field_header_errors():
         fmt.parse_field_header("field p=2 e=2 mod=1,0,1")  # reducible
     with pytest.raises(fmt.ParseError):
         fmt.parse_field_header("field p=2 e=2 bogus=1")
+    for bad in ("field p=3 e=1 p=2", "field p=2 e=1 e=2"):
+        with pytest.raises(fmt.ParseError, match="repeated field attribute"):
+            fmt.parse_field_header(bad)
     for bad in ("field p=x e=1", "field p=2 e=one", "field p=2 e=2 mod=1,x,1"):
         with pytest.raises(fmt.ParseError, match="line 3"):
             fmt.parse_field_header(bad, 3)

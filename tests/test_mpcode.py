@@ -1,6 +1,10 @@
+import copy
+import io
+import pickle
 import random
 import re
 import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -20,11 +24,13 @@ from mpcodes import (
     field,
     row_partition,
 )
-from mpcodes import mpcode, oracle
+from mpcodes import cli, mpcode, oracle
+from mpcodes.io import load_mp
 from mpcodes.mpcode import dc_conditions
 
 from conftest import (
-    code, code_sum, completion_holds, mat, random_code, random_completion, random_matrix,
+    FIXTURES, code, code_sum, completion_holds, mat, random_code, random_completion,
+    random_matrix,
 )
 
 
@@ -267,7 +273,8 @@ def test_dual_general_matches_block_intersection(rng):
 
 
 def test_dual_general_rank_deficient_eliminates_at_most_three_times(monkeypatch):
-    # one rank test, the expansion and its dual; no per-block expansions
+    # one failed completion, the expansion and its dual; no per-block
+    # expansions
     calls = []
     rref = MatGF.rref
 
@@ -288,6 +295,43 @@ def test_dual_general_rank_deficient_eliminates_at_most_three_times(monkeypatch)
         monkeypatch.setattr(MatGF, "rref", rref)
         assert len(calls) <= 3, calls
         assert dual == expand(mp).galois_dual(ell)
+
+
+def test_dual_decides_full_row_rank_without_a_rank_test(monkeypatch):
+    # the completion's RankDeficientError is the full-row-rank test
+    calls = []
+    rank = MatGF.rank
+
+    def counted(self):
+        calls.append(self.shape)
+        return rank(self)
+
+    monkeypatch.setattr(MatGF, "rank", counted)
+    for name in ("f5_3x4_dc.mp", "f2_4x2_rankdef.mp", "f4_5x3_rankdef.mp"):
+        mp, _ = load_mp((FIXTURES / name).read_text())
+        dual = dual_general(mp, 0)
+        assert dual == expand(mp).galois_dual(0)
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["dual", str(FIXTURES / name)]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "name, q, verdict",
+    [("f4_2x4_so.mp", 4, Verdict.HOLDS), ("f9_2x3_dc.mp", 9, Verdict.FAILS)],
+)
+def test_values_survive_copy_deepcopy_and_pickle(name, q, verdict):
+    mp, _ = load_mp((FIXTURES / name).read_text())
+    report = check_self_orthogonal(mp, 1)
+    assert report.verdict is verdict
+    for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        for value in (field(q), mp.defmatrix, mp.constituents[0], mp):
+            got = clone(value)
+            assert got == value and hash(got) == hash(value)
+        assert clone(field(q)) is field(q)  # interned
+        with pytest.raises(ValueError, match="read-only"):
+            clone(mp.defmatrix).data[0, 0] = 0
+        assert check_self_orthogonal(clone(mp), 1) == report
 
 
 def test_dual_general_all_zero_matrix():
