@@ -12,10 +12,10 @@ read off an RREF is, with rows and columns reversed, itself an RREF.
 Minimum distance is decided by one information-set enumerator
 (Brouwer-Zimmermann): the columns are split greedily into disjoint
 information sets, messages of weight 1, 2, ... are listed on each set's
-systematic generator (first nonzero coefficient 1), and the sum over the
-sets of the weight an unlisted codeword must still have there is a
-certified lower bound.  The ``strategy`` of a result says how it was
-obtained:
+systematic generator (first nonzero coefficient 1), each codeword by one
+table add to a codeword of one less weight, and the sum over the sets of
+the weight an unlisted codeword must still have there is a certified
+lower bound.  The ``strategy`` of a result says how it was obtained:
 
 * ``enum``: q^k <= ``enum_cap``; the enumerator runs uncapped (exact),
 * ``info-sets``: q^k > ``enum_cap`` and at least two sets have rank k;
@@ -32,7 +32,7 @@ Strategy selection and caps live in :class:`DistanceBudget`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, product
+from itertools import accumulate, chain, islice
 from math import comb
 from typing import Iterator
 
@@ -60,7 +60,9 @@ class DistanceBudget:
     enum_cap: largest q^k for which the enumerator runs without a cap.
     lw_cap: above ``enum_cap``, the codewords the enumerator may list
         before it settles for a certified bracket.
-    chunk: codewords held in memory at once during enumeration.
+    chunk: codewords held in memory at once during enumeration; the
+        words of a block's middle levels, from which its last level is
+        built, count toward it.
     """
 
     enum_cap: int = 1 << 24
@@ -290,7 +292,7 @@ def _information_sets(code: LinearCode) -> Iterator[tuple[int, np.ndarray]]:
     gen = code.gen.data
     k, n = gen.shape
     yield k, gen
-    used = [int(np.flatnonzero(row)[0]) for row in gen]
+    used = (gen != 0).argmax(axis=1).tolist()
     taken = set(used)
     unused = [c for c in range(n) if c not in taken]
     while unused:
@@ -311,31 +313,53 @@ def _message_blocks(spec: FieldSpec, scaled: np.ndarray, w: int, chunk: int):
     """The codewords of the weight-w messages whose first nonzero
     coefficient is 1, in blocks of at most ``chunk`` words (or one word).
 
-    ``scaled[c - 1]`` is c times the generator.  A block too large is
-    split depth first over its leading message position; each block adds
-    its terms with one table gather and one table add per position.
+    ``scaled[i, c - 1]`` is c times generator row i.  A block puts u
+    terms on its last m positions after a fixed prefix, built level by
+    level from the back.  Level 1 is the prefix plus each multiple of a
+    row; level t, for each first position i, is the multiples of row i
+    added with one table add to the level t - 1 words on positions after
+    i, which in lexicographic order are a contiguous suffix of that
+    level.  So every word costs one add, and no index array is built.
+    Level t only needs first positions u - t to m - t (from 0): then it
+    has C(m - u + t, t) (q - 1)^t words (over q - 1 if its first
+    coefficient is 1), never more than the next level.  A block is built
+    only if its last two levels, which are held at once, have at most
+    ``chunk`` words together; else it is split depth first over its
+    leading position.
     """
-    qm1, k, n = scaled.shape
+    qm1, n = scaled.shape[1:]
+    k = len(scaled)
 
-    def tails(prefix, last: int, left: int, lead: int):
-        # positions after ``last`` take ``left`` more terms; when
-        # ``lead`` is 1 the first of them has coefficient 1
-        if comb(k - 1 - last, left) * qm1 ** (left - lead) <= chunk:
-            supp = np.array(list(combinations(range(last + 1, k), left)), dtype=np.uint16)
-            coef = np.array(
-                [(0,) * lead + c for c in product(range(qm1), repeat=left - lead)],
-                dtype=np.uint8,
-            )
-            words = np.broadcast_to(prefix, (len(supp), len(coef), n))
-            for t in range(left):
-                words = spec.add_arr(words, scaled[coef[None, :, t], supp[:, None, t]])
-            yield words.reshape(-1, n)
+    def build(prefix, first: int, left: int, lead: int):
+        # positions first.. take ``left`` terms; ``starts[j]`` is where
+        # the words with first position first + left - t + j begin
+        heads = scaled[first + left - 1 :, : 1 if lead and left == 1 else qm1]
+        words = spec.add_arr(prefix, heads).reshape(-1, n)
+        starts = range(0, len(words), heads.shape[1])
+        for t in range(2, left + 1):
+            heads = scaled[first + left - t : k - t + 1, : 1 if lead and t == left else qm1]
+            sizes = [heads.shape[1] * (len(words) - s) for s in starts]
+            level = np.empty((sum(sizes), n), dtype=np.uint8)
+            for head, s, at, size in zip(heads, starts, accumulate(sizes, initial=0), sizes):
+                level[at : at + size] = spec.add_arr(head[:, None], words[s:]).reshape(-1, n)
+            words, starts = level, list(accumulate(sizes[:-1], initial=0))
+        return words
+
+    def tails(prefix, first: int, left: int, lead: int):
+        # when ``lead`` is 1 the first term has coefficient 1
+        if left == 0:
+            yield prefix[None]
             return
-        for i in range(last + 1, k - left + 1):
+        m = k - first
+        held = comb(m, left) * qm1 ** (left - lead) + comb(m - 1, left - 1) * qm1 ** (left - 1)
+        if held <= chunk:
+            yield build(prefix, first, left, lead)
+            return
+        for i in range(first, k - left + 1):
             for c in range(1 if lead else qm1):
-                yield from tails(spec.add_arr(prefix, scaled[c, i]), i, left - 1, 0)
+                yield from tails(spec.add_arr(prefix, scaled[i, c]), i + 1, left - 1, 0)
 
-    yield from tails(np.zeros(n, dtype=np.uint8), -1, w, 1)
+    yield from tails(np.zeros(n, dtype=np.uint8), 0, w, 1)
 
 
 def _info_set_search(
@@ -361,14 +385,15 @@ def _info_set_search(
     """
     spec = code.spec
     q, k = spec.q, code.k
-    coefs = np.arange(1, q, dtype=np.uint8)[:, None, None]
+    coefs = np.arange(1, q, dtype=np.uint8)[:, None]
+    wdtype = np.promote_types(np.min_scalar_type(code.n), np.uint16)
     ranks: list[int] = []
     scaled: list[np.ndarray] = []
     done: list[int] = []
 
     def add(r: int, gen: np.ndarray) -> None:
         ranks.append(r)
-        scaled.append(spec.mul_arr(coefs, gen[None]))
+        scaled.append(spec.mul_arr(gen[:, None], coefs))
         done.append(0)
 
     def bound() -> int:
@@ -380,12 +405,15 @@ def _info_set_search(
     def cost(v: int) -> int:
         return comb(k, v) * (q - 1) ** (v - 1)
 
+    def weights(words: np.ndarray) -> np.ndarray:
+        return (words != 0).sum(axis=1, dtype=wdtype)
+
     sets = iter(sets)
     _, gen = next(sets)
     add(k, gen)
     # level 1 of the first set is the canonical generator's rows
     done[0] = 1
-    upper = int(np.count_nonzero(gen, axis=1).min())
+    upper = int(weights(gen).min())
     if sum(map(cost, range(2, k + 1))) > _FINISH_WORDS:
         for r, gen in sets:
             if bound() >= upper:
@@ -404,6 +432,6 @@ def _info_set_search(
         todo = levels(j)
         for v in todo:
             for block in _message_blocks(spec, scaled[j], v, chunk):
-                upper = min(upper, int(np.count_nonzero(block, axis=1).min()))
+                upper = min(upper, int(weights(block).min()))
         done[j] = todo[-1]
 

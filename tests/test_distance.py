@@ -4,8 +4,11 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from itertools import combinations, product
+from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mpcodes import DistanceBudget, LinearCode, MatGF, dual_general, expand, field, oracle
@@ -207,4 +210,58 @@ def test_enumeration_memory_stays_near_chunk(make, d):
     finally:
         tracemalloc.stop()
     assert r.exact and r.d == d
+    assert peak < 8 * chunk * code.n, peak
+
+
+def _scaled(f, gen):
+    """scaled[i, c - 1] = c times row i, by scalar field operations."""
+    return np.array(
+        [[[f.mul(c, int(x)) for x in row] for c in range(1, f.q)] for row in gen],
+        dtype=np.uint8,
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_message_blocks_list_each_message_once(q):
+    """The blocks of weight w list, for every w-subset of the rows and
+    every choice of nonzero coefficients whose first is 1, the combined
+    word exactly once; each block holds at most ``chunk`` words or one."""
+    f = field(q)
+    rng = random.Random(q)
+    n = 5
+    for k in range(1, 7):
+        gen = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        scaled = _scaled(f, gen)
+        for w in range(1, k + 1):
+            msgs = []
+            for supp in combinations(range(k), w):
+                for coefs in product(range(1, q), repeat=w - 1):
+                    msg = [0] * k
+                    for i, c in zip(supp, (1,) + coefs):
+                        msg[i] = c
+                    msgs.append(msg)
+            want = Counter(map(tuple, (MatGF(f, msgs) @ MatGF(f, gen)).data.tolist()))
+            for chunk in (1, 2, 7, 1 << 18):
+                blocks = list(lincode._message_blocks(f, scaled, w, chunk))
+                assert all(len(b) <= chunk or len(b) == 1 for b in blocks)
+                got = Counter(map(tuple, np.concatenate(blocks).tolist()))
+                assert got == want, (k, w, chunk)
+
+
+def test_middle_levels_stay_near_chunk():
+    """Above half the rows, a middle level built without the pruning of
+    first positions would hold up to C(k, k/2) words, far more than the
+    C(k, w) of the last; listing the weight-16 messages of RM(2, 6)
+    directly stays within the bound of
+    ``test_enumeration_memory_stays_near_chunk``."""
+    code = _reed_muller_2_6()
+    gen = code.gen.data
+    chunk = 1 << 12
+    tracemalloc.start()
+    try:
+        words = sum(len(b) for b in lincode._message_blocks(code.spec, gen[:, None], 16, chunk))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert words == comb(code.k, 16)
     assert peak < 8 * chunk * code.n, peak
