@@ -385,13 +385,22 @@ class FieldSpec:
         return self._FROB[ell % self.e][a]
 
 
+def _iroot(q: int, e: int) -> int:
+    """floor(q ** (1/e)) for q >= 1, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // e)
+    while (s := ((e - 1) * r + q // r ** (e - 1)) // e) < r:
+        r = s
+    return r
+
+
 def field(q: int, modulus: Iterable[int] | None = None) -> FieldSpec:
     """Build GF(q) for a prime power q, using the default modulus table."""
     if q < 2:
         raise ValueError(f"q={q} is not a prime power")
-    # the smallest divisor >= 2 of q is prime; a composite q has one
-    # up to sqrt(q), so without one q itself is prime
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    # q shares its primes with its perfect-power root, whose smallest
+    # divisor >= 2 is prime; a composite root has one up to its square root
+    root = next((r for e in range(q.bit_length(), 1, -1) if (r := _iroot(q, e)) ** e == q), q)
+    p = next((d for d in range(2, isqrt(root) + 1) if root % d == 0), root)
     e = 0
     r = q
     while r % p == 0:

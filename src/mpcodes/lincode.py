@@ -15,7 +15,9 @@ information sets, messages of weight 1, 2, ... are listed on each set's
 systematic generator (first nonzero coefficient 1), each codeword by one
 table add to a codeword of one less weight, and the sum over the sets of
 the weight an unlisted codeword must still have there is a certified
-lower bound.  The ``strategy`` of a result says how it was obtained:
+lower bound.  Codewords are held coordinate-major, one column each, so
+the adds and the weight counts run along rows as long as a block.  The
+``strategy`` of a result says how it was obtained:
 
 * ``enum``: q^k <= ``enum_cap``; the enumerator runs uncapped (exact),
 * ``info-sets``: q^k > ``enum_cap`` and at least two sets have rank k;
@@ -313,13 +315,14 @@ def _message_blocks(spec: FieldSpec, scaled: np.ndarray, w: int, chunk: int):
     """The codewords of the weight-w messages whose first nonzero
     coefficient is 1, in blocks of at most ``chunk`` words (or one word).
 
-    ``scaled[i, c - 1]`` is c times generator row i.  A block puts u
-    terms on its last m positions after a fixed prefix, built level by
-    level from the back.  Level 1 is the prefix plus each multiple of a
-    row; level t, for each first position i, is the multiples of row i
-    added with one table add to the level t - 1 words on positions after
-    i, which in lexicographic order are a contiguous suffix of that
-    level.  So every word costs one add, and no index array is built.
+    ``scaled[:, i, c - 1]`` is c times generator row i, and a block is an
+    n x N array with one word per column.  A block puts u terms on its
+    last m positions after a fixed prefix, built level by level from the
+    back.  Level 1 is the prefix plus each multiple of a row; level t,
+    for each first position i, is the multiples of row i added with one
+    table add to the level t - 1 words on positions after i, which in
+    lexicographic order are a contiguous column suffix of that level.
+    So every word costs one add, and no index array is built.
     Level t only needs first positions u - t to m - t (from 0): then it
     has C(m - u + t, t) (q - 1)^t words (over q - 1 if its first
     coefficient is 1), never more than the next level.  A block is built
@@ -327,28 +330,28 @@ def _message_blocks(spec: FieldSpec, scaled: np.ndarray, w: int, chunk: int):
     ``chunk`` words together; else it is split depth first over its
     leading position.
     """
-    qm1, n = scaled.shape[1:]
-    k = len(scaled)
+    n, k, qm1 = scaled.shape
 
     def build(prefix, first: int, left: int, lead: int):
         # positions first.. take ``left`` terms; ``starts[j]`` is where
         # the words with first position first + left - t + j begin
-        heads = scaled[first + left - 1 :, : 1 if lead and left == 1 else qm1]
-        words = spec.add_arr(prefix, heads).reshape(-1, n)
-        starts = range(0, len(words), heads.shape[1])
+        heads = scaled[:, first + left - 1 :, : 1 if lead and left == 1 else qm1]
+        words = spec.add_arr(prefix[:, None, None], heads).reshape(n, -1)
+        starts = range(0, words.shape[1], heads.shape[2])
         for t in range(2, left + 1):
-            heads = scaled[first + left - t : k - t + 1, : 1 if lead and t == left else qm1]
-            sizes = [heads.shape[1] * (len(words) - s) for s in starts]
-            level = np.empty((sum(sizes), n), dtype=np.uint8)
-            for head, s, at, size in zip(heads, starts, accumulate(sizes, initial=0), sizes):
-                level[at : at + size] = spec.add_arr(head[:, None], words[s:]).reshape(-1, n)
-            words, starts = level, list(accumulate(sizes[:-1], initial=0))
+            heads = scaled[:, first + left - t : k - t + 1, : 1 if lead and t == left else qm1]
+            sizes = [heads.shape[2] * (words.shape[1] - s) for s in starts]
+            ats = list(accumulate(sizes, initial=0))
+            level = np.empty((n, ats[-1]), dtype=np.uint8)
+            for head, s, at, size in zip(heads.swapaxes(0, 1)[..., None], starts, ats, sizes):
+                level[:, at : at + size] = spec.add_arr(head, words[:, None, s:]).reshape(n, -1)
+            words, starts = level, ats[:-1]
         return words
 
     def tails(prefix, first: int, left: int, lead: int):
         # when ``lead`` is 1 the first term has coefficient 1
         if left == 0:
-            yield prefix[None]
+            yield prefix[:, None]
             return
         m = k - first
         held = comb(m, left) * qm1 ** (left - lead) + comb(m - 1, left - 1) * qm1 ** (left - 1)
@@ -357,7 +360,7 @@ def _message_blocks(spec: FieldSpec, scaled: np.ndarray, w: int, chunk: int):
             return
         for i in range(first, k - left + 1):
             for c in range(1 if lead else qm1):
-                yield from tails(spec.add_arr(prefix, scaled[i, c]), i + 1, left - 1, 0)
+                yield from tails(spec.add_arr(prefix, scaled[:, i, c]), i + 1, left - 1, 0)
 
     yield from tails(np.zeros(n, dtype=np.uint8), 0, w, 1)
 
@@ -385,15 +388,15 @@ def _info_set_search(
     """
     spec = code.spec
     q, k = spec.q, code.k
-    coefs = np.arange(1, q, dtype=np.uint8)[:, None]
-    wdtype = np.promote_types(np.min_scalar_type(code.n), np.uint16)
+    coefs = np.arange(1, q, dtype=np.uint8)
+    wdtype = np.min_scalar_type(code.n)
     ranks: list[int] = []
     scaled: list[np.ndarray] = []
     done: list[int] = []
 
     def add(r: int, gen: np.ndarray) -> None:
         ranks.append(r)
-        scaled.append(spec.mul_arr(gen[:, None], coefs))
+        scaled.append(spec.mul_arr(gen.T[:, :, None], coefs))
         done.append(0)
 
     def bound() -> int:
@@ -406,14 +409,15 @@ def _info_set_search(
         return comb(k, v) * (q - 1) ** (v - 1)
 
     def weights(words: np.ndarray) -> np.ndarray:
-        return (words != 0).sum(axis=1, dtype=wdtype)
+        # one reduction over the n coordinate rows of an n x N block
+        return (words != 0).sum(axis=0, dtype=wdtype)
 
     sets = iter(sets)
     _, gen = next(sets)
     add(k, gen)
     # level 1 of the first set is the canonical generator's rows
     done[0] = 1
-    upper = int(weights(gen).min())
+    upper = int(weights(gen.T).min())
     if sum(map(cost, range(2, k + 1))) > _FINISH_WORDS:
         for r, gen in sets:
             if bound() >= upper:

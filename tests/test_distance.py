@@ -178,6 +178,16 @@ def test_low_weight_blocks_match_oracle(chunk, rng):
             assert r.d == oracle.min_distance_exhaustive(c)
 
 
+@pytest.mark.parametrize("q, n", [(2, 300), (3, 257)])
+def test_weights_count_past_255(q, n):
+    """A repetition code longer than 255 has d = n under either route: its
+    one word's weight must not wrap in a byte-sized count."""
+    code = LinearCode.from_generator(MatGF(field(q), [[1] * n]))
+    for budget in (DistanceBudget(), DistanceBudget(enum_cap=1)):
+        r = code.min_distance(budget)
+        assert (r.lower, r.upper) == (n, n), (budget, r)
+
+
 def _reed_muller_2_6():
     """RM(2, 6): evaluations of the monomials of degree <= 2 in 6
     variables, a binary [64, 22, 16] code; the points are shuffled so
@@ -214,11 +224,18 @@ def test_enumeration_memory_stays_near_chunk(make, d):
 
 
 def _scaled(f, gen):
-    """scaled[i, c - 1] = c times row i, by scalar field operations."""
+    """scaled[:, i, c - 1] = c times row i, by scalar field operations."""
     return np.array(
-        [[[f.mul(c, int(x)) for x in row] for c in range(1, f.q)] for row in gen],
+        [[[f.mul(c, row[x]) for c in range(1, f.q)] for row in gen] for x in range(len(gen[0]))],
         dtype=np.uint8,
     )
+
+
+def _check_block_layout(blocks, n):
+    """Every block is a C-contiguous uint8 n x N array, one word a column."""
+    for b in blocks:
+        assert b.dtype == np.uint8 and b.ndim == 2 and b.shape[0] == n
+        assert b.flags.c_contiguous
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -243,8 +260,9 @@ def test_message_blocks_list_each_message_once(q):
             want = Counter(map(tuple, (MatGF(f, msgs) @ MatGF(f, gen)).data.tolist()))
             for chunk in (1, 2, 7, 1 << 18):
                 blocks = list(lincode._message_blocks(f, scaled, w, chunk))
-                assert all(len(b) <= chunk or len(b) == 1 for b in blocks)
-                got = Counter(map(tuple, np.concatenate(blocks).tolist()))
+                _check_block_layout(blocks, n)
+                assert all(b.shape[1] <= chunk or b.shape[1] == 1 for b in blocks)
+                got = Counter(map(tuple, np.concatenate(blocks, axis=1).T.tolist()))
                 assert got == want, (k, w, chunk)
 
 
@@ -259,7 +277,10 @@ def test_middle_levels_stay_near_chunk():
     chunk = 1 << 12
     tracemalloc.start()
     try:
-        words = sum(len(b) for b in lincode._message_blocks(code.spec, gen[:, None], 16, chunk))
+        words = 0
+        for b in lincode._message_blocks(code.spec, gen.T[:, :, None], 16, chunk):
+            _check_block_layout([b], code.n)
+            words += b.shape[1]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

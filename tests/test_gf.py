@@ -343,6 +343,12 @@ def test_field_refuses_a_large_prime_quickly():
         field(2**31 - 2)
     with pytest.raises(ValueError, match="not a prime power"):
         field(257 * 263)
+    # a perfect power is reduced to its root before trial division: the
+    # smallest prime factor of the cube is near 2^31
+    with pytest.raises(ValueError, match="too large"):
+        field((10**7 + 19) ** 2)
+    with pytest.raises(ValueError, match="too large"):
+        field((2**31 - 1) ** 3)
 
 
 def test_one_spec_per_field(monkeypatch):
