@@ -25,6 +25,25 @@ This module provides
   and zeta complete A with ``MatGF.complete_to_invertible``; no verdict
   and no dual code depends on that choice.
 
+The checkers multiply only where a product can change a verdict.  Four
+exact rules decide the rest from dimensions and symmetry, with the same
+report as the product would give:
+
+1. C_i <= dual_l(C_j) needs k_i <= n - k_j, the dual's dimension; a
+   self-orthogonality witness with k_i + k_j > n fails unmultiplied.
+2. dual_l(C_i) <= C_j needs n - k_i <= k_j; a dual-containment pair
+   witness with k_i + k_j < n fails unmultiplied.
+3. When 2l = 0 (mod e), sigma^l is an involution, so the l-Galois form
+   is sigma^l-symmetric: sigma^l(sigma^l(X) Y^T)^T = sigma^l(Y) X^T.  A
+   product X Y^T vanishes iff its mirror does, so witness (j, i) reuses
+   the ok of (i, j).  For other l the mirrors differ in general.
+4. The dual of C has dimension nN - dim C, and dim C is at most both the
+   sum of k_i over the nonzero rows of A and rank(A) n.  When twice that
+   bound is below nN, a rank-deficient C is not dual-containing, and no
+   first partition block can certify it, as its code lies in C; the
+   verdict is FAILS on the ``PRODUCT`` path, read before any zeta,
+   witness or expansion.
+
 Row, column and constituent indices are 1-based everywhere, as in the
 rest of the package.
 """
@@ -259,7 +278,10 @@ def check_self_orthogonal(mp: MPCode, ell: int = 0) -> CheckReport:
     The condition matrix is the twisted Gram product of the defining
     matrix with itself; for each nonzero (i, j) entry, constituent i
     must lie in the l-Galois dual of constituent j, that is
-    sigma^l(G_i) @ G_j^T = 0.  The verdict is an if-and-only-if.
+    sigma^l(G_i) @ G_j^T = 0.  The verdict is an if-and-only-if.  The
+    Gram product is the only product that always runs: a witness with
+    k_i + k_j > n fails by dimension, and when 2l = 0 (mod e) the mirror
+    (j, i) of a witness repeats its ok (rules 1 and 3 of the module).
     """
     mp.spec.check_ell(ell)
     a = mp.defmatrix
@@ -271,11 +293,24 @@ def check_self_orthogonal(mp: MPCode, ell: int = 0) -> CheckReport:
 
 def _so_witnesses(cond: MatGF, mp: MPCode, ell: int) -> Iterator[Witness]:
     """One condition per nonzero entry (i, j) of cond = sigma^l(A) @ A^T,
-    row-major: C_i <= dual_l(C_j), i.e. sigma^l(G_i) @ G_j^T = 0."""
-    twisted = [c.gen.frobenius_map(ell) for c in mp.constituents]
+    row-major: C_i <= dual_l(C_j), i.e. sigma^l(G_i) @ G_j^T = 0.
+
+    dual_l(C_j) has dimension n - k_j, so k_i + k_j > n fails with no
+    product.  When 2l = 0 (mod e), sigma^l(G_j) @ G_i^T is the transpose
+    of sigma^l applied to sigma^l(G_i) @ G_j^T, so a pair and its mirror
+    share one product.
+    """
+    cons = mp.constituents
+    symmetric = 2 * ell % mp.spec.e == 0
+    # each sigma^l(G_i) is built at most once
+    twisted = functools.cache(lambda i: cons[i - 1].gen.frobenius_map(ell))
+    oks: dict[tuple[int, int], bool] = {}
     for i, j in (np.argwhere(cond.data) + 1).tolist():
-        ok = (twisted[i - 1] @ mp.constituents[j - 1].gen.T).is_zero()
-        yield Witness(i, j, f"C{i}<=dual_{ell}(C{j})", ok)
+        key = (min(i, j), max(i, j)) if symmetric else (i, j)
+        if key not in oks:
+            oks[key] = cons[i - 1].k + cons[j - 1].k <= mp.n and (
+                twisted(i) @ cons[j - 1].gen.T).is_zero()
+        yield Witness(i, j, f"C{i}<=dual_{ell}(C{j})", oks[key])
 
 
 # ----------------------------------------------------------------------
@@ -310,11 +345,16 @@ def _dc_witnesses(
     Condition strings name original constituent indices; the (i, j)
     coordinates address zeta itself.  With H spanning a constituent's
     Euclidean dual, dual_l(C_i) <= C_j iff sigma^(e-l)(H_i) @ H_j^T = 0.
+    dual_l(C_i) has dimension n - k_i, so k_i + k_j < n fails with no
+    product; when 2l = 0 (mod e), so is 2(e - l), and a pair and its
+    mirror share one product, as in :func:`_so_witnesses`.
     """
     twist = mp.spec.e - ell
+    symmetric = 2 * ell % mp.spec.e == 0
     rows = rows or range(1, mp.num_constituents + 1)
     # each H is built at most once
     parity = functools.cache(LinearCode.parity_check)
+    oks: dict[tuple[int, int], bool] = {}
     for i, j, forced in dc_conditions(zeta, mp.num_constituents):
         if forced == 0:
             yield Witness(i, j, f"zeta[{i},{j}]=0", False)
@@ -322,9 +362,12 @@ def _dc_witnesses(
             c = mp.constituents[forced - 1]
             yield Witness(i, j, f"C{rows[forced - 1]}=F", c.is_full)
         else:
-            h_i = parity(mp.constituents[i - 1]).frobenius_map(twist)
-            ok = (h_i @ parity(mp.constituents[j - 1]).T).is_zero()
-            yield Witness(i, j, f"dual_{ell}(C{rows[i - 1]})<=C{rows[j - 1]}", ok)
+            key = (min(i, j), max(i, j)) if symmetric else (i, j)
+            if key not in oks:
+                ci, cj = mp.constituents[i - 1], mp.constituents[j - 1]
+                oks[key] = ci.k + cj.k >= mp.n and (
+                    parity(ci).frobenius_map(twist) @ parity(cj).T).is_zero()
+            yield Witness(i, j, f"dual_{ell}(C{rows[i - 1]})<=C{rows[j - 1]}", oks[key])
 
 
 def check_dual_containing_general(mp: MPCode, ell: int = 0) -> CheckReport:
@@ -332,23 +375,28 @@ def check_dual_containing_general(mp: MPCode, ell: int = 0) -> CheckReport:
 
     One row partition of the defining matrix A decides the path.  Its
     first block B spans the row space of A, and the MP code C_B of its
-    rows lies in C; the four conditions on the nonzero pattern of the
-    zeta of C_B are read once.  If B holds every row, A has full row rank
-    and those conditions are the exact verdict (path ``FULL_RANK``).
-    Otherwise, if they all hold, C_B is dual-containing and so is C:
-    dual_l(C) <= dual_l(C_B) <= C_B <= C (path ``FIRST_BLOCK``, with
-    ``block`` = B).  Failing that, or for an all-zero A, the verdict is
-    decided on the expansion (path ``PRODUCT``, empty zeta, no
-    witnesses): dual_l(C) has dimension nN - k, so it cannot lie in C
-    when 2k < nN; else, with H spanning the Euclidean dual of C,
-    dual_l(C) <= C iff sigma^(e-l)(H) @ H^T = 0.
+    rows lies in C.  If B holds every row, A has full row rank and the
+    four conditions on the nonzero pattern of the zeta of C_B are the
+    exact verdict (path ``FULL_RANK``).  Otherwise C has dimension
+    k <= min(sum of k_i over the nonzero rows, rank(A) n), and its dual
+    has dimension nN - k; when twice that bound is below nN the dual
+    cannot lie in C, nor in C_B <= C, so no first block can certify and
+    the verdict is FAILS on the ``PRODUCT`` path with no zeta, witness or
+    expansion.  Else, if the conditions of B all hold, C_B is
+    dual-containing and so is C: dual_l(C) <= dual_l(C_B) <= C_B <= C
+    (path ``FIRST_BLOCK``, with ``block`` = B).  Failing that, or for an
+    all-zero A, the verdict is decided on the expansion (path
+    ``PRODUCT``, empty zeta, no witnesses): with H spanning the Euclidean
+    dual of C, dual_l(C) <= C iff 2k >= nN and sigma^(e-l)(H) @ H^T = 0.
     """
     spec = mp.spec
     spec.check_ell(ell)
     a = mp.defmatrix
     blocks = row_partition(a).blocks
-    if blocks:
-        first = blocks[0]
+    first = blocks[0] if blocks else ()
+    k_max = min(sum(mp.constituents[i - 1].k for b in blocks for i in b), len(first) * mp.n)
+    fits = 2 * k_max >= mp.n * a.cols
+    if first and (fits or len(first) == a.rows):
         sub = MPCode([mp.constituents[i - 1] for i in first], a.row_submatrix(list(first)))
         zeta = zeta_matrix(sub.defmatrix, ell)
         wit = tuple(_dc_witnesses(zeta, sub, ell, first))
@@ -359,6 +407,6 @@ def check_dual_containing_general(mp: MPCode, ell: int = 0) -> CheckReport:
         if holds:
             return CheckReport(Verdict.HOLDS, zeta, wit, CheckPath.FIRST_BLOCK, first)
 
-    holds = expand(mp).is_galois_dual_containing(ell)
+    holds = fits and expand(mp).is_galois_dual_containing(ell)
     verdict = Verdict.HOLDS if holds else Verdict.FAILS
     return CheckReport(verdict, MatGF.zeros(spec, 0, 0), (), CheckPath.PRODUCT)

@@ -11,7 +11,8 @@ from the repository root and commit the result::
     python tests/make_transcripts.py
 
 It prints one ``changed:``, ``added:`` or ``removed:`` line for each
-argv whose recorded entry it alters.
+argv whose recorded entry it alters.  It takes no arguments: given any,
+``--help`` included, it prints its usage, exits 2 and writes nothing.
 """
 
 from __future__ import annotations
@@ -213,7 +214,18 @@ def differences(old: list[dict], new: list[dict]) -> list[str]:
     return lines
 
 
-def main() -> None:
+USAGE = """usage: python tests/make_transcripts.py
+
+Rerun the CLI command matrix and rewrite tests/cli_transcripts.json,
+printing one changed:, added: or removed: line per altered argv.  It
+takes no arguments; with any, it prints this and writes nothing.
+"""
+
+
+def main(argv: list[str]) -> int:
+    if argv:
+        sys.stderr.write(USAGE)
+        return 2
     old = json.loads(TRANSCRIPTS.read_text(encoding="utf-8")) if TRANSCRIPTS.exists() else []
     entries = record()
     for line in differences(old, entries):
@@ -222,8 +234,9 @@ def main() -> None:
         json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
     )
     print(f"wrote {len(entries)} transcripts to {TRANSCRIPTS.relative_to(ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -349,6 +349,15 @@ def test_field_refuses_a_large_prime_quickly():
         field((10**7 + 19) ** 2)
     with pytest.raises(ValueError, match="too large"):
         field((2**31 - 1) ** 3)
+    # a root with no prime factor up to 256 is told prime from composite
+    # by Miller-Rabin: trial division would run up to 10^7 and 2^31 here,
+    # and up to 2^30.5 to find 2^61 - 1 prime
+    with pytest.raises(ValueError, match="not a prime power"):
+        field(10000019 * 10000079)
+    with pytest.raises(ValueError, match="not a prime power"):
+        field((2**61 - 1) * (2**31 - 1))
+    with pytest.raises(ValueError, match="too large"):
+        field(2**61 - 1)
 
 
 def test_one_spec_per_field(monkeypatch):

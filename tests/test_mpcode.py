@@ -297,6 +297,127 @@ def test_dual_general_rank_deficient_eliminates_at_most_three_times(monkeypatch)
         assert dual == expand(mp).galois_dual(ell)
 
 
+def _code_of_dim(f, n, k, rng):
+    while (c := random_code(f, n, k, rng)).k != k:
+        pass
+    return c
+
+
+def _refuse(name):
+    def method(*args):
+        pytest.fail(f"{name} called")
+    return method
+
+
+def test_dual_containment_bound_decides_before_any_product_or_expansion(monkeypatch):
+    # rank-deficient A with 2 min(sum of k_i over nonzero rows, rank(A) n)
+    # < nN: FAILS on the product path, with no zeta, witness, product or
+    # expansion
+    f4 = field(4)
+    rng = random.Random(12)
+    cases = [
+        # rows 1 + 2 = row 3, rank 2: sum of k_i = 9, 18 < 36
+        (mat(f4, ["1 0 a", "0 1 1", "1 1 a^2"]), (2, 3, 4), 12),
+        # rank 1: rank(A) n = 4 < sum of k_i = 12, 8 < 12
+        (mat(f4, ["1 a 1", "1 a 1", "a a^2 a"]), (4, 4, 4), 4),
+        # a zero row's constituent adds nothing: 2 min(2, 4) = 4 < 8, where
+        # counting it would give 2 min(6, 4) = 8
+        (mat(f4, ["1 a", "0 0"]), (2, 4), 4),
+        (MatGF.zeros(f4, 2, 3), (4, 4), 4),
+    ]
+    for a, dims, n in cases:
+        cons = [_code_of_dim(f4, n, k, rng) for k in dims]
+        mp = MPCode(cons, a)
+        for ell in range(f4.e):
+            monkeypatch.setattr(mpcode, "expand", _refuse("expand"))
+            monkeypatch.setattr(MatGF, "__matmul__", _refuse("@"))
+            rep = check_dual_containing_general(mp, ell)
+            monkeypatch.undo()
+            assert rep.verdict is Verdict.FAILS and rep.path is CheckPath.PRODUCT
+            assert rep.witnesses == () and rep.condition_matrix.rows == 0 and rep.block == ()
+            assert not expand(mp).is_galois_dual_containing(ell)
+
+
+def _count_products(monkeypatch):
+    calls = []
+    matmul = MatGF.__matmul__
+
+    def counted(self, other):
+        calls.append((self.shape, other.shape))
+        return matmul(self, other)
+
+    monkeypatch.setattr(MatGF, "__matmul__", counted)
+    return calls
+
+
+def test_self_orthogonality_of_large_constituents_takes_only_the_gram_product(monkeypatch):
+    # k_i + k_j > n for every pair: each witness fails by dimension
+    f4 = field(4)
+    rng = random.Random(13)
+    a = mat(f4, ["1 a 0", "0 1 a^2", "a 1 1"])
+    mp = MPCode([_code_of_dim(f4, 6, k, rng) for k in (4, 5, 6)], a)
+    assert all(2 * c.k > mp.n for c in mp.constituents)
+    for ell in range(f4.e):
+        calls = _count_products(monkeypatch)
+        rep = check_self_orthogonal(mp, ell)
+        monkeypatch.undo()
+        assert calls == [((3, 3), (3, 3))], calls
+        assert rep.witnesses and not any(w.ok for w in rep.witnesses)
+        assert rep.verdict is Verdict.FAILS
+        assert not oracle.so_by_definition(expand(mp), ell)
+
+
+@pytest.mark.parametrize("ell, products", [(0, 1 + 3), (1, 1 + 4), (2, 1 + 4)])
+def test_self_orthogonality_mirrors_share_a_product_when_2l_is_0_mod_e(
+        monkeypatch, ell, products):
+    # every entry of the 2 x 2 condition matrix is nonzero and k_i + k_j
+    # <= n: the Gram product plus one per witness, except that at l = 0
+    # over GF(8) the mirror (2, 1) repeats the ok of (1, 2)
+    f8 = field(8)
+    a = MatGF(f8, [[1, 2], [1, 4]])
+    rng = random.Random(14)
+    for _ in range(10):
+        mp = MPCode([_code_of_dim(f8, 4, 2, rng) for _ in range(2)], a)
+        calls = _count_products(monkeypatch)
+        rep = check_self_orthogonal(mp, ell)
+        monkeypatch.undo()
+        assert rep.condition_matrix.data.all()
+        assert len(calls) == products, calls
+        assert [(w.i, w.j) for w in rep.witnesses] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        for w in rep.witnesses:
+            assert w.ok == _contained(
+                mp.constituents[w.i - 1], mp.constituents[w.j - 1].galois_dual(ell))
+
+
+@pytest.mark.parametrize("ell, pairs", [(0, 3), (1, 4), (2, 4)])
+def test_dual_containment_pairs_take_a_product_only_when_dimensions_allow(
+        monkeypatch, ell, pairs):
+    # a full-rank 2 x 2 A over GF(8) with an all-nonzero zeta; k_i + k_j
+    # < n decides every pair witness with no parity check and no product,
+    # and with k_i + k_j >= n each pair takes one product, except that at
+    # l = 0 the mirror (2, 1) repeats the ok of (1, 2)
+    f8 = field(8)
+    a = MatGF(f8, [[1, 2], [1, 4]])
+    rng = random.Random(15)
+    small = MPCode([_code_of_dim(f8, 6, 2, rng) for _ in range(2)], a)
+    monkeypatch.setattr(LinearCode, "parity_check", _refuse("parity_check"))
+    calls = _count_products(monkeypatch)
+    rep = check_dual_containing_general(small, ell)
+    monkeypatch.undo()
+    assert rep.path is CheckPath.FULL_RANK and rep.condition_matrix.data.all()
+    assert len(rep.witnesses) == 4 and not any(w.ok for w in rep.witnesses)
+    zeta_products = len(calls)
+    for _ in range(10):
+        mp = MPCode([_code_of_dim(f8, 6, k, rng) for k in (3, 4)], a)
+        calls = _count_products(monkeypatch)
+        rep = check_dual_containing_general(mp, ell)
+        monkeypatch.undo()
+        assert len(calls) == zeta_products + pairs, calls
+        for w in rep.witnesses:
+            assert w.ok == _contained(
+                mp.constituents[w.i - 1].galois_dual(ell), mp.constituents[w.j - 1])
+
+
 def test_dual_decides_full_row_rank_without_a_rank_test(monkeypatch):
     # the completion's RankDeficientError is the full-row-rank test
     calls = []
@@ -416,24 +537,41 @@ def _related_constituents(f, n, m, ell, rng):
 
 def test_every_witness_matches_containment_by_sums():
     # each witness's ok, not only the verdict, must equal the containment
-    # its condition names; SO and DC (full-rank and partition paths)
+    # its condition names; SO and DC (full-rank and partition paths).  A
+    # pair witness (i, j) and its mirror (j, i) never differ where
+    # 2l = 0 (mod e), where the checkers share their product, and do
+    # differ at some levels where 2l != 0
     rng = random.Random(5150)
     seen = {}
-    for q in (2, 3, 4, 8, 9):
+    mirrors = {}  # (q, ell) -> [mirrored pairs compared, pairs whose oks differ]
+    # more draws where 2l != 0 (mod e) for some l, after the common ones
+    for q, draws in [(q, 30) for q in (2, 3, 4, 8, 9, 16)] + [(8, 60), (16, 30)]:
         f = field(q)
-        for _ in range(30):
+        for _ in range(draws):
             m, ncols = rng.randint(1, 4), rng.randint(1, 4)
             a = random_matrix(f, m, ncols, rng)
             n = rng.randint(1, 4)
             for ell in range(f.e):
                 mp = MPCode(_related_constituents(f, n, m, ell, rng), a)
                 for rep in (check_self_orthogonal(mp, ell), check_dual_containing_general(mp, ell)):
+                    oks = {}
                     for w in rep.witnesses:
                         kind, truth = _witness_truth(mp, w, ell)
                         assert w.ok == truth, (q, ell, w)
                         seen[kind, truth] = seen.get((kind, truth), 0) + 1
+                        if kind in ("so", "dc"):
+                            oks[w.i, w.j] = w.ok
+                    tally = mirrors.setdefault((q, ell), [0, 0])
+                    for i, j in oks:
+                        if i < j and (j, i) in oks:
+                            tally[0] += 1
+                            tally[1] += oks[i, j] != oks[j, i]
     for kind in ("so", "dc", "full"):
         assert seen.get((kind, True), 0) >= 20 and seen.get((kind, False), 0) >= 20, seen
+    symmetric = {(q, ell) for q, ell in mirrors if 2 * ell % field(q).e == 0}
+    assert all(mirrors[key][1] == 0 for key in symmetric), mirrors
+    assert all(mirrors[key][0] > 0 for key in ((4, 1), (9, 1), (16, 2))), mirrors
+    assert all(mirrors[key][1] > 0 for key in ((8, 1), (8, 2), (16, 1), (16, 3))), mirrors
 
 
 def test_check_dc_full_rank_iff_containment(rng):

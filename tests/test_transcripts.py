@@ -42,3 +42,14 @@ def test_differences_name_each_changed_added_and_removed_argv():
     assert make_transcripts.differences(old, new) == [
         "changed: info b", "added: dual d", "removed: mp c"]
     assert make_transcripts.differences(new, new) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["tests/cli_transcripts.json"]])
+def test_writer_refuses_arguments_and_writes_nothing(argv, tmp_path, monkeypatch, capsys):
+    target = tmp_path / "cli_transcripts.json"
+    monkeypatch.setattr(make_transcripts, "TRANSCRIPTS", target)
+    monkeypatch.setattr(make_transcripts, "record", lambda: pytest.fail("recorded"))
+    assert make_transcripts.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: python tests/make_transcripts.py")
+    assert not target.exists()
