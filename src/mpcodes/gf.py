@@ -385,57 +385,15 @@ class FieldSpec:
         return self._FROB[ell % self.e][a]
 
 
-def _iroot(q: int, e: int) -> int:
-    """floor(q ** (1/e)) for q >= 1, by Newton's method from above."""
-    r = 1 << -(-q.bit_length() // e)
-    while (s := ((e - 1) * r + q // r ** (e - 1)) // e) < r:
-        r = s
-    return r
-
-
-# Miller-Rabin with these bases is exact below _MR_EXACT, the least strong
-# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT = 3317044064679887385961981
-
-
-def _strong_probable_prime(n: int) -> bool:
-    """Miller-Rabin for an odd n > 41 with the bases ``_MR_BASES``: False
-    proves n composite; True proves it prime when n < ``_MR_EXACT``."""
-    d = (n - 1) >> 1
-    s = 1
-    while d % 2 == 0:
-        d >>= 1
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def field(q: int, modulus: Iterable[int] | None = None) -> FieldSpec:
-    """Build GF(q) for a prime power q, using the default modulus table."""
+    """Build GF(q) for a prime power q <= 256, using the default modulus
+    table unless a modulus is given."""
     if q < 2:
         raise ValueError(f"q={q} is not a prime power")
-    # q shares its primes with its perfect-power root, whose smallest
-    # divisor >= 2 is prime; a composite root has one up to its square root
-    root = next((r for e in range(q.bit_length(), 1, -1) if (r := _iroot(q, e)) ** e == q), q)
-    p = next((d for d in range(2, min(isqrt(root), _MAX_Q) + 1) if root % d == 0), root)
-    if p == root > _MAX_Q**2:
-        # no divisor up to _MAX_Q: the root, which is no perfect power, is
-        # prime (too large) or composite (not a prime power); trial division
-        # goes on only where Miller-Rabin cannot tell them apart
-        if not _strong_probable_prime(root):
-            raise ValueError(f"q={q} is not a prime power")
-        if root >= _MR_EXACT:
-            p = next((d for d in range(_MAX_Q + 1, isqrt(root) + 1) if root % d == 0), root)
+    if q > _MAX_Q:
+        raise ValueError(f"q={q} is out of range: fields are limited to prime powers q <= {_MAX_Q}")
+    # the least divisor >= 2 of q is prime
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
     e = 0
     r = q
     while r % p == 0:

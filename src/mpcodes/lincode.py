@@ -16,8 +16,12 @@ systematic generator (first nonzero coefficient 1), each codeword by one
 table add to a codeword of one less weight, and the sum over the sets of
 the weight an unlisted codeword must still have there is a certified
 lower bound.  Codewords are held coordinate-major, one column each, so
-the adds and the weight counts run along rows as long as a block.  The
-``strategy`` of a result says how it was obtained:
+the adds and the weight counts run along rows as long as a block.  For
+odd p a codeword is its n uint8 coordinates.  For p = 2 it is e
+bit-planes, each packed along the coordinate axis into unsigned
+integers of up to 64 bits (ceil(n / 8) bytes a plane, rounded up to 1,
+2, 4 or a multiple of 8), added by XOR and weighed by the popcount of
+the planes' OR.  The ``strategy`` of a result says how it was obtained:
 
 * ``enum``: q^k <= ``enum_cap``; the enumerator runs uncapped (exact),
 * ``info-sets``: q^k > ``enum_cap`` and at least two sets have rank k;
@@ -64,7 +68,9 @@ class DistanceBudget:
         before it settles for a certified bracket.
     chunk: codewords held in memory at once during enumeration; the
         words of a block's middle levels, from which its last level is
-        built, count toward it.
+        built, count toward it.  A word is n bytes for odd p, and e
+        packed bit-planes of ceil(n / 8) bytes each, rounded up to 1, 2,
+        4 or a multiple of 8, for p = 2.
     """
 
     enum_cap: int = 1 << 24
@@ -311,12 +317,56 @@ def _information_sets(code: LinearCode) -> Iterator[tuple[int, np.ndarray]]:
         unused = [c for c in unused if c not in taken]
 
 
+def _multiples_table(spec: FieldSpec, gen: np.ndarray) -> np.ndarray:
+    """The multiples of the rows of a k x n generator as enumerator
+    words: ``table[:, i, c - 1]`` is c times row i, one word a column.
+
+    For odd p a word is its n coordinates, n uint8 bytes.  For p = 2 it
+    is the e bit-planes of its coordinates (plane s holds bit s of each),
+    each packed along the coordinate axis into ``ceil(n / b)`` rows of
+    b-bit unsigned integers, b the least of 8, 16, 32 and 64 bits that
+    holds n bits or else 64: ceil(n / 8) bytes a plane, rounded up to 1,
+    2, 4 or a multiple of 8.  The sum of two such words is their XOR,
+    which ``add_arr`` already is for p = 2, and a word's weight is the
+    popcount of the OR of its planes (see :func:`_weights`).  Any bit
+    order within a row serves both.
+    """
+    scaled = spec.mul_arr(gen.T[:, :, None], np.arange(1, spec.q, dtype=np.uint8))
+    if spec.p != 2:
+        return scaled
+    n, k, qm1 = scaled.shape
+    # bytes in a row: the least power of two that holds n bits, at most 8
+    size = min(8, max(1, 1 << (n - 1).bit_length() >> 3))
+    rows = -(-n // (8 * size))
+    # bit s of every coordinate, coordinates last and padded to whole rows
+    planes = np.zeros((spec.e, k, qm1, 8 * size * rows), dtype=np.uint8)
+    shifts = np.arange(spec.e, dtype=np.uint8)[:, None, None, None]
+    planes[..., :n] = (scaled.transpose(1, 2, 0) >> shifts) & 1
+    words = np.packbits(planes, axis=-1).view(f"u{size}")
+    return words.transpose(0, 3, 1, 2).reshape(spec.e * rows, k, qm1)
+
+
+def _weights(spec: FieldSpec, words: np.ndarray, dtype) -> np.ndarray:
+    """The Hamming weight of each word (column) of a block of
+    :func:`_multiples_table` words, as ``dtype`` (which holds n) or, for
+    words of one packed row, as uint8."""
+    if spec.p != 2:
+        return (words != 0).sum(axis=0, dtype=dtype)
+    planes = words.reshape(spec.e, -1, words.shape[1])
+    # a reduction over a length-1 axis still copies: skip it for one
+    # plane, and for one row, whose counts (at most 64) are the weights
+    counts = np.bitwise_count(np.bitwise_or.reduce(planes) if spec.e > 1 else planes[0])
+    return counts[0] if len(counts) == 1 else counts.sum(axis=0, dtype=dtype)
+
+
 def _message_blocks(spec: FieldSpec, scaled: np.ndarray, w: int, chunk: int):
     """The codewords of the weight-w messages whose first nonzero
     coefficient is 1, in blocks of at most ``chunk`` words (or one word).
 
-    ``scaled[:, i, c - 1]`` is c times generator row i, and a block is an
-    n x N array with one word per column.  A block puts u terms on its
+    ``scaled[:, i, c - 1]`` is c times generator row i, in the word layout
+    of :func:`_multiples_table` (n uint8 rows for odd p, e packed
+    bit-planes for p = 2), and a block is an array of the table's rows
+    and dtype with one word per column.  A block puts u terms on its
     last m positions after a fixed prefix, built level by level from the
     back.  Level 1 is the prefix plus each multiple of a row; level t,
     for each first position i, is the multiples of row i added with one
@@ -342,7 +392,7 @@ def _message_blocks(spec: FieldSpec, scaled: np.ndarray, w: int, chunk: int):
             heads = scaled[:, first + left - t : k - t + 1, : 1 if lead and t == left else qm1]
             sizes = [heads.shape[2] * (words.shape[1] - s) for s in starts]
             ats = list(accumulate(sizes, initial=0))
-            level = np.empty((n, ats[-1]), dtype=np.uint8)
+            level = np.empty((n, ats[-1]), dtype=scaled.dtype)
             for head, s, at, size in zip(heads.swapaxes(0, 1)[..., None], starts, ats, sizes):
                 level[:, at : at + size] = spec.add_arr(head, words[:, None, s:]).reshape(n, -1)
             words, starts = level, ats[:-1]
@@ -362,7 +412,7 @@ def _message_blocks(spec: FieldSpec, scaled: np.ndarray, w: int, chunk: int):
             for c in range(1 if lead else qm1):
                 yield from tails(spec.add_arr(prefix, scaled[:, i, c]), i + 1, left - 1, 0)
 
-    yield from tails(np.zeros(n, dtype=np.uint8), 0, w, 1)
+    yield from tails(np.zeros(n, dtype=scaled.dtype), 0, w, 1)
 
 
 def _info_set_search(
@@ -381,22 +431,25 @@ def _info_set_search(
     first, one at a time, unless the first set can list all its
     remaining words within ``_FINISH_WORDS``.  Then the cheapest step
     that raises ``lower`` by one goes first: one more level on a set (a
-    set with r_j < k catches up to level k - r_j at once).  Returns
-    (lower, upper), equal once certified.  With a ``cap`` on the
-    codewords listed, a step that would exceed it is not started, and
-    the bracket so far is returned.
+    set with r_j < k catches up to level k - r_j at once).  A set's
+    multiples table, in the layout of :func:`_multiples_table` (packed
+    bit-planes for p = 2), is built when its first level is listed; the
+    first set's level 1 is the canonical generator's rows and needs
+    none.  Returns (lower, upper), equal once certified.  With a ``cap``
+    on the codewords listed, a step that would exceed it is not started,
+    and the bracket so far is returned.
     """
     spec = code.spec
     q, k = spec.q, code.k
-    coefs = np.arange(1, q, dtype=np.uint8)
     wdtype = np.min_scalar_type(code.n)
     ranks: list[int] = []
-    scaled: list[np.ndarray] = []
+    gens: list[np.ndarray] = []
+    tables: dict[int, np.ndarray] = {}
     done: list[int] = []
 
     def add(r: int, gen: np.ndarray) -> None:
         ranks.append(r)
-        scaled.append(spec.mul_arr(gen.T[:, :, None], coefs))
+        gens.append(gen)
         done.append(0)
 
     def bound() -> int:
@@ -408,16 +461,12 @@ def _info_set_search(
     def cost(v: int) -> int:
         return comb(k, v) * (q - 1) ** (v - 1)
 
-    def weights(words: np.ndarray) -> np.ndarray:
-        # one reduction over the n coordinate rows of an n x N block
-        return (words != 0).sum(axis=0, dtype=wdtype)
-
     sets = iter(sets)
     _, gen = next(sets)
     add(k, gen)
     # level 1 of the first set is the canonical generator's rows
     done[0] = 1
-    upper = int(weights(gen.T).min())
+    upper = int(np.count_nonzero(gen, axis=1).min())
     if sum(map(cost, range(2, k + 1))) > _FINISH_WORDS:
         for r, gen in sets:
             if bound() >= upper:
@@ -434,8 +483,10 @@ def _info_set_search(
             return lower, upper
         spent += step
         todo = levels(j)
+        if j not in tables:
+            tables[j] = _multiples_table(spec, gens[j])
         for v in todo:
-            for block in _message_blocks(spec, scaled[j], v, chunk):
-                upper = min(upper, int(weights(block).min()))
+            for block in _message_blocks(spec, tables[j], v, chunk):
+                upper = min(upper, int(_weights(spec, block, wdtype).min()))
         done[j] = todo[-1]
 

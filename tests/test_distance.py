@@ -178,7 +178,7 @@ def test_low_weight_blocks_match_oracle(chunk, rng):
             assert r.d == oracle.min_distance_exhaustive(c)
 
 
-@pytest.mark.parametrize("q, n", [(2, 300), (3, 257)])
+@pytest.mark.parametrize("q, n", [(2, 300), (3, 257), (4, 300), (8, 257)])
 def test_weights_count_past_255(q, n):
     """A repetition code longer than 255 has d = n under either route: its
     one word's weight must not wrap in a byte-sized count."""
@@ -209,6 +209,51 @@ def _grs_16_8():
     return LinearCode.from_generator(MatGF(f16, rows))
 
 
+def _hamming_8():
+    """The Hamming [73, 70, 3] code over GF(8): the dual of the code
+    whose generator's columns are the points of PG(2, 8)."""
+    f8 = field(8)
+    points = [v for v in product(range(8), repeat=3) if any(v) and next(filter(None, v)) == 1]
+    return LinearCode.from_generator(MatGF(f8, [list(c) for c in zip(*points)])).euclidean_dual()
+
+
+# min_distance(DistanceBudget(enum_cap=1, lw_cap=L)) as (L, lower, upper,
+# strategy), with L one below and at the codewords listed by the end of
+# each step (the level boundaries); the values the enumerator gave when
+# it held every word as uint8 coordinates
+CAPPED_BRACKETS = {
+    _reed_muller_2_6: [
+        (43, 3, 16, "bounds"), (44, 4, 16, "bounds"), (274, 4, 16, "bounds"),
+        (275, 5, 16, "bounds"), (505, 5, 16, "bounds"), (506, 6, 16, "bounds"),
+        (758, 6, 16, "bounds"), (759, 7, 16, "bounds"), (2298, 7, 16, "bounds"),
+        (2299, 8, 16, "bounds"), (3838, 8, 16, "bounds"), (3839, 9, 16, "bounds"),
+        (5378, 9, 16, "bounds"), (5379, 10, 16, "bounds"), (12693, 10, 16, "bounds"),
+        (12694, 11, 16, "bounds"), (20008, 11, 16, "bounds"), (20009, 12, 16, "bounds"),
+        (27323, 12, 16, "bounds"), (27324, 13, 16, "bounds"), (53657, 13, 16, "bounds"),
+        (53658, 14, 16, "bounds"), (79991, 14, 16, "bounds"), (79992, 15, 16, "bounds"),
+        (106325, 15, 16, "bounds"), (106326, 16, 16, "info-sets"),
+    ],
+    _grs_16_8: [
+        (15, 3, 9, "bounds"), (16, 4, 9, "bounds"), (435, 4, 9, "bounds"),
+        (436, 5, 9, "bounds"), (855, 5, 9, "bounds"), (856, 6, 9, "bounds"),
+        (13455, 6, 9, "bounds"), (13456, 7, 9, "bounds"), (26055, 7, 9, "bounds"),
+        (26056, 8, 9, "bounds"), (262305, 8, 9, "bounds"), (262306, 9, 9, "info-sets"),
+    ],
+    _hamming_8: [(16974, 2, 3, "bounds"), (16975, 3, 3, "low-weight")],
+}
+
+
+@pytest.mark.parametrize("make", CAPPED_BRACKETS, ids=lambda m: m.__name__)
+def test_capped_brackets_over_gf2e(make):
+    """Over GF(2^e) the capped enumerator keeps the brackets it gave on
+    uint8 words at every level boundary: the same levels list the same
+    words, and ``lw_cap`` counts them alike."""
+    code = make()
+    for cap, lower, upper, strategy in CAPPED_BRACKETS[make]:
+        r = code.min_distance(DistanceBudget(enum_cap=1, lw_cap=cap))
+        assert (r.lower, r.upper, r.strategy) == (lower, upper, strategy), cap
+
+
 @pytest.mark.parametrize("make, d", [(_reed_muller_2_6, 16), (_grs_16_8, 9)])
 def test_enumeration_memory_stays_near_chunk(make, d):
     code = make()
@@ -231,24 +276,59 @@ def _scaled(f, gen):
     )
 
 
-def _check_block_layout(blocks, n):
-    """Every block is a C-contiguous uint8 n x N array, one word a column."""
+def _unpack(f, words, n):
+    """The n x N uint8 coordinates of a block of enumerator words over
+    GF(2^e): its rows are e bit-planes, each packed along the coordinate
+    axis with the first coordinate in the top bit of the first byte; the
+    bits past n must be 0."""
+    planes = words.reshape(f.e, -1, words.shape[-1])
+    size = words.dtype.itemsize
+    octets = np.ascontiguousarray(planes[..., None]).view(np.uint8)
+    octets = octets.transpose(0, 1, 3, 2).reshape(f.e, -1, words.shape[-1])
+    bits = np.unpackbits(octets, axis=1)
+    assert not bits[:, n:].any() and bits.shape[1] == 8 * size * -(-n // (8 * size))
+    return sum(bits[s, :n] << s for s in range(f.e)).astype(np.uint8)
+
+
+def _tables(f, gen, packed):
+    """A multiples table of ``gen`` over GF(2^e): by scalar field
+    operations, or packed by the enumerator's helper and checked against
+    the former after unpacking."""
+    scaled = _scaled(f, gen)
+    if not packed:
+        return scaled
+    table = lincode._multiples_table(f, np.array(gen, dtype=np.uint8))
+    n, k, qm1 = scaled.shape
+    assert table.shape[1:] == (k, qm1)
+    assert (_unpack(f, table.reshape(table.shape[0], -1), n) == scaled.reshape(n, -1)).all()
+    return table
+
+
+def _check_block_layout(blocks, table):
+    """Every block is a C-contiguous 2-d array of the table's dtype, with
+    one word a column of as many rows as the table."""
     for b in blocks:
-        assert b.dtype == np.uint8 and b.ndim == 2 and b.shape[0] == n
+        assert b.dtype == table.dtype and b.ndim == 2 and b.shape[0] == table.shape[0]
         assert b.flags.c_contiguous
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
-def test_message_blocks_list_each_message_once(q):
+@pytest.mark.parametrize(
+    "q, packed",
+    [(2, False), (3, False), (4, False), (9, False), (2, True), (4, True), (8, True), (16, True)],
+    ids=["2", "3", "4", "9", "2-packed", "4-packed", "8-packed", "16-packed"],
+)
+def test_message_blocks_list_each_message_once(q, packed):
     """The blocks of weight w list, for every w-subset of the rows and
     every choice of nonzero coefficients whose first is 1, the combined
-    word exactly once; each block holds at most ``chunk`` words or one."""
+    word exactly once; each block holds at most ``chunk`` words or one.
+    Tables from the enumerator's helper hold bit-planes for q = 2^e, of
+    lengths that fill one to two rows of each width."""
     f = field(q)
     rng = random.Random(q)
-    n = 5
-    for k in range(1, 7):
+    for k in range(1, 7 if q < 16 else 5):
+        n = rng.choice((5, 12, 20, 40, 70)) if packed else 5
         gen = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
-        scaled = _scaled(f, gen)
+        table = _tables(f, gen, packed)
         for w in range(1, k + 1):
             msgs = []
             for supp in combinations(range(k), w):
@@ -259,11 +339,34 @@ def test_message_blocks_list_each_message_once(q):
                     msgs.append(msg)
             want = Counter(map(tuple, (MatGF(f, msgs) @ MatGF(f, gen)).data.tolist()))
             for chunk in (1, 2, 7, 1 << 18):
-                blocks = list(lincode._message_blocks(f, scaled, w, chunk))
-                _check_block_layout(blocks, n)
+                blocks = list(lincode._message_blocks(f, table, w, chunk))
+                _check_block_layout(blocks, table)
                 assert all(b.shape[1] <= chunk or b.shape[1] == 1 for b in blocks)
-                got = Counter(map(tuple, np.concatenate(blocks, axis=1).T.tolist()))
+                words = np.concatenate(blocks, axis=1)
+                if packed:
+                    words = _unpack(f, words, n)
+                got = Counter(map(tuple, words.T.tolist()))
                 assert got == want, (k, w, chunk)
+
+
+def _check_middle_levels(code, w, table):
+    """List the weight-w messages of ``code`` from ``table`` in blocks of
+    at most 2^12 words, within the memory bound of
+    ``test_enumeration_memory_stays_near_chunk``; return the blocks'
+    sizes."""
+    chunk = 1 << 12
+    tracemalloc.start()
+    try:
+        sizes = []
+        for b in lincode._message_blocks(code.spec, table, w, chunk):
+            _check_block_layout([b], table)
+            sizes.append(b.shape[1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) == comb(code.k, w) * (code.spec.q - 1) ** (w - 1)
+    assert peak < 8 * chunk * code.n, peak
+    return sizes
 
 
 def test_middle_levels_stay_near_chunk():
@@ -273,16 +376,31 @@ def test_middle_levels_stay_near_chunk():
     directly stays within the bound of
     ``test_enumeration_memory_stays_near_chunk``."""
     code = _reed_muller_2_6()
-    gen = code.gen.data
-    chunk = 1 << 12
-    tracemalloc.start()
-    try:
-        words = 0
-        for b in lincode._message_blocks(code.spec, gen.T[:, :, None], 16, chunk):
-            _check_block_layout([b], code.n)
-            words += b.shape[1]
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert words == comb(code.k, 16)
-    assert peak < 8 * chunk * code.n, peak
+    _check_middle_levels(code, 16, code.gen.data.T[:, :, None])
+
+
+def _random_code_over(q, n, k):
+    return random_code(field(q), n, k, random.Random(q))
+
+
+@pytest.mark.parametrize(
+    "make, w",
+    [
+        (_reed_muller_2_6, 16),
+        (lambda: _random_code_over(4, 24, 10), 8),
+        (lambda: _random_code_over(8, 20, 7), 6),
+        (lambda: _random_code_over(16, 70, 5), 4),
+    ],
+    ids=["2", "4", "8", "16"],
+)
+def test_middle_levels_stay_near_chunk_packed(make, w):
+    """Bit-plane tables from the enumerator's helper stay within the same
+    bound, and list the same words in the same blocks as uint8 tables."""
+    code = make()
+    f, gen = code.spec, code.gen.data.tolist()
+    table = _tables(f, gen, packed=True)
+    sizes = _check_middle_levels(code, w, table)
+    blocks = lincode._message_blocks(f, table, w, 1 << 12)
+    plain = lincode._message_blocks(f, _scaled(f, gen), w, 1 << 12)
+    for b, want, size in zip(blocks, plain, sizes, strict=True):
+        assert b.shape[1] == size and (_unpack(f, b, code.n) == want).all()

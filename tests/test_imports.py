@@ -13,11 +13,17 @@ Stand-ins for an unused-code lint, on modules parsed with ``ast``:
   function that it calls, directly or not;
 * every keyword-only parameter of a ``src/mpcodes`` function is passed by
   name, to a call of that function's name, somewhere in ``src/mpcodes``
-  or ``bench``.
+  or ``bench``;
+* importing ``mpcodes.cli`` in a fresh interpreter builds no field and
+  loads no module beyond numpy's, the package's and those of a listed
+  few standard-library modules.
 """
 
 import argparse
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -161,3 +167,31 @@ def test_every_keyword_only_parameter_is_passed_by_name():
     assert params, "no keyword-only parameter found"
     unpassed = [f"{mod}: {fn}({arg})" for mod, fn, arg in params if (fn, arg) not in passed]
     assert not unpassed, f"keyword-only parameters never passed by name: {unpassed}"
+
+
+# The standard-library modules the package imports at module level, which
+# (with what they load in turn) its import may load beside numpy's: adding
+# one is an edit here, so that import time, part of every command, only
+# grows on purpose.
+STDLIB_IMPORTS = ("__future__", "argparse", "collections.abc", "dataclasses", "enum",
+                  "functools", "itertools", "math", "random", "sys", "typing")
+
+
+def _fresh_modules(code: str) -> list[str]:
+    """The number of fields built, then the modules loaded, after ``code``
+    runs in a fresh interpreter that writes no bytecode."""
+    probe = f"{code}; import sys; m = sorted(sys.modules); from mpcodes import gf; print(len(gf._SPECS), *m)"
+    proc = subprocess.run([sys.executable, "-B", "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    return proc.stdout.split()
+
+
+def test_import_builds_no_field_and_loads_only_numpy_and_listed_modules():
+    """Importing the CLI builds no ``FieldSpec`` and loads no module
+    beyond those of a bare interpreter, numpy's, the package's own and
+    those of ``STDLIB_IMPORTS``."""
+    specs, *loaded = _fresh_modules("import mpcodes.cli")
+    assert specs == "0", f"import built {specs} fields"
+    _, *allowed = _fresh_modules(f"import numpy, {', '.join(STDLIB_IMPORTS)}")
+    extra = {m for m in loaded if m.split(".")[0] != "mpcodes"} - set(allowed)
+    assert not extra, f"import loaded {sorted(extra)}"
