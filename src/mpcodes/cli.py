@@ -13,11 +13,12 @@ Exit codes are a stable contract: 0 = success / condition holds,
 1 = condition fails / verification disagreement, 2 = ``search`` found no
 candidate within ``--search-cap``, or made no attempt because no hit
 can exist (``--target`` above the Singleton bound of every possible
-hit, or ``--dims`` all 0), 10 = usage or parse error, 11 = validation
-error, 13 = infeasible search.  Both checkers are exact for every
-defining matrix, so ``check`` answers holds (0) or fails (1) on every
-valid input.  With ``--machine`` every fact is printed as one
-``key: value`` line.
+hit, ``--dims`` all 0, or a condition on constituents i and j, i = j
+included, with k_i + k_j > n in so mode or k_i + k_j < n in dc mode),
+10 = usage or parse error, 11 = validation error, 13 = infeasible
+search.  Both checkers are exact for every defining matrix, so
+``check`` answers holds (0) or fails (1) on every valid input.  With
+``--machine`` every fact is printed as one ``key: value`` line.
 
 Every subcommand takes ``--machine``; the other shared options go only
 where they are read.  The distance caps ``--enum-cap`` and ``--lw-cap``
@@ -147,7 +148,7 @@ def cmd_dual(args) -> int:
         dual_mp, dual_code = dual_full_rank(mp, args.ell)
         path = "full-rank"
     except RankDeficientError:
-        dual_code = dual_general(mp, args.ell)
+        dual_code = expand(mp).galois_dual(args.ell)
         dual_mp = None
         part = row_partition(mp.defmatrix)
         path = "partition{" + "|".join(

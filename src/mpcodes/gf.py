@@ -10,9 +10,11 @@ the prime subfield occupies the encodings ``0 .. p-1``.
 
 Every ``FieldSpec(p, e, modulus)`` and :func:`field` call for one field
 returns one shared instance.  Every operation reads its one set of
-lookup tables, built from direct polynomial arithmetic (``_add_direct``
-and ``_mul_direct``, kept only as that generator and as the test
-reference) when the field is first asked for, never at import; a failed
+lookup tables, built when the field is first asked for, never at
+import: the multiplicative ones from the powers of a primitive element
+(direct polynomial products, ``_mul_direct``), the additive ones
+digit-wise from the base-p digits of the encodings (``_add_direct``,
+the direct polynomial sum, is only the tests' reference); a failed
 build is not kept, so an invalid field raises every time.  Each table is
 stored once, as a read-only numpy array.  Scalar operations read one
 entry with ``item``, a Python int; an encoding outside [0, q) raises
@@ -202,7 +204,8 @@ class FieldSpec:
         raise AttributeError("FieldSpec is immutable")
 
     def _build_tables(self) -> None:
-        """Build every lookup table from the polynomial reference.
+        """Build every lookup table: the multiplicative ones from the
+        powers of a primitive element, the additive ones from base-p digits.
 
         Raises ``ValueError`` when no element has order q-1, i.e. the
         modulus is reducible; that tries every element, up to about 0.4 s

@@ -293,24 +293,26 @@ def check_self_orthogonal(mp: MPCode, ell: int = 0) -> CheckReport:
 
 def _so_witnesses(cond: MatGF, mp: MPCode, ell: int) -> Iterator[Witness]:
     """One condition per nonzero entry (i, j) of cond = sigma^l(A) @ A^T,
-    row-major: C_i <= dual_l(C_j), i.e. sigma^l(G_i) @ G_j^T = 0.
-
-    dual_l(C_j) has dimension n - k_j, so k_i + k_j > n fails with no
-    product.  When 2l = 0 (mod e), sigma^l(G_j) @ G_i^T is the transpose
-    of sigma^l applied to sigma^l(G_i) @ G_j^T, so a pair and its mirror
-    share one product.
-    """
+    row-major: C_i <= dual_l(C_j), i.e. sigma^l(G_i) @ G_j^T = 0, as
+    :func:`_orthogonal` decides it."""
     cons = mp.constituents
-    symmetric = 2 * ell % mp.spec.e == 0
-    # each sigma^l(G_i) is built at most once
-    twisted = functools.cache(lambda i: cons[i - 1].gen.frobenius_map(ell))
-    oks: dict[tuple[int, int], bool] = {}
+    ok = _orthogonal(mp, lambda i: cons[i - 1].gen, [c.k for c in cons], ell)
     for i, j in (np.argwhere(cond.data) + 1).tolist():
-        key = (min(i, j), max(i, j)) if symmetric else (i, j)
-        if key not in oks:
-            oks[key] = cons[i - 1].k + cons[j - 1].k <= mp.n and (
-                twisted(i) @ cons[j - 1].gen.T).is_zero()
-        yield Witness(i, j, f"C{i}<=dual_{ell}(C{j})", oks[key])
+        yield Witness(i, j, f"C{i}<=dual_{ell}(C{j})", ok(i, j))
+
+
+def _orthogonal(mp: MPCode, gen, dims: list[int], level: int):
+    """ok(i, j) of X_i <= dual_level(X_j), where gen(i) holds the dims[i-1]
+    independent rows of X_i, of length n.  dual_level(X_j) has dimension
+    n - dims[j-1], so dims summing above n fail with no product (rule 1).
+    When 2 level = 0 (mod e), sigma^level(G_j) @ G_i^T is the transpose of
+    sigma^level applied to sigma^level(G_i) @ G_j^T, so a pair and its
+    mirror share one product (rule 3).  Each sigma^level(gen(i)) is built
+    at most once, and only for a pair that takes a product."""
+    twisted = functools.cache(lambda i: gen(i).frobenius_map(level))
+    ok = functools.cache(lambda i, j: dims[i - 1] + dims[j - 1] <= mp.n and (
+        twisted(i) @ gen(j).T).is_zero())
+    return ok if 2 * level % mp.spec.e else lambda i, j: ok(min(i, j), max(i, j))
 
 
 # ----------------------------------------------------------------------
@@ -343,31 +345,24 @@ def _dc_witnesses(
     the original constituents ``rows`` (default: all of them, in order).
 
     Condition strings name original constituent indices; the (i, j)
-    coordinates address zeta itself.  With H spanning a constituent's
-    Euclidean dual, dual_l(C_i) <= C_j iff sigma^(e-l)(H_i) @ H_j^T = 0.
-    dual_l(C_i) has dimension n - k_i, so k_i + k_j < n fails with no
-    product; when 2l = 0 (mod e), so is 2(e - l), and a pair and its
-    mirror share one product, as in :func:`_so_witnesses`.
+    coordinates address zeta itself.  As dual_(e-l)(dual_l(C)) = C,
+    dual_l(C_i) <= C_j iff D_i <= dual_(e-l)(D_j) for D = dual_l(C): with
+    H spanning a constituent's Euclidean dual, sigma^(e-l)(H_i) @ H_j^T =
+    0, the pair test of :func:`_orthogonal` on the n - k rows of the Hs
+    (whose rule 1 is rule 2 on the constituents).
     """
-    twist = mp.spec.e - ell
-    symmetric = 2 * ell % mp.spec.e == 0
-    rows = rows or range(1, mp.num_constituents + 1)
-    # each H is built at most once
-    parity = functools.cache(LinearCode.parity_check)
-    oks: dict[tuple[int, int], bool] = {}
-    for i, j, forced in dc_conditions(zeta, mp.num_constituents):
+    cons = mp.constituents
+    rows = rows or range(1, len(cons) + 1)
+    parity = functools.cache(LinearCode.parity_check)  # equal codes share one H
+    ok = _orthogonal(mp, lambda i: parity(cons[i - 1]), [mp.n - c.k for c in cons],
+                     (mp.spec.e - ell) % mp.spec.e)
+    for i, j, forced in dc_conditions(zeta, len(cons)):
         if forced == 0:
             yield Witness(i, j, f"zeta[{i},{j}]=0", False)
         elif forced is not None:
-            c = mp.constituents[forced - 1]
-            yield Witness(i, j, f"C{rows[forced - 1]}=F", c.is_full)
+            yield Witness(i, j, f"C{rows[forced - 1]}=F", cons[forced - 1].is_full)
         else:
-            key = (min(i, j), max(i, j)) if symmetric else (i, j)
-            if key not in oks:
-                ci, cj = mp.constituents[i - 1], mp.constituents[j - 1]
-                oks[key] = ci.k + cj.k >= mp.n and (
-                    parity(ci).frobenius_map(twist) @ parity(cj).T).is_zero()
-            yield Witness(i, j, f"dual_{ell}(C{rows[i - 1]})<=C{rows[j - 1]}", oks[key])
+            yield Witness(i, j, f"dual_{ell}(C{rows[i - 1]})<=C{rows[j - 1]}", ok(i, j))
 
 
 def check_dual_containing_general(mp: MPCode, ell: int = 0) -> CheckReport:

@@ -1,26 +1,36 @@
 """Randomized search for constituent codes meeting checker conditions.
 
 Given a defining matrix, a mode (self-orthogonal or dual-containing),
-a Galois level and target dimensions, the search constructs candidate
+a Galois level and target dimensions, the search draws candidate
 constituent tuples that satisfy the corresponding checker's witness
-conditions by construction where possible:
+conditions by construction where possible.  Both modes run one sampler,
+which draws codes D_1 .. D_m with D_i inside dual_level(D_j) wherever a
+condition pattern is nonzero at (i, j):
 
-* containment constraints restrict each constituent to an intersection
-  of known duals, and generators are sampled inside that subspace;
-* a self-orthogonality constraint on a single constituent is met by
-  greedy extension: each sampled row is drawn orthogonal to the rows
-  chosen so far, and kept only if its own self-product vanishes; after
-  each kept row the sampling space is narrowed, by one kernel, to its
-  intersection with the two Galois duals of that one row;
-* a dual-containment constraint on a single constituent is met by
-  sampling a self-orthogonal complement and dualizing it.
+* a condition between two codes restricts the later one to the
+  intersection of the named duals of the earlier ones, and its
+  generator is sampled inside that subspace;
+* a condition on a single code is met by greedy extension: each sampled
+  row is drawn orthogonal to the rows chosen so far, and kept only if
+  its own self-product vanishes; after each kept row the sampling space
+  is narrowed, by one kernel, to its intersection with the two Galois
+  duals of that one row.
+
+Self-orthogonality search draws the constituents themselves, at level l
+under sigma^l(A) @ A^T.  Dual-containment search works in the dual
+frame: as dual_(e-l)(dual_l(C)) = C, dual_l(C_i) <= C_j holds iff
+D_i <= dual_(e-l)(D_j) for D = dual_l(C), so it draws the duals D_i, of
+dimensions n - k_i, at level e - l under zeta's pattern, and returns
+C_i = dual_(e-l)(D_i).  A constituent forced to the whole space has the
+zero code as its dual.
 
 Sampled vectors are uint8 encoding arrays throughout.  Candidates whose
 expanded minimum distance meets the target are reported; a target above
-the Singleton bound of every possible hit, or dims that are all 0, are
-refused before the first attempt.  Constituent duals are cached for the
-length of one search.  Everything is driven by a seeded generator, so a
-rerun with the same request reproduces the same candidates.
+the Singleton bound of every possible hit, dims that are all 0, or a
+condition between draws whose dimensions sum above the length are
+refused before the first attempt.  Constituent duals are cached for the length of one
+search.  Everything is driven by a seeded generator, so a rerun with the
+same request reproduces the same candidates.
 """
 
 from __future__ import annotations
@@ -124,128 +134,59 @@ def _sample_inside(
     return LinearCode.from_generator(MatGF._of(spec, np.vstack(rows)))
 
 
-def _sample_dual_containing(
-    dim: int, ell: int, base: LinearCode, rng: random.Random, dual
-) -> LinearCode | None:
-    """A random code of the given dimension that contains ``base`` and
-    its own l-Galois dual; ``dual`` is the search's cached
-    ``LinearCode.galois_dual``.
-
-    Works through the complement: C contains its dual iff the dual D has
-    the complementary dimension, lies inside the dual of ``base`` and is
-    (e-l)-Galois self-orthogonal with C the (e-l)-Galois dual of D.
-    """
-    n = base.n
-    if 2 * dim < n or dim < base.k:
-        return None
-    inv_ell = (base.spec.e - ell) % base.spec.e
-    d = _sample_inside(dual(base, ell), n - dim, rng, so_ell=inv_ell)
-    if d is None:
-        return None
-    # needs no re-check: dual_(e-l)(d) has dimension n - (n - dim) = dim,
-    # d <= dual_l(base) gives base <= dual_(e-l)(d), and d is
-    # (e-l)-self-orthogonal, so dual_l(dual_(e-l)(d)) = d <= dual_(e-l)(d)
-    return dual(d, inv_ell)
-
-
-def _so_attempt(
-    a: MatGF, cond: MatGF, req: SearchRequest, rng: random.Random, dual
-) -> MPCode | None:
-    spec = a.spec
-    m = a.rows
-    ell = req.ell
-    inv_ell = (spec.e - ell) % spec.e
+def _attempt(
+    cond: MatGF, level: int, n: int, dims: tuple[int, ...], rng: random.Random, dual
+) -> list[LinearCode] | None:
+    """Codes D_1 .. D_m of length n and dimensions ``dims``, with D_i
+    inside dual_level(D_j) wherever cond[i, j] != 0, or None when a
+    sample runs out of draws; ``dual`` is the search's cached
+    ``LinearCode.galois_dual``.  Each D_i is drawn inside the named duals
+    of D_1 .. D_(i-1), and self-orthogonal when cond[i, i] != 0."""
+    spec = cond.spec
+    inv_level = (spec.e - level) % spec.e
     chosen: list[LinearCode] = []
-    for i in range(1, m + 1):
-        ambient = LinearCode.full(spec, req.n)
+    for i in range(1, len(dims) + 1):
+        ambient = None
         for j in range(1, i):
             levels = []
             if cond.data[i - 1, j - 1] != 0:
-                # C_i inside the l-Galois dual of C_j
-                levels.append(ell)
-            if cond.data[j - 1, i - 1] != 0 and inv_ell not in levels:
-                # C_j inside the l-Galois dual of C_i, that is C_i inside
-                # the (e-l)-Galois dual of C_j (the same when l == e - l)
-                levels.append(inv_ell)
-            for level in levels:
-                ambient = ambient & dual(chosen[j - 1], level)
-        so_ell = ell if cond.data[i - 1, i - 1] != 0 else None
-        c = _sample_inside(ambient, req.dims[i - 1], rng, so_ell=so_ell)
+                levels.append(level)
+            if cond.data[j - 1, i - 1] != 0 and inv_level not in levels:
+                # D_j inside dual_level(D_i), that is D_i inside the
+                # inverse-level dual of D_j (the same when 2 level = 0 mod e)
+                levels.append(inv_level)
+            for lv in levels:
+                d = dual(chosen[j - 1], lv)
+                ambient = d if ambient is None else ambient & d
+        if ambient is None:
+            ambient = LinearCode.full(spec, n)
+        so_ell = level if cond.data[i - 1, i - 1] != 0 else None
+        c = _sample_inside(ambient, dims[i - 1], rng, so_ell=so_ell)
         if c is None:
             return None
         chosen.append(c)
-    return MPCode(chosen, a)
+    return chosen
 
 
-def _dc_plan(zeta: MatGF, m: int, req: SearchRequest) -> tuple[set[int], list[tuple[int, int]]]:
-    """Forced whole-space constituents and containment pairs read off
-    the zeta matrix of a full-row-rank m-row defining matrix; raises
-    InfeasibleSearchError when no constituent choice can meet them."""
-    forced: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-    for i, j, f in dc_conditions(zeta, m):
+def _dc_forced(zeta: MatGF, m: int, req: SearchRequest) -> None:
+    """Raise InfeasibleSearchError when a nonzero zeta entry of a
+    full-row-rank m-row defining matrix cannot be met: both indices
+    exceed m, or it forces a constituent to the whole space that
+    ``req.dims`` makes smaller."""
+    conditions = list(dc_conditions(zeta, m))
+    for i, j, f in conditions:
         if f == 0:
             raise InfeasibleSearchError(
                 f"condition matrix entry ({i},{j}) is nonzero but both "
                 "indices exceed the constituent count; no choice of "
                 "constituents can give a dual-containing code"
             )
-        if f is None:
-            pairs.append((i, j))
-        else:
-            forced.add(f)
-    for i in sorted(forced):
-        if req.dims[i - 1] != req.n:
+    for f in sorted({f for _, _, f in conditions if f}):
+        if req.dims[f - 1] != req.n:
             raise InfeasibleSearchError(
-                f"constituent {i} is forced to the whole space code but "
-                f"dims[{i - 1}] = {req.dims[i - 1]} != n = {req.n}"
+                f"constituent {f} is forced to the whole space code but "
+                f"dims[{f - 1}] = {req.dims[f - 1]} != n = {req.n}"
             )
-    return forced, pairs
-
-
-def _dc_attempt(
-    a: MatGF, plan: tuple[set[int], list[tuple[int, int]]],
-    req: SearchRequest, rng: random.Random, dual,
-) -> MPCode | None:
-    forced, pairs = plan
-    spec = a.spec
-    m = a.rows
-    ell = req.ell
-    inv_ell = (spec.e - ell) % spec.e
-    chosen: dict[int, LinearCode] = {
-        i: LinearCode.full(spec, req.n) for i in forced
-    }
-    for i in range(1, m + 1):
-        if i in chosen:
-            continue
-        duals = []  # (constituent, level); one pair may come twice
-        for src, dst in pairs:
-            if dst == i and src in chosen and src != i:
-                duals.append((src, ell))
-            if src == i and dst in chosen and dst != i:
-                # dual(C_i) inside chosen C_dst, i.e. C_i contains the
-                # inverse-Galois dual of C_dst
-                duals.append((dst, inv_ell))
-        # the sum of those duals
-        gens = [dual(chosen[j], level).gen for j, level in dict.fromkeys(duals)]
-        base = (LinearCode.from_generator(MatGF.vstack(gens)) if gens
-                else LinearCode.zero(spec, req.n))
-        dim = req.dims[i - 1]
-        if (i, i) in pairs:
-            c = _sample_dual_containing(dim, ell, base, rng, dual)
-        elif base.k > dim:
-            c = None
-        else:
-            # base plus a random complement; resample if the two meet
-            extra = _sample_inside(LinearCode.full(spec, req.n), dim - base.k, rng)
-            c = None if extra is None else LinearCode.from_generator(
-                MatGF.vstack([base.gen, extra.gen]))
-            if c is not None and c.k != dim:
-                c = None
-        if c is None:
-            return None
-        chosen[i] = c
-    return MPCode([chosen[i] for i in range(1, m + 1)], a)
 
 
 def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
@@ -255,14 +196,19 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     ``dc_conditions``), is computed once per search before the first
     attempt, so an infeasible DC request raises even when
     ``max_candidates`` is 0; every attempt is checked by the exact
-    checker's witness rule on that same matrix.  Returns up to
-    ``req.count`` hits passing it and (when a target is given) meeting
-    the distance target.  A request no hit can meet is refused with no
-    attempt, after those checks: a hit is a nonzero [nN, K] code, so
-    some dim is positive and, by the Singleton bound, d <= nN - K + 1,
-    with K = sum(dims) when A has full row rank and K >= 1 otherwise.
-    Constituent duals go through one ``functools.cache`` of
-    ``LinearCode.galois_dual`` made per call, so repeated searches each
+    checker's witness rule on that same matrix.  SO draws C_i at level l
+    under that matrix; DC draws D_i = dual_l(C_i), of dimension n - k_i,
+    at level e - l under zeta's m x m pattern and returns C_i =
+    dual_(e-l)(D_i).  Returns up to ``req.count`` hits passing the check
+    and (when a target is given) meeting the distance target.  A request
+    no hit can meet is refused with no attempt, after those checks: a hit
+    is a nonzero [nN, K] code, so some dim is positive and, by the
+    Singleton bound, d <= nN - K + 1, with K = sum(dims) when A has full
+    row rank and K >= 1 otherwise; and D_i inside dual(D_j) needs their
+    dimensions to sum to at most n, so where the pattern is nonzero at
+    (i, j), SO needs k_i + k_j <= n and DC k_i + k_j >= n (the checkers'
+    rules 1 and 2).  Constituent duals go through one ``functools.cache``
+    of ``LinearCode.galois_dual`` made per call, so repeated searches each
     compute their own.
     """
     if req.mode not in ("so", "dc"):
@@ -286,23 +232,31 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
         )
     a.spec.check_ell(req.ell)
     if req.mode == "so":
-        plan = cond = a.frobenius_map(req.ell) @ a.T
-        sample, witnesses = _so_attempt, _so_witnesses
+        cond = a.frobenius_map(req.ell) @ a.T
+        level, dims, witnesses = req.ell, req.dims, _so_witnesses
     else:
         cond = zeta_matrix(a, req.ell)
-        plan = _dc_plan(cond, a.rows, req)
-        sample, witnesses = _dc_attempt, _dc_witnesses
+        _dc_forced(cond, a.rows, req)
+        level = (a.spec.e - req.ell) % a.spec.e
+        dims = tuple(req.n - k for k in req.dims)
+        witnesses = _dc_witnesses
     k_min = sum(req.dims) if full_rank else 1
     if not any(req.dims) or (
-            req.target is not None and req.target > req.n * a.cols - k_min + 1):
+            req.target is not None and req.target > req.n * a.cols - k_min + 1) or any(
+            dims[i] + dims[j] > req.n for i, j in np.argwhere(cond.data[:a.rows, :a.rows])):
         return []
     rng = random.Random(req.seed)
     # looked up now, not at import, so a wrapped galois_dual is cached too
     dual = functools.cache(LinearCode.galois_dual)
     hits: list[SearchHit] = []
     for attempt in range(1, req.max_candidates + 1):
-        mp = sample(a, plan, req, rng, dual)
-        if mp is None or not all(w.ok for w in witnesses(cond, mp, req.ell)):
+        codes = _attempt(cond, level, req.n, dims, rng, dual)
+        if codes is None:
+            continue
+        if req.mode == "dc":
+            codes = [dual(d, level) for d in codes]
+        mp = MPCode(codes, a)
+        if not all(w.ok for w in witnesses(cond, mp, req.ell)):
             continue
         big = expand(mp)
         if big.k == 0:

@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from mpcodes import MatGF
 from mpcodes.cli import main
 
 from conftest import FIXTURES
@@ -177,6 +178,23 @@ def test_dual_partition_path(tmp_path):
     assert rc == 0
     assert "path: partition{1,3|2,4}" in out
     assert "[10,3,5]" in out
+
+
+@pytest.mark.parametrize("name", ["f2_4x2_rankdef.mp", "f4_5x3_rankdef.mp"])
+def test_dual_completes_a_rank_deficient_matrix_once(monkeypatch, name):
+    # the completion's RankDeficientError picks the partition path, and
+    # the dual is read off the expansion with no second completion
+    calls = []
+    complete = MatGF.complete_to_invertible
+
+    def counted(self):
+        calls.append(self.shape)
+        return complete(self)
+
+    monkeypatch.setattr(MatGF, "complete_to_invertible", counted)
+    rc, out = run_cli("dual", fixture(name), "--machine")
+    assert rc == 0 and "path: partition{" in out
+    assert len(calls) == 1, calls
 
 
 def test_dual_galois_level(tmp_path):

@@ -11,6 +11,10 @@ Stand-ins for an unused-code lint, on modules parsed with ``ast``:
 * every option of every CLI subcommand except ``--machine`` is read as
   ``args.<dest>`` by the subcommand's ``cmd_*`` function or by a ``cli``
   function that it calls, directly or not;
+* every private function and method of ``src/mpcodes`` (one whose name
+  starts with a single underscore) is read, as a name or an attribute,
+  somewhere in ``src/mpcodes`` outside its own body, except the test
+  references of ``TEST_REFERENCES``;
 * every keyword-only parameter of a ``src/mpcodes`` function is passed by
   name, to a call of that function's name, somewhere in ``src/mpcodes``
   or ``bench``;
@@ -111,6 +115,26 @@ def test_every_exported_name_has_a_reader():
             if not own and not any(reads[p][name] for p in READERS if p != path):
                 unread.append(f"{path.name}: {name}")
     assert not unread, f"exported but never read: {unread}"
+
+
+# Private helpers that nothing in the package reads, kept as the
+# reference its tests compare against: (module, name).
+TEST_REFERENCES = {("gf.py", "_add_direct")}  # tests/test_gf.py
+
+
+def test_every_private_function_has_a_reader():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    unread = [
+        f"{path.name}: {fn.name}"
+        for path, tree in trees.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and fn.name.startswith("_") and not fn.name.startswith("__")
+        and (path.name, fn.name) not in TEST_REFERENCES
+        and not reads[fn.name] - _reads(fn)[fn.name]
+    ]
+    assert not unread, f"private functions never read: {unread}"
 
 
 def _args_read(funcs: dict[str, ast.FunctionDef], name: str) -> set[str]:

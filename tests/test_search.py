@@ -14,8 +14,13 @@ from mpcodes import (
     field,
     search_mp_codes,
 )
+from mpcodes import oracle
 from mpcodes import search as srch
-from mpcodes.mpcode import check_dual_containing_general, check_self_orthogonal
+from mpcodes.mpcode import (
+    check_dual_containing_general,
+    check_self_orthogonal,
+    zeta_matrix,
+)
 
 from conftest import mat, random_code, random_matrix
 
@@ -160,8 +165,8 @@ def test_dc_search_infeasible_forced_full_dim():
 ])
 def test_dc_search_constituent_with_pair_conditions_only(q, rows):
     # zeta[2,2] = 0 while zeta[1,2], zeta[2,1] != 0: C2 must contain the
-    # dual of C1 but need not contain its own dual; it is that dual plus
-    # a random complement, not a random code that happens to contain it
+    # dual of C1 but need not contain its own dual; its dual D2 is drawn
+    # inside a dual of D1 = dual(C1) with no self-orthogonality condition
     a = MatGF(field(q), rows)
     req = SearchRequest(mode="dc", ell=0, n=6, dims=(4, 4), count=3, max_candidates=5)
     hits = search_mp_codes(a, req)
@@ -170,12 +175,31 @@ def test_dc_search_constituent_with_pair_conditions_only(q, rows):
         assert check_dual_containing_general(hit.mp, 0).verdict is Verdict.HOLDS
 
 
+@pytest.mark.parametrize("ell", [1, 2])
+def test_dc_search_draws_the_duals_at_the_inverse_level(ell):
+    # over GF(8), 2l != 0 (mod 3) and zeta has exactly one of (1,2) and
+    # (2,1) nonzero, so the dual frame's level e - l differs from l in a
+    # condition that is not symmetric in them; drawing D2 at level l
+    # instead makes most attempts fail the witness re-check
+    a = MatGF(field(8), [[1, 2], [1, 3]])
+    zeta = zeta_matrix(a, ell)
+    assert bool(zeta.data[0, 1]) != bool(zeta.data[1, 0])
+    req = SearchRequest(mode="dc", ell=ell, n=6, dims=(4, 4), count=1000, max_candidates=40)
+    hits = search_mp_codes(a, req)
+    assert len(hits) == 40
+    for hit in hits:
+        assert check_dual_containing_general(hit.mp, ell).verdict is Verdict.HOLDS
+        big = expand(hit.mp)
+        dual = oracle.dual_by_definition(big, ell, cap=4096)
+        assert oracle.is_subset_by_enumeration(dual, big)
+
+
 @pytest.mark.parametrize("max_candidates", [0, 5])
 def test_dc_search_infeasible_raises_before_any_attempt(monkeypatch, max_candidates):
     # the plan is made once, before the first attempt, so even a search
     # allowed no attempt reports an infeasible request, and it outranks
     # the refusal of a target no [20, 8] hit can meet
-    monkeypatch.setattr(srch, "_dc_attempt", lambda *args: pytest.fail("attempted"))
+    monkeypatch.setattr(srch, "_attempt", lambda *args: pytest.fail("attempted"))
     f5 = field(5)
     a = mat(f5, ["1 1 2 2", "0 4 1 4", "1 4 2 3"])
     req = SearchRequest(mode="dc", ell=0, n=5, dims=(3, 3, 2), target=100,
@@ -192,15 +216,32 @@ def test_dc_search_infeasible_raises_before_any_attempt(monkeypatch, max_candida
 
 def test_unreachable_target_is_refused_before_any_attempt(monkeypatch):
     # [45, 3] expansion: d <= 45 - 3 + 1 = 43 for every hit
-    monkeypatch.setattr(srch, "_so_attempt", lambda *args: pytest.fail("attempted"))
+    monkeypatch.setattr(srch, "_attempt", lambda *args: pytest.fail("attempted"))
     a = MatGF(field(2), [[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]])
     req = SearchRequest(mode="so", ell=0, n=9, dims=(1, 2), target=44)
     assert search_mp_codes(a, req) == []
 
 
+@pytest.mark.parametrize("mode, q, rows, ell, n, dims", [
+    # Gram product = identity: C1 is self-orthogonal, so k1 <= n/2 = 2
+    ("so", 4, [[1, 0], [0, 1]], 1, 4, (3, 2)),
+    # zeta[1,1] != 0: C1 contains its dual, so k1 >= n/2 = 3
+    ("dc", 5, [[1, 2], [0, 1]], 0, 6, (2, 4)),
+    # Gram product [[0, 1], [1, 0]]: C1 <= dual(C2) needs k1 + k2 <= n
+    ("so", 2, [[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]], 0, 9, (5, 5)),
+    # zeta[1,2] != 0 = zeta[2,2]: dual(C1) <= C2 needs k1 + k2 >= n
+    ("dc", 5, [[3, 1], [0, 3]], 0, 6, (4, 1)),
+])
+def test_impossible_condition_is_refused_before_any_attempt(
+        monkeypatch, mode, q, rows, ell, n, dims):
+    monkeypatch.setattr(srch, "_attempt", lambda *args: pytest.fail("attempted"))
+    req = SearchRequest(mode=mode, ell=ell, n=n, dims=dims)
+    assert search_mp_codes(MatGF(field(q), rows), req) == []
+
+
 def test_zero_dimension_search_is_refused_before_any_attempt(monkeypatch):
     # every candidate would be the zero code, which is never a hit
-    monkeypatch.setattr(srch, "_so_attempt", lambda *args: pytest.fail("attempted"))
+    monkeypatch.setattr(srch, "_attempt", lambda *args: pytest.fail("attempted"))
     a = MatGF(field(2), [[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]])
     assert search_mp_codes(a, SearchRequest(mode="so", ell=0, n=4, dims=(0, 0))) == []
 
@@ -215,7 +256,7 @@ def test_zero_dimension_search_is_refused_before_any_attempt(monkeypatch):
 ])
 def test_target_bound_decides_whether_to_attempt(monkeypatch, rows, n, dims, target, attempts):
     calls = []
-    monkeypatch.setattr(srch, "_so_attempt", lambda *args: calls.append(1))
+    monkeypatch.setattr(srch, "_attempt", lambda *args: calls.append(1))
     req = SearchRequest(mode="so", ell=0, n=n, dims=dims, target=target, max_candidates=3)
     assert search_mp_codes(MatGF(field(2), rows), req) == []
     assert len(calls) == attempts
