@@ -124,10 +124,6 @@ class MPCode:
     def n(self) -> int:
         return self.constituents[0].n
 
-    @property
-    def num_constituents(self) -> int:
-        return len(self.constituents)
-
 
 @dataclass(frozen=True)
 class RowPartition:
@@ -278,27 +274,21 @@ def check_self_orthogonal(mp: MPCode, ell: int = 0) -> CheckReport:
     The condition matrix is the twisted Gram product of the defining
     matrix with itself; for each nonzero (i, j) entry, constituent i
     must lie in the l-Galois dual of constituent j, that is
-    sigma^l(G_i) @ G_j^T = 0.  The verdict is an if-and-only-if.  The
-    Gram product is the only product that always runs: a witness with
-    k_i + k_j > n fails by dimension, and when 2l = 0 (mod e) the mirror
-    (j, i) of a witness repeats its ok (rules 1 and 3 of the module).
+    sigma^l(G_i) @ G_j^T = 0 (one witness per entry, row-major).  The
+    verdict is an if-and-only-if.  The Gram product is the only product
+    that always runs: a witness with k_i + k_j > n fails by dimension,
+    and when 2l = 0 (mod e) the mirror (j, i) of a witness repeats its ok
+    (rules 1 and 3 of the module).
     """
     mp.spec.check_ell(ell)
     a = mp.defmatrix
     cond = a.frobenius_map(ell) @ a.T
-    witnesses = tuple(_so_witnesses(cond, mp, ell))
-    verdict = Verdict.HOLDS if all(w.ok for w in witnesses) else Verdict.FAILS
-    return CheckReport(verdict, cond, witnesses, CheckPath.GRAM)
-
-
-def _so_witnesses(cond: MatGF, mp: MPCode, ell: int) -> Iterator[Witness]:
-    """One condition per nonzero entry (i, j) of cond = sigma^l(A) @ A^T,
-    row-major: C_i <= dual_l(C_j), i.e. sigma^l(G_i) @ G_j^T = 0, as
-    :func:`_orthogonal` decides it."""
     cons = mp.constituents
     ok = _orthogonal(mp, lambda i: cons[i - 1].gen, [c.k for c in cons], ell)
-    for i, j in (np.argwhere(cond.data) + 1).tolist():
-        yield Witness(i, j, f"C{i}<=dual_{ell}(C{j})", ok(i, j))
+    witnesses = tuple(Witness(i, j, f"C{i}<=dual_{ell}(C{j})", ok(i, j))
+                      for i, j in (np.argwhere(cond.data) + 1).tolist())
+    verdict = Verdict.HOLDS if all(w.ok for w in witnesses) else Verdict.FAILS
+    return CheckReport(verdict, cond, witnesses, CheckPath.GRAM)
 
 
 def _orthogonal(mp: MPCode, gen, dims: list[int], level: int):

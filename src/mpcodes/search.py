@@ -2,10 +2,10 @@
 
 Given a defining matrix, a mode (self-orthogonal or dual-containing),
 a Galois level and target dimensions, the search draws candidate
-constituent tuples that satisfy the corresponding checker's witness
-conditions by construction where possible.  Both modes run one sampler,
-which draws codes D_1 .. D_m with D_i inside dual_level(D_j) wherever a
-condition pattern is nonzero at (i, j):
+constituent tuples that meet the corresponding checker's witness
+conditions by construction.  Both modes run one sampler, which draws
+codes D_1 .. D_m with D_i inside dual_level(D_j) wherever a condition
+pattern is nonzero at (i, j):
 
 * a condition between two codes restricts the later one to the
   intersection of the named duals of the earlier ones, and its
@@ -24,13 +24,21 @@ dimensions n - k_i, at level e - l under zeta's pattern, and returns
 C_i = dual_(e-l)(D_i).  A constituent forced to the whole space has the
 zero code as its dual.
 
+The checkers' conditions are necessary and sufficient, and every one of
+them is met either by the draw or by a refusal before the first attempt
+(a zeta entry naming an index past m, a forced constituent that is not
+the whole space, or dimensions that cannot meet a pair condition), so a
+completed draw needs no check: each one with a nonzero expansion is a
+candidate, which ``tests/test_search.py`` pins by running the exact
+checkers on every hit of a seeded sweep.
+
 Sampled vectors are uint8 encoding arrays throughout.  Candidates whose
 expanded minimum distance meets the target are reported; a target above
 the Singleton bound of every possible hit, dims that are all 0, or a
 condition between draws whose dimensions sum above the length are
-refused before the first attempt.  Constituent duals are cached for the length of one
-search.  Everything is driven by a seeded generator, so a rerun with the
-same request reproduces the same candidates.
+refused before the first attempt.  Constituent duals are cached for the
+length of one search.  Everything is driven by a seeded generator, so a
+rerun with the same request reproduces the same candidates.
 """
 
 from __future__ import annotations
@@ -43,14 +51,7 @@ import numpy as np
 
 from .lincode import DistanceBudget, DistanceResult, LinearCode
 from .matgf import MatGF
-from .mpcode import (
-    MPCode,
-    _dc_witnesses,
-    _so_witnesses,
-    dc_conditions,
-    expand,
-    zeta_matrix,
-)
+from .mpcode import MPCode, dc_conditions, expand, zeta_matrix
 
 __all__ = ["InfeasibleSearchError", "SearchHit", "SearchRequest", "search_mp_codes"]
 
@@ -195,12 +196,14 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     The condition matrix, sigma^l(A) @ A^T (so) or zeta (dc, read by
     ``dc_conditions``), is computed once per search before the first
     attempt, so an infeasible DC request raises even when
-    ``max_candidates`` is 0; every attempt is checked by the exact
-    checker's witness rule on that same matrix.  SO draws C_i at level l
-    under that matrix; DC draws D_i = dual_l(C_i), of dimension n - k_i,
-    at level e - l under zeta's m x m pattern and returns C_i =
-    dual_(e-l)(D_i).  Returns up to ``req.count`` hits passing the check
-    and (when a target is given) meeting the distance target.  A request
+    ``max_candidates`` is 0.  SO draws C_i at level l under that matrix;
+    DC draws D_i = dual_l(C_i), of dimension n - k_i, at level e - l
+    under zeta's m x m pattern and returns C_i = dual_(e-l)(D_i).  No
+    attempt is checked: each draw meets every pair and diagonal
+    condition of the matrix, and the refusals below rule out the rest,
+    so every completed draw passes the exact checker.  Returns up to
+    ``req.count`` hits with a nonzero expansion that (when a target is
+    given, which must be at least 1) meet the distance target.  A request
     no hit can meet is refused with no attempt, after those checks: a hit
     is a nonzero [nN, K] code, so some dim is positive and, by the
     Singleton bound, d <= nN - K + 1, with K = sum(dims) when A has full
@@ -225,6 +228,8 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
         raise ValueError(f"count={req.count} must be >= 1")
     if req.max_candidates < 0:
         raise ValueError(f"max_candidates={req.max_candidates} must be >= 0")
+    if req.target is not None and req.target < 1:
+        raise ValueError(f"target={req.target} must be >= 1")
     full_rank = a.rank() == a.rows
     if req.mode == "dc" and not full_rank:
         raise InfeasibleSearchError(
@@ -233,13 +238,12 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     a.spec.check_ell(req.ell)
     if req.mode == "so":
         cond = a.frobenius_map(req.ell) @ a.T
-        level, dims, witnesses = req.ell, req.dims, _so_witnesses
+        level, dims = req.ell, req.dims
     else:
         cond = zeta_matrix(a, req.ell)
         _dc_forced(cond, a.rows, req)
         level = (a.spec.e - req.ell) % a.spec.e
         dims = tuple(req.n - k for k in req.dims)
-        witnesses = _dc_witnesses
     k_min = sum(req.dims) if full_rank else 1
     if not any(req.dims) or (
             req.target is not None and req.target > req.n * a.cols - k_min + 1) or any(
@@ -256,8 +260,6 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
         if req.mode == "dc":
             codes = [dual(d, level) for d in codes]
         mp = MPCode(codes, a)
-        if not all(w.ok for w in witnesses(cond, mp, req.ell)):
-            continue
         big = expand(mp)
         if big.k == 0:
             continue

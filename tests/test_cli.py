@@ -101,6 +101,8 @@ def test_info_parse_error_exit_code(tmp_path):
         (["mp", "{f2}", "--out", "{nodir}/x.code"], 10),
         (["search", "--matrix", "{mat}", "--mode", "so", "--n", "4", "--dims", "1,1",
           "--out", "{nodir}/hit"], 10),
+        (["search", "--matrix", "{mat}", "--mode", "so", "--n", "4", "--dims", "1,1",
+          "--target", "0"], 11),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, argv, expected):

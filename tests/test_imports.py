@@ -15,6 +15,13 @@ Stand-ins for an unused-code lint, on modules parsed with ``ast``:
   starts with a single underscore) is read, as a name or an attribute,
   somewhere in ``src/mpcodes`` outside its own body, except the test
   references of ``TEST_REFERENCES``;
+* no ``src/mpcodes`` module imports a name that starts with an
+  underscore from another module of the package: a private helper has
+  one module as its home and is reached only through that module's
+  public functions;
+* every public method and property of a ``src/mpcodes`` class is read as
+  an attribute somewhere in ``src/mpcodes`` or ``bench`` outside its own
+  body, except those of ``UNREAD_METHODS``;
 * every keyword-only parameter of a ``src/mpcodes`` function is passed by
   name, to a call of that function's name, somewhere in ``src/mpcodes``
   or ``bench``;
@@ -135,6 +142,46 @@ def test_every_private_function_has_a_reader():
         and not reads[fn.name] - _reads(fn)[fn.name]
     ]
     assert not unread, f"private functions never read: {unread}"
+
+
+def test_no_module_imports_a_private_name_of_the_package():
+    imported = [
+        f"{path.name}:{node.lineno}: {alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "mpcodes")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert not imported, f"private names imported across modules: {imported}"
+
+
+# Public methods that nothing in the package or the benchmark reads,
+# kept for a reader outside them: (class, name).
+UNREAD_METHODS = {("MatGF", "block_diag")}  # wrapped by bench/trace.py
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How often each name is read in the subtree as an attribute."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_public_method_has_a_reader():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in READERS}
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    unread = [
+        f"{path.name}: {cls.name}.{fn.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.walk(trees[path])
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("_") and (cls.name, fn.name) not in UNREAD_METHODS
+        and not reads[fn.name] - _attribute_reads(fn)[fn.name]
+    ]
+    assert not unread, f"public methods never read as an attribute: {unread}"
 
 
 def _args_read(funcs: dict[str, ast.FunctionDef], name: str) -> set[str]:

@@ -190,7 +190,7 @@ def test_fixture_files_load():
     for path in sorted(FIXTURES.glob("*.mp")):
         strict = "corrupt" not in path.name
         mp, claims = fmt.load_mp(path.read_text(), strict=strict)
-        assert mp.num_constituents == mp.defmatrix.rows
+        assert len(mp.constituents) == mp.defmatrix.rows
         if strict:
             assert claims.mismatches() == []
         else:

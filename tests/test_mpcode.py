@@ -628,7 +628,7 @@ def test_check_dc_general_delegates_and_sufficiency(rng, monkeypatch):
             truth = big.galois_dual(0).is_subcode(big)
             assert rep.verdict is (Verdict.HOLDS if truth else Verdict.FAILS)
             blocks = row_partition(mp.defmatrix).blocks
-            every_row = bool(blocks) and len(blocks[0]) == mp.num_constituents
+            every_row = bool(blocks) and len(blocks[0]) == len(mp.constituents)
             assert (rep.path is CheckPath.FULL_RANK) == every_row == full_rank
             if rep.path is CheckPath.PRODUCT:
                 assert rep.witnesses == () and rep.condition_matrix.rows == 0

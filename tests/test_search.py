@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mpcodes import (
 from mpcodes import oracle
 from mpcodes import search as srch
 from mpcodes.mpcode import (
+    MPCode,
     check_dual_containing_general,
     check_self_orthogonal,
     zeta_matrix,
@@ -180,7 +182,7 @@ def test_dc_search_draws_the_duals_at_the_inverse_level(ell):
     # over GF(8), 2l != 0 (mod 3) and zeta has exactly one of (1,2) and
     # (2,1) nonzero, so the dual frame's level e - l differs from l in a
     # condition that is not symmetric in them; drawing D2 at level l
-    # instead makes most attempts fail the witness re-check
+    # instead gives hits that fail the exact checker
     a = MatGF(field(8), [[1, 2], [1, 3]])
     zeta = zeta_matrix(a, ell)
     assert bool(zeta.data[0, 1]) != bool(zeta.data[1, 0])
@@ -192,6 +194,61 @@ def test_dc_search_draws_the_duals_at_the_inverse_level(ell):
         big = expand(hit.mp)
         dual = oracle.dual_by_definition(big, ell, cap=4096)
         assert oracle.is_subset_by_enumeration(dual, big)
+
+
+def _defining_matrix(spec, m, rank, rng):
+    """A seeded m x m defining matrix of the given rank."""
+    while True:
+        a = random_matrix(spec, m, rank, rng) @ random_matrix(spec, rank, m, rng)
+        if a.rank() == rank:
+            return a
+
+
+def test_every_completed_draw_is_a_hit_that_passes_the_exact_checker(rng, monkeypatch):
+    # the search checks no attempt: each draw meets the pair and diagonal
+    # conditions by construction and the refusals rule out the rest, so
+    # with no target every draw with a nonzero expansion is a hit, and
+    # every hit holds under the exact checker
+    draws = []
+
+    def recorded(cond, level, *args, real=srch._attempt):
+        draws.append((level, real(cond, level, *args)))
+        return draws[-1][1]
+
+    monkeypatch.setattr(srch, "_attempt", recorded)
+    cases = [(q, mode, ell, m, m) for q in (2, 3, 4, 5, 8, 9) for ell in range(field(q).e)
+             for mode in ("so", "dc") for m in (2, 3)]
+    cases += [(q, "so", ell, 3, 2) for q in (2, 3, 4, 5, 8, 9) for ell in range(field(q).e)]
+    # only over GF(8) does 2l != 0 (mod e), so only its dc draws tell the
+    # levels l and e - l apart, where a zeta pattern is not symmetric
+    cases = cases * 3 + [c for c in cases if c[:2] == (8, "dc")] * 16
+    hits_by_case = Counter()
+    for q, mode, ell, m, rank in cases:
+        spec = field(q)
+        a = _defining_matrix(spec, m, rank, rng)
+        n = rng.randint(2, 6)
+        # dimensions no condition refuses: k_i + k_j <= n (so), >= n (dc)
+        lo, hi = (0, n // 2) if mode == "so" else ((n + 1) // 2, n)
+        dims = tuple(rng.randint(lo, hi) for _ in range(m))
+        req = SearchRequest(mode=mode, ell=ell, n=n, dims=dims, seed=rng.randrange(1 << 30),
+                            count=4, max_candidates=4)
+        draws.clear()
+        hits = search_mp_codes(a, req)
+        want = []
+        for attempt, (level, codes) in enumerate(draws, start=1):
+            if codes is None:
+                continue
+            if mode == "dc":
+                codes = [d.galois_dual(level) for d in codes]
+            mp = MPCode(codes, a)
+            if expand(mp).k:
+                want.append((attempt, mp))
+        assert [(hit.attempt, hit.mp) for hit in hits] == want, (q, mode, ell, a, req)
+        check = check_self_orthogonal if mode == "so" else check_dual_containing_general
+        for hit in hits:
+            assert check(hit.mp, ell).verdict is Verdict.HOLDS, (q, mode, ell, hit.mp)
+        hits_by_case[q, mode, ell, m, rank] += len(hits)
+    assert all(hits_by_case.values()), hits_by_case
 
 
 @pytest.mark.parametrize("max_candidates", [0, 5])
@@ -285,7 +342,7 @@ def test_search_determinism():
 ])
 def test_search_computes_its_condition_matrix_once(monkeypatch, mode, a, n, dims):
     # sigma^l(A) starts the so matrix, a completion of A the dc one; the
-    # attempts' checks reuse the matrix instead of starting again from A
+    # attempts draw under that one matrix instead of starting again from A
     a = MatGF(field(2 if mode == "so" else 5), a)
     calls = []
 
@@ -318,6 +375,10 @@ def test_search_request_validation():
     with pytest.raises(ValueError):
         search_mp_codes(a, SearchRequest(mode="so", ell=0, n=3, dims=(1,),
                                          max_candidates=-1))
+    # no nonzero code has d < 1, so such a target is an error, not a search
+    for target in (0, -5):
+        with pytest.raises(ValueError, match=f"target={target} must be >= 1"):
+            search_mp_codes(a, SearchRequest(mode="so", ell=0, n=3, dims=(1,), target=target))
     assert search_mp_codes(a, SearchRequest(mode="so", ell=0, n=3, dims=(1,),
                                             max_candidates=0)) == []
     # a Galois level outside [0, e) is refused before any attempt
