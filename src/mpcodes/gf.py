@@ -130,7 +130,8 @@ class FieldSpec:
     """The field GF(p^e) with an explicit irreducible modulus.
 
     Instances are immutable values, interned: equal specs (same p, e,
-    modulus) are one object.  All arithmetic methods are pure and take
+    modulus) are one object, so the default identity ``==`` and hash
+    compare them by value.  All arithmetic methods are pure and take
     and return plain integer encodings.
     """
 
@@ -255,17 +256,6 @@ class FieldSpec:
 
     # -- value semantics -------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, FieldSpec)
-            and self.p == other.p
-            and self.e == other.e
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.e, self.modulus))
-
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, e={self.e}, modulus={self.modulus})"
 
@@ -388,9 +378,9 @@ class FieldSpec:
         return self._FROB[ell % self.e][a]
 
 
-def field(q: int, modulus: Iterable[int] | None = None) -> FieldSpec:
-    """Build GF(q) for a prime power q <= 256, using the default modulus
-    table unless a modulus is given."""
+def field(q: int) -> FieldSpec:
+    """GF(q) for a prime power q <= 256, with its default modulus; name
+    any other modulus as ``FieldSpec(p, e, modulus)``."""
     if q < 2:
         raise ValueError(f"q={q} is not a prime power")
     if q > _MAX_Q:
@@ -404,7 +394,7 @@ def field(q: int, modulus: Iterable[int] | None = None) -> FieldSpec:
         e += 1
     if r != 1:
         raise ValueError(f"q={q} is not a prime power")
-    return FieldSpec(p, e, modulus)
+    return FieldSpec(p, e)
 
 
 def parse_element(token: str, spec: FieldSpec) -> int:

@@ -32,7 +32,9 @@ the planes' OR.  The ``strategy`` of a result says how it was obtained:
 * ``bounds``: ``lw_cap`` ran out first; the enumerator's certified
   (lower, upper) bracket.
 
-Strategy selection and caps live in :class:`DistanceBudget`.
+Strategy selection and the two caps live in :class:`DistanceBudget`;
+the words the enumerator holds at once are bounded by the module
+constant ``_CHUNK``.
 """
 
 from __future__ import annotations
@@ -66,16 +68,13 @@ class DistanceBudget:
     enum_cap: largest q^k for which the enumerator runs without a cap.
     lw_cap: above ``enum_cap``, the codewords the enumerator may list
         before it settles for a certified bracket.
-    chunk: codewords held in memory at once during enumeration; the
-        words of a block's middle levels, from which its last level is
-        built, count toward it.  A word is n bytes for odd p, and e
-        packed bit-planes of ceil(n / 8) bytes each, rounded up to 1, 2,
-        4 or a multiple of 8, for p = 2.
+
+    The words the enumerator holds at once are bounded by the module
+    constant ``_CHUNK``, not by the budget.
     """
 
     enum_cap: int = 1 << 24
     lw_cap: int = 1 << 26
-    chunk: int = 1 << 18
 
     def __post_init__(self):
         if self.enum_cap < 0 or self.lw_cap < 0:
@@ -83,8 +82,6 @@ class DistanceBudget:
                 f"distance caps must be >= 0 (enum_cap={self.enum_cap}, "
                 f"lw_cap={self.lw_cap})"
             )
-        if self.chunk < 1:
-            raise ValueError(f"chunk={self.chunk} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -161,10 +158,6 @@ class LinearCode:
         return self.gen.rows
 
     @property
-    def is_zero(self) -> bool:
-        return self.k == 0
-
-    @property
     def is_full(self) -> bool:
         return self.k == self.n
 
@@ -231,8 +224,6 @@ class LinearCode:
         independent, so the result has as many rows as that kernel."""
         self._check_compatible(other)
         msgs = (self.gen @ other.parity_check().T).T.kernel_basis()
-        if msgs.rows == 0:
-            return LinearCode.zero(self.spec, self.n)
         return LinearCode.from_generator(msgs @ self.gen)
 
     def is_galois_self_orthogonal(self, ell: int) -> bool:
@@ -264,11 +255,11 @@ class LinearCode:
         k = self.k
         sets = _information_sets(self)
         if self.spec.q**k <= budget.enum_cap:
-            d, _ = _info_set_search(self, sets, budget.chunk)
+            d, _ = _info_set_search(self, sets)
             return DistanceResult(d, d, "enum")
         # two full-rank sets need n >= 2k; below that skip the elimination
         head = list(islice(sets, 2)) if 2 * k <= self.n else []
-        lower, upper = _info_set_search(self, chain(head, sets), budget.chunk, budget.lw_cap)
+        lower, upper = _info_set_search(self, chain(head, sets), budget.lw_cap)
         if lower < upper:
             return DistanceResult(lower, upper, "bounds")
         two_full = len(head) == 2 and head[1][0] == k
@@ -283,6 +274,12 @@ class LinearCode:
 # d on its own, costs less time than building one more information set.
 _FINISH_WORDS = 1 << 10
 
+# Codewords held in memory at once during enumeration; the words of a
+# block's middle levels, from which its last level is built, count toward
+# it.  A word is n bytes for odd p, and e packed bit-planes of ceil(n / 8)
+# bytes each, rounded up to 1, 2, 4 or a multiple of 8, for p = 2.
+_CHUNK = 1 << 18
+
 
 def _information_sets(code: LinearCode) -> Iterator[tuple[int, np.ndarray]]:
     """Greedy disjoint information sets, built one at a time, each as
@@ -294,7 +291,7 @@ def _information_sets(code: LinearCode) -> Iterator[tuple[int, np.ndarray]]:
     completed by k - r pivots among the columns already used.  Every
     generator has an identity on its k pivot columns, so message m gives
     the codeword that reads m there.  Stops when the unused columns have
-    rank 0.
+    rank 0, or are fewer than 2k - n.
     """
     spec = code.spec
     gen = code.gen.data
@@ -303,7 +300,14 @@ def _information_sets(code: LinearCode) -> Iterator[tuple[int, np.ndarray]]:
     used = (gen != 0).argmax(axis=1).tolist()
     taken = set(used)
     unused = [c for c in range(n) if c not in taken]
-    while unused:
+    # A set of rank r < 2k - n never counts.  Each canonical generator row
+    # has weight at most n - k + 1, so upper <= n - k + 1; such a set adds
+    # to the bound only from level k - r on, and k - r >= n - k + 1 >= upper.
+    # The first set has listed some level w < upper - 1 while the search
+    # runs, so its next level w + 1 < k - r is one of the terms of that
+    # set's catch-up cost, which is therefore never the cheapest step.
+    # The rank is at most len(unused), which only shrinks.
+    while unused and len(unused) >= 2 * k - n:
         order = unused + used
         red, pivots = MatGF._of(spec, gen[:, order]).rref()
         cols = [order[p - 1] for p in pivots if p <= len(unused)]
@@ -418,7 +422,6 @@ def _message_blocks(spec: FieldSpec, scaled: np.ndarray, w: int, chunk: int):
 def _info_set_search(
     code: LinearCode,
     sets: Iterator[tuple[int, np.ndarray]],
-    chunk: int,
     cap: int | None = None,
 ) -> tuple[int, int]:
     """Brouwer-Zimmermann enumeration over disjoint information sets.
@@ -486,7 +489,7 @@ def _info_set_search(
         if j not in tables:
             tables[j] = _multiples_table(spec, gens[j])
         for v in todo:
-            for block in _message_blocks(spec, tables[j], v, chunk):
+            for block in _message_blocks(spec, tables[j], v, _CHUNK):
                 upper = min(upper, int(_weights(spec, block, wdtype).min()))
         done[j] = todo[-1]
 

@@ -210,15 +210,11 @@ class MatGF:
         spec = self.spec
         ra, ca = self.shape
         rb, cb = other.shape
-        if min(ra, ca, rb, cb) == 0:
-            return MatGF.zeros(spec, ra * rb, ca * cb)
         out = spec.mul_arr(self.data[:, None, :, None], other.data[None, :, None, :])
         return MatGF._of(spec, out.reshape(ra * rb, ca * cb))
 
     def frobenius_map(self, ell: int) -> "MatGF":
         """Apply the Frobenius power entrywise."""
-        if self.data.size == 0:
-            return self
         return MatGF._of(self.spec, self.spec.frobenius_arr(self.data, ell))
 
     # -- elimination ----------------------------------------------------------
@@ -279,8 +275,6 @@ class MatGF:
         if self.rows != self.cols:
             raise DimensionError("only square matrices can be inverted")
         n = self.rows
-        if n == 0:
-            return self
         aug = MatGF._of(self.spec, np.hstack([self.data, np.eye(n, dtype=np.uint8)]))
         red, pivots = aug.rref()
         if list(pivots) != list(range(1, n + 1)):

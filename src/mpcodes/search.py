@@ -59,6 +59,11 @@ __all__ = ["InfeasibleSearchError", "SearchHit", "SearchRequest", "search_mp_cod
 # Draws one _sample_inside call makes before it gives up.
 _SAMPLE_TRIES = 200
 
+# Largest constituent length a search accepts.  The first draw samples
+# inside the whole space, an n x n generator, and a request's memory
+# grows with n^2: about 12, 48 and 192 MiB at n = 1024, 2048 and 4096.
+_MAX_N = 4096
+
 
 class InfeasibleSearchError(ValueError):
     """No constituent choice can satisfy the witness conditions."""
@@ -210,14 +215,17 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     row rank and K >= 1 otherwise; and D_i inside dual(D_j) needs their
     dimensions to sum to at most n, so where the pattern is nonzero at
     (i, j), SO needs k_i + k_j <= n and DC k_i + k_j >= n (the checkers'
-    rules 1 and 2).  Constituent duals go through one ``functools.cache``
-    of ``LinearCode.galois_dual`` made per call, so repeated searches each
-    compute their own.
+    rules 1 and 2).  A length n above ``_MAX_N`` raises ``ValueError``,
+    as the first draw's whole space is an n x n generator.  Constituent
+    duals go through one ``functools.cache`` of ``LinearCode.galois_dual``
+    made per call, so repeated searches each compute their own.
     """
     if req.mode not in ("so", "dc"):
         raise ValueError(f"unknown search mode {req.mode!r}")
     if req.n < 1:
         raise ValueError(f"n={req.n} must be >= 1")
+    if req.n > _MAX_N:
+        raise ValueError(f"n={req.n} is too large: searches are limited to n <= {_MAX_N}")
     if len(req.dims) != a.rows:
         raise ValueError(
             f"dims has {len(req.dims)} entries, defining matrix has {a.rows} rows"

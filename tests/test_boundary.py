@@ -54,6 +54,29 @@ def test_nothing_inside_goes_through_the_checked_constructor(monkeypatch):
     assert search_mp_codes(dc_matrix, dc)
 
 
+def _empty_shape_outputs(f):
+    """(name, MatGF, the matrix it must equal) for every operation on an
+    empty shape, each computed by the general path."""
+    a = MatGF.identity(f, 3)
+    x = LinearCode.from_generator(a.row_submatrix([1]))
+    y = LinearCode.from_generator(a.row_submatrix([2, 3]))
+    return [
+        ("kron, zero rows", a.kron(MatGF.zeros(f, 0, 2)), MatGF.zeros(f, 0, 6)),
+        ("kron, zero columns", MatGF.zeros(f, 2, 0).kron(a), MatGF.zeros(f, 6, 0)),
+        ("frobenius_map, 0 x n", MatGF.zeros(f, 0, 3).frobenius_map(f.e - 1), MatGF.zeros(f, 0, 3)),
+        ("frobenius_map, n x 0", MatGF.zeros(f, 3, 0).frobenius_map(f.e - 1), MatGF.zeros(f, 3, 0)),
+        ("inverse, 0 x 0", MatGF.zeros(f, 0, 0).inverse(), MatGF.zeros(f, 0, 0)),
+        ("intersection, zero code", (x & y).gen, LinearCode.zero(f, 3).gen),
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 9, 16, 251])
+def test_empty_shapes_give_empty_matrices(q):
+    f = field(q)
+    for name, out, want in _empty_shape_outputs(f):
+        assert out.shape == want.shape and out == want, name
+
+
 def _trusted_outputs(rng):
     """(name, MatGF) for every internal producer of matrices."""
     f4, f3 = field(4), field(3)
@@ -87,6 +110,7 @@ def _trusted_outputs(rng):
         ("parity check", large.parity_check()),
         ("search, one row", one_row.gen),
         ("search, self-orthogonal rows", so_rows.gen),
+        *[(name, out) for name, out, _ in _empty_shape_outputs(f4)],
     ]
 
 

@@ -103,6 +103,9 @@ def test_info_parse_error_exit_code(tmp_path):
           "--out", "{nodir}/hit"], 10),
         (["search", "--matrix", "{mat}", "--mode", "so", "--n", "4", "--dims", "1,1",
           "--target", "0"], 11),
+        (["search", "--matrix", "{mat}", "--mode", "so", "--n", "100000", "--dims", "1,1",
+          "--search-cap", "1"], 11),
+        (["info", "{not_utf8}"], 10),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, argv, expected):
@@ -123,12 +126,15 @@ def test_bad_input_exit_codes(tmp_path, argv, expected):
     big_field.write_text("field p=257 e=1\ncode 3 1\n1 1 1\n")
     zero = tmp_path / "zero.code"
     zero.write_text("field p=2 e=1\ncode 4 0\n")
+    not_utf8 = tmp_path / "not_utf8.code"
+    not_utf8.write_bytes(b"\xff" + zero.read_bytes())
     paths = {
         "bad_header": str(bad_header),
         "bad_entry": str(bad_entry),
         "bad_index": str(bad_index),
         "big_field": str(big_field),
         "zero": str(zero),
+        "not_utf8": str(not_utf8),
         "missing": str(tmp_path / "missing.code"),
         "nodir": str(tmp_path / "no_such_dir"),
         "f2": fixture("f2_2x5_so.mp"),

@@ -59,28 +59,31 @@ def _two_set_code(f, k, extra, rng):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
-def test_enumerator_matches_oracle(q):
+def test_enumerator_matches_oracle(q, monkeypatch):
     """``enum`` (default budget) on random codes, and ``info-sets``
     (enum_cap=1) on [I | A | R] codes, agree with the brute-force oracle;
     chunks of 2 or 3 words split every level."""
     rng = random.Random(1000 + q)
     f = field(q)
     kmax = 5 if q <= 5 else 3
+    default = lincode._CHUNK
     for _ in range(12):
         n = rng.randint(1, 12)
         c = random_code(f, n, rng.randint(1, min(n, kmax)), rng)
         if c.k == 0:
             continue
         d = oracle.min_distance_exhaustive(c)
-        for chunk in (DistanceBudget.chunk, 2):
-            r = c.min_distance(DistanceBudget(chunk=chunk))
+        for chunk in (default, 2):
+            monkeypatch.setattr(lincode, "_CHUNK", chunk)
+            r = c.min_distance()
             assert r.strategy == "enum" and r.exact and r.d == d, (c, r)
     for _ in range(8):
         k = rng.randint(1, kmax)
         c = _two_set_code(f, k, rng.randint(0, 4), rng)
         d = oracle.min_distance_exhaustive(c)
-        for chunk in (DistanceBudget.chunk, 3):
-            r = c.min_distance(DistanceBudget(enum_cap=1, chunk=chunk))
+        for chunk in (default, 3):
+            monkeypatch.setattr(lincode, "_CHUNK", chunk)
+            r = c.min_distance(DistanceBudget(enum_cap=1))
             assert r.strategy == "info-sets" and r.exact and r.d == d, (c, r)
 
 
@@ -88,8 +91,9 @@ def test_several_information_sets_match_oracle():
     """2^12, 3^8 and 4^6 words are too many to list on the first set
     alone, so the enumerator builds every set: at the seed 24 of the 40
     codes have two of rank k (``info-sets`` under enum_cap=1, the other
-    16 ``low-weight``), and 39 end with one of rank r < k, whose share of
-    the lower bound is only w + 1 - (k - r)."""
+    16 ``low-weight``), and 34 end with one of rank r < k, whose share of
+    the lower bound is only w + 1 - (k - r); in 5 more such a set would
+    have rank below 2k - n, which can never count, and is not built."""
     rng = random.Random(4)
     labels = Counter()
     for _ in range(40):
@@ -164,16 +168,17 @@ def test_low_weight_matches_oracle_above_rate_one_half(rng):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
-def test_low_weight_blocks_match_oracle(chunk, rng):
+def test_low_weight_blocks_match_oracle(chunk, rng, monkeypatch):
     """Enumeration blocks of at most ``chunk`` words, which split the
     message levels of codes of rate above 1/2, find the same distance."""
+    monkeypatch.setattr(lincode, "_CHUNK", chunk)
     for q, n in ((2, 10), (4, 7), (9, 5)):
         f = field(q)
         for _ in range(3):
             c = random_code(f, n, n - 2, rng)
             if 2 * c.k <= n:
                 continue
-            r = c.min_distance(DistanceBudget(enum_cap=1, chunk=chunk))
+            r = c.min_distance(DistanceBudget(enum_cap=1))
             assert r.strategy == "low-weight"
             assert r.d == oracle.min_distance_exhaustive(c)
 
@@ -254,13 +259,27 @@ def test_capped_brackets_over_gf2e(make):
         assert (r.lower, r.upper, r.strategy) == (lower, upper, strategy), cap
 
 
+def test_low_rank_information_set_is_not_built(monkeypatch):
+    """For the Hamming [73, 70, 3] code over GF(8) the unused columns after
+    the first set are 3 < 2k - n = 67: a set of such rank could add to the
+    bound only from level 67 on, so no further set is eliminated."""
+    code = _hamming_8()
+    calls = []
+    rref = MatGF.rref
+    monkeypatch.setattr(MatGF, "rref", lambda self: calls.append(self.shape) or rref(self))
+    r = code.min_distance()
+    assert (r.lower, r.upper, r.strategy) == (3, 3, "low-weight")
+    assert calls == []
+
+
 @pytest.mark.parametrize("make, d", [(_reed_muller_2_6, 16), (_grs_16_8, 9)])
-def test_enumeration_memory_stays_near_chunk(make, d):
+def test_enumeration_memory_stays_near_chunk(make, d, monkeypatch):
     code = make()
     chunk = 1 << 12
+    monkeypatch.setattr(lincode, "_CHUNK", chunk)
     tracemalloc.start()
     try:
-        r = code.min_distance(DistanceBudget(chunk=chunk))
+        r = code.min_distance()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

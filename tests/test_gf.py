@@ -246,12 +246,15 @@ def test_prime_field_default_modulus_is_x_minus_primitive_root():
 
 # Every default field, plus x^2+1 over GF(3), x^4+x^3+x^2+x+1 over GF(2)
 # (x has order 5, so the exp-table walk must skip candidate 2) and the
-# largest supported sizes.
-REFERENCE_FIELDS = {str(q): (q, None) for q in ALL_Q} | {
-    "9-x2+1": (9, (1, 0, 1)),
-    "16-x4+x3+x2+x+1": (16, (1, 1, 1, 1, 1)),
-    "251": (251, None),
-    "256": (256, (1, 0, 1, 1, 1, 0, 0, 0, 1)),
+# largest supported sizes, as (p, e, modulus); None names the default
+# modulus, whose degree e gives p = q^(1/e).
+REFERENCE_FIELDS = {
+    str(q): (round(q ** (1 / (len(m) - 1))), len(m) - 1, None) for q, m in DEFAULT_MODULI.items()
+} | {
+    "9-x2+1": (3, 2, (1, 0, 1)),
+    "16-x4+x3+x2+x+1": (2, 4, (1, 1, 1, 1, 1)),
+    "251": (251, 1, None),
+    "256": (2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)),
 }
 
 
@@ -259,7 +262,7 @@ REFERENCE_FIELDS = {str(q): (q, None) for q in ALL_Q} | {
 def test_bulk_ops_bit_identical_to_scalar(name):
     # scalar and bulk ops read the same tables, so both are checked
     # against the polynomial reference rather than against each other
-    f = field(*REFERENCE_FIELDS[name])
+    f = FieldSpec(*REFERENCE_FIELDS[name])
     q, p = f.q, f.p
     xs = np.repeat(np.arange(q), q)
     ys = np.tile(np.arange(q), q)
@@ -291,7 +294,7 @@ TABLES = ("_ADD", "_SUB", "_MUL", "_NEG", "_INV", "_FROB", "_LOG", "_DIG", "_REG
 def test_tables_are_stored_once_read_only(name):
     # one FieldSpec per field is shared by every holder, so a write to a
     # table would change the field for all of them
-    f = field(*REFERENCE_FIELDS[name])
+    f = FieldSpec(*REFERENCE_FIELDS[name])
     q = f.q
     assert not [s for s in FieldSpec.__slots__ if isinstance(getattr(f, s), list)]
     for table in TABLES:

@@ -19,12 +19,16 @@ Stand-ins for an unused-code lint, on modules parsed with ``ast``:
   underscore from another module of the package: a private helper has
   one module as its home and is reached only through that module's
   public functions;
-* every public method and property of a ``src/mpcodes`` class is read as
-  an attribute somewhere in ``src/mpcodes`` or ``bench`` outside its own
-  body, except those of ``UNREAD_METHODS``;
-* every keyword-only parameter of a ``src/mpcodes`` function is passed by
-  name, to a call of that function's name, somewhere in ``src/mpcodes``
-  or ``bench``;
+* every public method of a ``src/mpcodes`` class is read as an attribute
+  somewhere in ``src/mpcodes`` or ``bench`` outside its own body, except
+  those of ``UNREAD_METHODS``; a public property counts as read only
+  through an attribute load that is not itself called, so that a
+  same-named method call (``MatGF.is_zero()``) does not read it;
+* every parameter with a default of a ``src/mpcodes`` function, and every
+  defaulted init field of a ``src/mpcodes`` dataclass, is passed, by
+  position or by name, to a call of that function's (or class's) name
+  somewhere in ``src/mpcodes`` or ``bench``; a class's calls count for
+  its ``__new__``, its ``__init__`` and its fields;
 * importing ``mpcodes.cli`` in a fresh interpreter builds no field and
   loads no module beyond numpy's, the package's and those of a listed
   few standard-library modules.
@@ -161,17 +165,25 @@ def test_no_module_imports_a_private_name_of_the_package():
 # kept for a reader outside them: (class, name).
 UNREAD_METHODS = {("MatGF", "block_diag")}  # wrapped by bench/trace.py
 
+PROPERTIES = ("property", "cached_property")
 
-def _attribute_reads(node: ast.AST) -> Counter:
-    """How often each name is read in the subtree as an attribute."""
+
+def _attribute_reads(node: ast.AST, uncalled: bool = False) -> Counter:
+    """How often each name is read in the subtree as an attribute; with
+    ``uncalled``, only the reads that are not themselves called."""
+    calls = {id(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)} if uncalled else ()
     return Counter(n.attr for n in ast.walk(node)
-                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                   and id(n) not in calls)
 
 
-def test_every_public_method_has_a_reader():
+def _unread_members(properties: bool) -> list[str]:
+    """The public methods (or properties) of ``src/mpcodes`` classes that
+    nothing in ``src/mpcodes`` or ``bench`` reads outside their own body;
+    a property is read only by an attribute load that is not called."""
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in READERS}
-    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
-    unread = [
+    reads = sum((_attribute_reads(tree, properties) for tree in trees.values()), Counter())
+    return [
         f"{path.name}: {cls.name}.{fn.name}"
         for path in sorted(SRC.glob("*.py"))
         for cls in ast.walk(trees[path])
@@ -179,9 +191,19 @@ def test_every_public_method_has_a_reader():
         for fn in cls.body
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not fn.name.startswith("_") and (cls.name, fn.name) not in UNREAD_METHODS
-        and not reads[fn.name] - _attribute_reads(fn)[fn.name]
+        and any(getattr(d, "id", None) in PROPERTIES for d in fn.decorator_list) == properties
+        and not reads[fn.name] - _attribute_reads(fn, properties)[fn.name]
     ]
+
+
+def test_every_public_method_has_a_reader():
+    unread = _unread_members(properties=False)
     assert not unread, f"public methods never read as an attribute: {unread}"
+
+
+def test_every_public_property_has_a_reader():
+    unread = _unread_members(properties=True)
+    assert not unread, f"public properties never read as an uncalled attribute: {unread}"
 
 
 def _args_read(funcs: dict[str, ast.FunctionDef], name: str) -> set[str]:
@@ -220,24 +242,72 @@ def _called_name(call: ast.Call) -> str | None:
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def test_every_keyword_only_parameter_is_passed_by_name():
-    passed = {
-        (_called_name(node), kw.arg)
-        for path in READERS
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
-        for kw in node.keywords
-    }
+def _defaulted(tree: ast.Module):
+    """(callee, parameter, positional index or None) of every parameter
+    with a default and every defaulted init field of a dataclass.  The
+    index counts the arguments a call passes: a method's ``self`` and a
+    class's fields are reached through a call of the method's or the
+    class's name; a keyword-only parameter has no index."""
+    methods = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef):
+                methods.add(id(fn))
+                callee = cls.name if fn.name in ("__init__", "__new__") else fn.name
+                yield from _parameters(fn, callee, bound=1)
+        if any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in cls.decorator_list):
+            fields = [f for f in cls.body if isinstance(f, ast.AnnAssign)
+                      and not (isinstance(f.value, ast.Call) and any(
+                          kw.arg == "init" for kw in f.value.keywords))]
+            for i, f in enumerate(fields):
+                if f.value is not None:
+                    yield cls.name, f.target.id, i
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and id(fn) not in methods:
+            yield from _parameters(fn, fn.name, bound=0)
+
+
+def _parameters(fn: ast.FunctionDef, callee: str, bound: int):
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield callee, arg.arg, i - bound
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield callee, arg.arg, None
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether the call passes the parameter by name, or at its index;
+    ``*args`` and ``**kwargs`` pass everything they could reach."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Every parameter with a default, and every defaulted init field of a
+    dataclass, of ``src/mpcodes`` is passed, by position or by name, in
+    some call of its function's or class's name in ``src/mpcodes`` or
+    ``bench``: an option that no caller sets is dead code."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_called_name(node), []).append(node)
     params = [
-        (path.name, fn.name, arg.arg)
+        (path.name, *param)
         for path in sorted(SRC.glob("*.py"))
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for arg in fn.args.kwonlyargs
+        for param in _defaulted(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert params, "no keyword-only parameter found"
-    unpassed = [f"{mod}: {fn}({arg})" for mod, fn, arg in params if (fn, arg) not in passed]
-    assert not unpassed, f"keyword-only parameters never passed by name: {unpassed}"
+    assert params, "no defaulted parameter found"
+    unpassed = [f"{mod}: {callee}({param})" for mod, callee, param, index in params
+                if not any(_passes(call, param, index) for call in calls.get(callee, ()))]
+    assert not unpassed, f"defaulted parameters never passed: {unpassed}"
 
 
 # The standard-library modules the package imports at module level, which

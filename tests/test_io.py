@@ -23,7 +23,7 @@ def test_field_header_roundtrip():
         line = fmt.field_header(spec)
         assert fmt.parse_field_header(line) == spec
         assert "mod=" not in line  # defaults omit the modulus
-    custom = field(9, modulus=(1, 0, 1))
+    custom = FieldSpec(3, 2, (1, 0, 1))
     line = fmt.field_header(custom)
     assert "mod=1,0,1" in line
     assert fmt.parse_field_header(line) == custom
@@ -152,7 +152,7 @@ def test_prime_field_outside_the_default_table_roundtrips(rng):
 def test_zero_code_file():
     text = "field p=3 e=1\ncode 4 0"
     c = fmt.load_code(text)
-    assert c.is_zero and c.n == 4
+    assert c.k == 0 and c.n == 4
     assert fmt.load_code(fmt.dump_code(c)) == c
 
 

@@ -17,7 +17,7 @@ from conftest import code, code_sum, random_code, random_matrix
 def test_from_generator_canonicalizes():
     f2 = field(2)
     assert LinearCode.from_generator(MatGF.identity(f2, 3)).is_full
-    assert LinearCode.from_generator(MatGF.zeros(f2, 1, 3)).is_zero
+    assert LinearCode.from_generator(MatGF.zeros(f2, 1, 3)).k == 0
     dup = LinearCode.from_generator(MatGF(f2, [[1, 1, 0], [1, 1, 0]]))
     assert dup.k == 1
     # equality is canonical-form equality
@@ -181,7 +181,7 @@ def _intersection_cases(f, n, rng):
     X inside Y, and X meeting Y only in 0."""
     x = random_code(f, n, rng.randint(1, n), rng)
     y = LinearCode.zero(f, n)
-    while y.is_zero:
+    while y.k == 0:
         y = random_code(f, n, rng.randint(1, n), rng)
     zero, full = LinearCode.zero(f, n), LinearCode.full(f, n)
     inside = LinearCode.from_generator(random_matrix(f, rng.randint(1, y.k), y.k, rng) @ y.gen)
@@ -212,7 +212,7 @@ def test_intersection_edge_cases_match_enumeration(q):
             assert set(oracle.enumerate_codewords(inter).words) == expected, label
             assert inter == LinearCode.from_generator(inter.gen), label  # canonical
             if label == "meet in 0":
-                assert inter.is_zero
+                assert inter.k == 0
             if label == "inside":
                 assert inter == x
 

@@ -370,6 +370,13 @@ def test_search_request_validation():
         search_mp_codes(a, SearchRequest(mode="so", ell=0, n=3, dims=(4,)))
     with pytest.raises(ValueError, match="n=0 must be >= 1"):
         search_mp_codes(a, SearchRequest(mode="so", ell=0, n=0, dims=(0,)))
+    # the first draw holds an n x n generator, so a huge n is refused
+    # before any memory is spent on it
+    with pytest.raises(ValueError, match="n=100000 is too large"):
+        search_mp_codes(a, SearchRequest(mode="so", ell=0, n=100000, dims=(1,),
+                                         max_candidates=1))
+    assert search_mp_codes(a, SearchRequest(mode="so", ell=0, n=4096, dims=(1,),
+                                            max_candidates=0)) == []
     with pytest.raises(ValueError):
         search_mp_codes(a, SearchRequest(mode="so", ell=0, n=3, dims=(1,), count=0))
     with pytest.raises(ValueError):
@@ -387,7 +394,7 @@ def test_search_request_validation():
                                          max_candidates=0))
 
 
-@pytest.mark.parametrize("kwargs", [{"enum_cap": -1}, {"lw_cap": -1}, {"chunk": 0}])
+@pytest.mark.parametrize("kwargs", [{"enum_cap": -1}, {"lw_cap": -1}])
 def test_distance_budget_refuses_out_of_range_caps(kwargs):
     with pytest.raises(ValueError):
         DistanceBudget(**kwargs)
