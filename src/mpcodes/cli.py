@@ -266,7 +266,7 @@ def cmd_search(args) -> int:
         print(f"infeasible: {exc}")
         return EXIT_INFEASIBLE
     for idx, hit in enumerate(hits, start=1):
-        big = expand(hit.mp)
+        big = hit.expansion
         print(f"candidate {idx}: [{big.n},{big.k},{hit.distance}] attempt {hit.attempt}")
         text = fmt.dump_mp(hit.mp)
         if args.out:

@@ -362,14 +362,15 @@ class FieldSpec:
         a = np.asarray(a)
         if self.p == 2:
             return np.bitwise_xor.reduce(a, axis=axis)
-        parts = np.moveaxis(a, axis, 0)
+        axis = np.lib.array_utils.normalize_axis_index(axis, a.ndim)
+        parts = a.transpose((axis, *(i for i in range(a.ndim) if i != axis)))
         if len(parts) == 0:
             return np.zeros(parts.shape[1:], dtype=np.uint8)
         while len(parts) > 1:
             half = len(parts) // 2
-            # an odd middle entry is carried to the next round as it is
             folded = self._pairwise(self._ADD, parts[:half], parts[-half:])
-            parts = np.concatenate([folded, parts[half:-half]])
+            # an odd middle entry is carried to the next round as it is
+            parts = folded if 2 * half == len(parts) else np.concatenate([folded, parts[half:-half]])
         return parts[0].astype(np.uint8)
 
     def frobenius_arr(self, a, ell: int) -> np.ndarray:

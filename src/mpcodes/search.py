@@ -33,7 +33,10 @@ candidate, which ``tests/test_search.py`` pins by running the exact
 checkers on every hit of a seeded sweep.
 
 Sampled vectors are uint8 encoding arrays throughout.  Candidates whose
-expanded minimum distance meets the target are reported; a target above
+expanded minimum distance meets the target are reported; one is dropped
+before ``expand`` when a row a_i of A and a row g of C_i's canonical
+generator give 0 < wt(a_i) wt(g) < target, as a_i (x) g is a codeword
+(the upper bound of Blackmore and Norton, AAECC 12, 2001).  A target above
 the Singleton bound of every possible hit, dims that are all 0, or a
 condition between draws whose dimensions sum above the length are
 refused before the first attempt.  Constituent duals are cached for the
@@ -59,9 +62,9 @@ __all__ = ["InfeasibleSearchError", "SearchHit", "SearchRequest", "search_mp_cod
 # Draws one _sample_inside call makes before it gives up.
 _SAMPLE_TRIES = 200
 
-# Largest constituent length a search accepts.  The first draw samples
-# inside the whole space, an n x n generator, and a request's memory
-# grows with n^2: about 12, 48 and 192 MiB at n = 1024, 2048 and 4096.
+# Largest constituent length a search accepts.  The first draw's whole
+# space has an n x n identity generator, so memory grows with n^2: a
+# tracemalloc peak of 1.0, 4.0 and 16.0 MiB per attempt at n = 1024, 2048, 4096.
 _MAX_N = 4096
 
 
@@ -85,6 +88,7 @@ class SearchRequest:
 @dataclass(frozen=True)
 class SearchHit:
     mp: MPCode
+    expansion: LinearCode
     distance: DistanceResult
     attempt: int
 
@@ -94,6 +98,9 @@ def _random_vector_in(code: LinearCode, rng: random.Random) -> np.ndarray:
     encoding array: one coefficient drawn per generator row, in order."""
     spec = code.spec
     lam = np.array([rng.randrange(spec.q) for _ in range(code.k)], dtype=np.uint8)
+    if code.is_full:
+        # the whole space's canonical generator is the identity
+        return lam
     return spec.sum_arr(spec.mul_arr(lam[:, None], code.gen.data), axis=0)
 
 
@@ -123,7 +130,7 @@ def _sample_inside(
         if so_ell is not None and spec.sum_arr(
                 spec.mul_arr(vec, spec.frobenius_arr(vec, so_ell)), axis=0):
             continue
-        if MatGF._of(spec, np.vstack([*rows, vec])).rank() == len(rows) + 1:
+        if not rows or MatGF._of(spec, np.vstack([*rows, vec])).rank() == len(rows) + 1:
             rows.append(vec)
             if so_ell is not None and len(rows) < dim:
                 # restrict further samples to vectors orthogonal to vec in
@@ -208,7 +215,9 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     condition of the matrix, and the refusals below rule out the rest,
     so every completed draw passes the exact checker.  Returns up to
     ``req.count`` hits with a nonzero expansion that (when a target is
-    given, which must be at least 1) meet the distance target.  A request
+    given, which must be at least 1) meet the distance target; a word
+    a_i (x) g below it, g a generator row of C_i, drops a candidate
+    before ``expand``, as the module docstring says.  A request
     no hit can meet is refused with no attempt, after those checks: a hit
     is a nonzero [nN, K] code, so some dim is positive and, by the
     Singleton bound, d <= nN - K + 1, with K = sum(dims) when A has full
@@ -260,6 +269,7 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     rng = random.Random(req.seed)
     # looked up now, not at import, so a wrapped galois_dual is cached too
     dual = functools.cache(LinearCode.galois_dual)
+    row_weights = np.count_nonzero(a.data, axis=1)
     hits: list[SearchHit] = []
     for attempt in range(1, req.max_candidates + 1):
         codes = _attempt(cond, level, req.n, dims, rng, dual)
@@ -267,6 +277,11 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
             continue
         if req.mode == "dc":
             codes = [dual(d, level) for d in codes]
+        # a_i (x) g, for g a row of G_i, is a codeword of weight wt(a_i) wt(g)
+        if req.target is not None and any(
+                wt * np.count_nonzero(c.gen.data, axis=1).min() < req.target
+                for wt, c in zip(row_weights, codes) if wt and c.k):
+            continue
         mp = MPCode(codes, a)
         big = expand(mp)
         if big.k == 0:
@@ -274,7 +289,7 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
         dist = big.min_distance(req.budget)
         if req.target is not None and not (dist.exact and dist.d >= req.target):
             continue
-        hits.append(SearchHit(mp, dist, attempt))
+        hits.append(SearchHit(mp, big, dist, attempt))
         if len(hits) >= req.count:
             break
     return hits

@@ -396,6 +396,14 @@ def test_sum_arr_matches_sequential_sum(q):
                 want = np.array([f.add(int(x), int(y)) for x, y in zip(want, part)])
             got = f.sum_arr(a, axis=axis)
             assert got.dtype == np.uint8 and np.array_equal(got, want), (length, axis)
+    # a 3-D array over each axis, negative ones too: an even, an odd and
+    # a length-3 fold (``oracle._orthogonal_rows`` sums over axis 2)
+    cube = gen.integers(0, q, (4, 5, 3)).astype(np.uint8)
+    for axis in (0, 1, 2, -1, -2, -3):
+        lines = np.moveaxis(cube, axis, -1).tolist()
+        want = [[reduce(f.add, line, 0) for line in plane] for plane in lines]
+        got = f.sum_arr(cube, axis=axis)
+        assert got.dtype == np.uint8 and got.tolist() == want, axis
 
 
 def test_sum_arr_matches_scalar_fold():

@@ -17,6 +17,7 @@ from mpcodes import (
 )
 from mpcodes import oracle
 from mpcodes import search as srch
+from mpcodes.io import load_mp
 from mpcodes.mpcode import (
     MPCode,
     check_dual_containing_general,
@@ -24,7 +25,7 @@ from mpcodes.mpcode import (
     zeta_matrix,
 )
 
-from conftest import mat, random_code, random_matrix
+from conftest import FIXTURES, mat, random_code, random_matrix
 
 
 def sample_inside_by_code_check(ambient, dim, rng, *, so_ell=None, tries=200):
@@ -87,10 +88,11 @@ def test_sample_inside_self_product_rule_matches_code_check(rng, monkeypatch):
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 16])
 def test_random_vector_is_the_scalar_combination_of_the_rows(rng, q):
     # one draw per generator row, in order, combined with scalar add/mul;
-    # the zero code draws nothing and gives the zero word
+    # the zero code draws nothing and gives the zero word, and the whole
+    # space (k = n) gives its draws themselves
     f = field(q)
-    for k in range(4):
-        code = random_code(f, 5, k, rng)
+    for k in range(6):
+        code = LinearCode.full(f, 5) if k == 5 else random_code(f, 5, k, rng)
         seed = rng.randrange(1 << 30)
         r_arr, r_ref = random.Random(seed), random.Random(seed)
         want = [0] * code.n
@@ -204,6 +206,7 @@ def _defining_matrix(spec, m, rank, rng):
             return a
 
 
+
 def test_every_completed_draw_is_a_hit_that_passes_the_exact_checker(rng, monkeypatch):
     # the search checks no attempt: each draw meets the pair and diagonal
     # conditions by construction and the refusals rule out the rest, so
@@ -249,6 +252,116 @@ def test_every_completed_draw_is_a_hit_that_passes_the_exact_checker(rng, monkey
             assert check(hit.mp, ell).verdict is Verdict.HOLDS, (q, mode, ell, hit.mp)
         hits_by_case[q, mode, ell, m, rank] += len(hits)
     assert all(hits_by_case.values()), hits_by_case
+
+
+def _lightest_row_bound(mp):
+    """(w, word) for the lightest word a_i (x) g of the expansion, over
+    the nonzero rows a_i of A with C_i nonzero and the rows g of C_i's
+    canonical generator, so d <= w; None when no such pair exists, that
+    is when the expansion is the zero code."""
+    spec = mp.spec
+    words = [spec.mul_arr(row[:, None], g[None, :]).reshape(-1)
+             for row, c in zip(mp.defmatrix.data, mp.constituents) if row.any()
+             for g in c.gen.data]
+    if not words:
+        return None
+    word = min(words, key=np.count_nonzero)
+    return int(np.count_nonzero(word)), word
+
+
+def test_bound_rejects_before_expand_only_candidates_below_the_target(rng, monkeypatch):
+    # with a target, a draw whose lightest a_i (x) g word is below it is
+    # dropped before ``expand``; the hits stay exactly the draws whose
+    # nonzero expansion meets the target, as when every draw was expanded
+    draws, expanded = [], []
+
+    def recorded(cond, level, *args, real=srch._attempt):
+        draws.append((level, real(cond, level, *args)))
+        return draws[-1][1]
+
+    def counted(mp, real=srch.expand):
+        expanded.append(mp)
+        return real(mp)
+
+    monkeypatch.setattr(srch, "_attempt", recorded)
+    monkeypatch.setattr(srch, "expand", counted)
+    # so and dc with full-rank A at every level, and so with a 3 x 3 A of
+    # rank 2 (dc refuses a rank-deficient A)
+    cases = [(q, mode, ell, m, m) for q in (2, 3, 4, 5, 8, 9) for ell in range(field(q).e)
+             for mode in ("so", "dc") for m in (2, 3)]
+    cases += [(q, "so", ell, 3, 2) for q in (2, 3, 4, 5, 8, 9) for ell in range(field(q).e)]
+    outcomes = Counter()
+    for q, mode, ell, m, rank in cases * 2:
+        spec = field(q)
+        a = _defining_matrix(spec, m, rank, rng)
+        n = rng.randint(2, 6)
+        lo, hi = (0, n // 2) if mode == "so" else ((n + 1) // 2, n)
+        dims = tuple(rng.randint(lo, hi) for _ in range(m))
+        # count above max_candidates: every attempt runs
+        req = SearchRequest(mode=mode, ell=ell, n=n, dims=dims, target=rng.randint(1, n + 1),
+                            seed=rng.randrange(1 << 30), count=5, max_candidates=4)
+        draws.clear()
+        expanded.clear()
+        hits = search_mp_codes(a, req)
+        want, passed = [], []
+        for attempt, (level, codes) in enumerate(draws, start=1):
+            if codes is None:
+                continue
+            if mode == "dc":
+                codes = [d.galois_dual(level) for d in codes]
+            mp = MPCode(codes, a)
+            big = expand(mp)
+            bound = _lightest_row_bound(mp)
+            dist = big.min_distance(req.budget) if big.k else None
+            meets = dist is not None and dist.exact and dist.d >= req.target
+            if bound is not None and bound[0] < req.target:
+                assert not meets, (q, mode, ell, mp)
+                outcomes[mode, "rejected by the bound"] += 1
+                continue
+            passed.append(mp)
+            outcomes[mode, "hit" if meets else "expanded, no hit"] += 1
+            if meets:
+                want.append((attempt, mp))
+        assert [(hit.attempt, hit.mp) for hit in hits] == want, (q, mode, ell, a, req)
+        assert expanded == passed, (q, mode, ell, a, req)
+    assert len(outcomes) == 6 and all(outcomes.values()), outcomes
+
+
+def test_lightest_row_bound_holds_for_fixtures_and_random_codes(rng):
+    # a_i (x) g is a codeword of weight wt(a_i) wt(g) for any A, so
+    # d <= that weight, also with A rank-deficient or with a zero row and
+    # with zero constituents; the oracle checks d where q^k is within its
+    # cap, and the word's membership is checked everywhere
+    mps = []
+    for path in sorted(FIXTURES.glob("*.mp")):
+        if "corrupt" not in path.name:
+            mps.append(load_mp(path.read_text())[0])
+    fixtures = len(mps)
+    for _ in range(300):
+        spec = field(rng.choice([2, 3, 4, 5, 8, 9]))
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        data = random_matrix(spec, m, rng.randint(1, 3), rng).data.copy()
+        if rng.random() < 0.3:
+            data[rng.randrange(m)] = 0
+        codes = [random_code(spec, n, rng.randint(0, n), rng) for _ in range(m)]
+        mps.append(MPCode(codes, MatGF(spec, data)))
+    seen = Counter()
+    for idx, mp in enumerate(mps):
+        big = expand(mp)
+        bound = _lightest_row_bound(mp)
+        if big.k == 0:
+            assert bound is None, mp
+            continue
+        weight, word = bound
+        assert LinearCode.from_generator(MatGF(mp.spec, word[None, :])).is_subcode(big)
+        if mp.spec.q ** big.k <= oracle.DEFAULT_CAP:
+            assert oracle.min_distance_exhaustive(big) <= weight, mp
+            a = mp.defmatrix
+            seen["fixture" if idx < fixtures else "random"] += 1
+            seen["rank-deficient"] += a.rank() < a.rows
+            seen["zero row"] += not all(row.any() for row in a.data)
+            seen["zero constituent"] += any(c.k == 0 for c in mp.constituents)
+    assert seen["fixture"] == 6 and all(seen[k] >= 10 for k in seen if k != "fixture"), seen
 
 
 @pytest.mark.parametrize("max_candidates", [0, 5])
