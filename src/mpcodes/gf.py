@@ -334,16 +334,26 @@ class FieldSpec:
 
     # -- bulk (numpy) operations on encoding arrays -----------------------
 
-    def _pairwise(self, table: np.ndarray, a, b) -> np.ndarray:
-        """table[a, b] of a q x q table, ``take`` at a*q + b; the
-        temporaries are the uint16 index and its intp copy, 10 bytes per
-        output entry."""
-        return table.take(np.asarray(a, dtype=np.uint16) * self.q + b)
+    def _pairwise(self, table: np.ndarray, a, b, out=None) -> np.ndarray:
+        """table[a, b] of a q x q table, ``take`` at a*q + b.  Without
+        ``out`` the temporaries are the uint16 index and its intp copy, 10
+        bytes per output entry.  With ``out`` the taken array is one more
+        temporary byte, copied into ``out``: ``take(..., out=out)`` in its
+        ``raise`` mode would itself fill a copy of ``out`` and copy that
+        back, and its other modes would not refuse an index past the
+        table."""
+        words = table.take(np.asarray(a, dtype=np.uint16) * self.q + b)
+        if out is None:
+            return words
+        out[...] = words
+        return out
 
-    def add_arr(self, a, b) -> np.ndarray:
+    def add_arr(self, a, b, out=None) -> np.ndarray:
+        """a + b, written into and returning ``out`` when given (a uint8
+        array of the broadcast shape, for p = 2 of the operands' dtype)."""
         if self.p == 2:
-            return np.bitwise_xor(a, b)
-        return self._pairwise(self._ADD, a, b)
+            return np.bitwise_xor(a, b, out=out)
+        return self._pairwise(self._ADD, a, b, out)
 
     def neg_arr(self, a) -> np.ndarray:
         return self._NEG[a]

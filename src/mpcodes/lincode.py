@@ -13,15 +13,16 @@ Minimum distance is decided by one information-set enumerator
 (Brouwer-Zimmermann): the columns are split greedily into disjoint
 information sets, messages of weight 1, 2, ... are listed on each set's
 systematic generator (first nonzero coefficient 1), each codeword by one
-table add to a codeword of one less weight, and the sum over the sets of
-the weight an unlisted codeword must still have there is a certified
-lower bound.  Codewords are held coordinate-major, one column each, so
-the adds and the weight counts run along rows as long as a block.  For
-odd p a codeword is its n uint8 coordinates.  For p = 2 it is e
-bit-planes, each packed along the coordinate axis into unsigned
-integers of up to 64 bits (ceil(n / 8) bytes a plane, rounded up to 1,
-2, 4 or a multiple of 8), added by XOR and weighed by the popcount of
-the planes' OR.  The ``strategy`` of a result says how it was obtained:
+table add to a codeword of one less weight, written in place into the
+array of its level, and the sum over the sets of the weight an unlisted
+codeword must still have there is a certified lower bound.  Codewords
+are held coordinate-major, one column each, so the adds and the weight
+counts run along rows as long as a block.  For odd p a codeword is its
+n uint8 coordinates.  For p = 2 it is e bit-planes, each packed along
+the coordinate axis into unsigned integers of up to 64 bits (ceil(n / 8)
+bytes a plane, rounded up to 1, 2, 4 or a multiple of 8), added by XOR
+and weighed by the popcount of the planes' OR.  The ``strategy`` of a
+result says how it was obtained:
 
 * ``enum``: q^k <= ``enum_cap``; the enumerator runs uncapped (exact),
 * ``info-sets``: q^k > ``enum_cap`` and at least two sets have rank k;
@@ -276,8 +277,10 @@ _FINISH_WORDS = 1 << 10
 
 # Codewords held in memory at once during enumeration; the words of a
 # block's middle levels, from which its last level is built, count toward
-# it.  A word is n bytes for odd p, and e packed bit-planes of ceil(n / 8)
-# bytes each, rounded up to 1, 2, 4 or a multiple of 8, for p = 2.
+# it; each level is one array that the adds write in place, so no other
+# copy of a level is held.  A word is n bytes for odd p, and e packed
+# bit-planes of ceil(n / 8) bytes each, rounded up to 1, 2, 4 or a
+# multiple of 8, for p = 2.
 _CHUNK = 1 << 18
 
 
@@ -376,7 +379,11 @@ def _message_blocks(spec: FieldSpec, scaled: np.ndarray, w: int, chunk: int):
     for each first position i, is the multiples of row i added with one
     table add to the level t - 1 words on positions after i, which in
     lexicographic order are a contiguous column suffix of that level.
-    So every word costs one add, and no index array is built.
+    Each such add writes its words into their columns of the level,
+    allocated once (``add_arr`` with ``out``): for p = 2 the XOR itself
+    writes there, with no temporary word array and no copy; for odd p
+    the table lookup's result is copied in.  So every word costs one
+    add, and no index array is built.
     Level t only needs first positions u - t to m - t (from 0): then it
     has C(m - u + t, t) (q - 1)^t words (over q - 1 if its first
     coefficient is 1), never more than the next level.  A block is built
@@ -394,11 +401,14 @@ def _message_blocks(spec: FieldSpec, scaled: np.ndarray, w: int, chunk: int):
         starts = range(0, words.shape[1], heads.shape[2])
         for t in range(2, left + 1):
             heads = scaled[:, first + left - t : k - t + 1, : 1 if lead and t == left else qm1]
-            sizes = [heads.shape[2] * (words.shape[1] - s) for s in starts]
+            width = heads.shape[2]
+            sizes = [width * (words.shape[1] - s) for s in starts]
             ats = list(accumulate(sizes, initial=0))
             level = np.empty((n, ats[-1]), dtype=scaled.dtype)
             for head, s, at, size in zip(heads.swapaxes(0, 1)[..., None], starts, ats, sizes):
-                level[:, at : at + size] = spec.add_arr(head, words[:, None, s:]).reshape(n, -1)
+                # a view of the segment's columns, one run of words per coefficient
+                out = level[:, at : at + size].reshape(n, width, -1)
+                spec.add_arr(head, words[:, None, s:], out)
             words, starts = level, ats[:-1]
         return words
 

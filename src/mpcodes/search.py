@@ -13,8 +13,9 @@ pattern is nonzero at (i, j):
 * a condition on a single code is met by greedy extension: each sampled
   row is drawn orthogonal to the rows chosen so far, and kept only if
   its own self-product vanishes; after each kept row the sampling space
-  is narrowed, by one kernel, to its intersection with the two Galois
-  duals of that one row.
+  is narrowed to its intersection with the two Galois duals of that one
+  row, as the Euclidean dual of its dual plus the row's two twists, so
+  each elimination has at most n - k + 2 rows for a space of dimension k.
 
 Self-orthogonality search draws the constituents themselves, at level l
 under sigma^l(A) @ A^T.  Dual-containment search works in the dual
@@ -63,8 +64,11 @@ __all__ = ["InfeasibleSearchError", "SearchHit", "SearchRequest", "search_mp_cod
 _SAMPLE_TRIES = 200
 
 # Largest constituent length a search accepts.  The first draw's whole
-# space has an n x n identity generator, so memory grows with n^2: a
-# tracemalloc peak of 1.0, 4.0 and 16.0 MiB per attempt at n = 1024, 2048, 4096.
+# space has an n x n identity generator, and a draw from a narrowed space
+# scales each of its about n rows, so memory grows with n^2.  One
+# attempt's tracemalloc peak at n = 1024, 2048, 4096: 1.0, 4.0 and 16.0 MiB
+# for A = [1 1] over GF(2), dims (1,); 13, 52 and 208 MiB for SO with
+# A = [1], dims (2,), whose second row is drawn from a narrowed space.
 _MAX_N = 4096
 
 
@@ -104,12 +108,27 @@ def _random_vector_in(code: LinearCode, rng: random.Random) -> np.ndarray:
     return spec.sum_arr(spec.mul_arr(lam[:, None], code.gen.data), axis=0)
 
 
+def _narrowed(space: LinearCode, vec: np.ndarray, ell: int) -> LinearCode:
+    """The vectors of space orthogonal to vec in both slot orders of the
+    l-Galois form, x @ T^T = 0 for T = [sigma^l(vec); sigma^(e-l)(vec)]:
+    the Euclidean dual of dual(space) + <T>, with dual(space) read off
+    the canonical generator.  Neither elimination has more than n - k + 2
+    rows, k the dimension of space, so near the whole space both are
+    small; the result is canonical, the same code however it is reached."""
+    spec = space.spec
+    twists = np.vstack([spec.frobenius_arr(vec, lv) for lv in (ell, (spec.e - ell) % spec.e)])
+    checks = MatGF.vstack([space.parity_check(), MatGF._of(spec, twists)])
+    return LinearCode.from_generator(checks).euclidean_dual()
+
+
 def _sample_inside(
     ambient: LinearCode, dim: int, rng: random.Random, *, so_ell: int | None = None
 ) -> LinearCode | None:
     """A random dim-dimensional subcode of ambient, from at most
     ``_SAMPLE_TRIES`` draws; when ``so_ell`` is given, the result is
-    additionally l-Galois self-orthogonal."""
+    additionally l-Galois self-orthogonal, and each kept row but the
+    last narrows the space the next rows are drawn from (see
+    :func:`_narrowed`)."""
     spec = ambient.spec
     if dim > ambient.k:
         return None
@@ -135,13 +154,8 @@ def _sample_inside(
             if so_ell is not None and len(rows) < dim:
                 # restrict further samples to vectors orthogonal to vec in
                 # both slot orders; dual(R + <vec>) = dual(R) & dual(<vec>),
-                # so space stays ambient & both duals of all the rows.  With
-                # G its generator, x = lam @ G is orthogonal to vec in both
-                # iff lam @ G @ [sigma^l(vec); sigma^(e-l)(vec)]^T = 0
-                twists = np.vstack([spec.frobenius_arr(vec, lv)
-                                    for lv in (so_ell, (spec.e - so_ell) % spec.e)])
-                msgs = (space.gen @ MatGF._of(spec, twists).T).T.kernel_basis()
-                space = LinearCode.from_generator(msgs @ space.gen)
+                # so space stays ambient & both duals of all the rows
+                space = _narrowed(space, vec, so_ell)
     if len(rows) != dim:
         return None
     return LinearCode.from_generator(MatGF._of(spec, np.vstack(rows)))

@@ -222,10 +222,31 @@ def _hamming_8():
     return LinearCode.from_generator(MatGF(f8, [list(c) for c in zip(*points)])).euclidean_dual()
 
 
+def _hamming_3():
+    """The ternary Hamming [13, 10, 3] code: the dual of the code whose
+    generator's columns are the points of PG(2, 3)."""
+    f3 = field(3)
+    points = [v for v in product(range(3), repeat=3) if any(v) and next(filter(None, v)) == 1]
+    return LinearCode.from_generator(MatGF(f3, [list(c) for c in zip(*points)])).euclidean_dual()
+
+
+def _grs_9_8():
+    """A generalized Reed-Solomon [8, 4, 5] code over GF(9): MDS."""
+    f9 = field(9)
+    rows = [[f9.pow(x, i) if (x or i) else 1 for x in range(8)] for i in range(4)]
+    return LinearCode.from_generator(MatGF(f9, rows))
+
+
+def _random_5():
+    """A seeded random [30, 10, 10] code over GF(5)."""
+    return random_code(field(5), 30, 10, random.Random(5))
+
+
 # min_distance(DistanceBudget(enum_cap=1, lw_cap=L)) as (L, lower, upper,
 # strategy), with L one below and at the codewords listed by the end of
-# each step (the level boundaries); the values the enumerator gave when
-# it held every word as uint8 coordinates
+# each step (the level boundaries); over GF(2^e) the values the
+# enumerator gave when it held every word as uint8 coordinates, over odd
+# q those it gave before its levels were written in place
 CAPPED_BRACKETS = {
     _reed_muller_2_6: [
         (43, 3, 16, "bounds"), (44, 4, 16, "bounds"), (274, 4, 16, "bounds"),
@@ -245,14 +266,27 @@ CAPPED_BRACKETS = {
         (26056, 8, 9, "bounds"), (262305, 8, 9, "bounds"), (262306, 9, 9, "info-sets"),
     ],
     _hamming_8: [(16974, 2, 3, "bounds"), (16975, 3, 3, "low-weight")],
+    _hamming_3: [(99, 2, 3, "bounds"), (100, 3, 3, "low-weight")],
+    _grs_9_8: [
+        (51, 2, 5, "bounds"), (52, 3, 5, "bounds"), (307, 3, 5, "bounds"),
+        (308, 4, 5, "bounds"), (819, 4, 5, "bounds"), (820, 5, 5, "info-sets"),
+    ],
+    _random_5: [
+        (19, 4, 17, "bounds"), (20, 5, 15, "bounds"), (29, 5, 15, "bounds"),
+        (30, 6, 15, "bounds"), (209, 6, 15, "bounds"), (210, 7, 13, "bounds"),
+        (389, 7, 13, "bounds"), (390, 8, 12, "bounds"), (569, 8, 12, "bounds"),
+        (570, 9, 12, "bounds"), (2489, 9, 12, "bounds"), (2490, 10, 12, "bounds"),
+        (4409, 10, 12, "bounds"), (4410, 10, 10, "info-sets"),
+    ],
 }
 
 
 @pytest.mark.parametrize("make", CAPPED_BRACKETS, ids=lambda m: m.__name__)
-def test_capped_brackets_over_gf2e(make):
-    """Over GF(2^e) the capped enumerator keeps the brackets it gave on
-    uint8 words at every level boundary: the same levels list the same
-    words, and ``lw_cap`` counts them alike."""
+def test_capped_brackets_at_level_boundaries(make):
+    """The capped enumerator keeps its recorded brackets at every level
+    boundary, over GF(2^e) (packed bit-plane words) and odd q (uint8
+    words): the same levels list the same words, and ``lw_cap`` counts
+    them alike."""
     code = make()
     for cap, lower, upper, strategy in CAPPED_BRACKETS[make]:
         r = code.min_distance(DistanceBudget(enum_cap=1, lw_cap=cap))

@@ -421,6 +421,27 @@ def test_sum_arr_matches_scalar_fold():
             assert acc == int(g)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16, 251])
+def test_add_arr_writes_into_a_strided_view(q):
+    # as the enumerator does, broadcast operands are added straight into
+    # a 3-D view of a larger buffer; a step-2 column slice makes it
+    # strided on every axis, and the entries outside it stay as they were
+    f = field(q)
+    gen = np.random.default_rng(q)
+    a = gen.integers(0, q, (4, 3, 1), dtype=np.uint8)
+    b = gen.integers(0, q, (4, 1, 5), dtype=np.uint8)
+    buf = gen.integers(0, 256, (6, 40), dtype=np.uint8)
+    before = buf.copy()
+    out = buf[1:5, 7:37:2].reshape(4, 3, 5)
+    assert out.base is buf and not out.flags.c_contiguous
+    assert f.add_arr(a, b, out) is out
+    want = [[[f.add(int(x), int(y)) for y in b[i, 0]] for x in a[i, :, 0]] for i in range(4)]
+    assert out.tolist() == want == f.add_arr(a, b).tolist()
+    inside = np.zeros(buf.shape, dtype=bool)
+    inside[1:5, 7:37:2] = True
+    assert (buf[~inside] == before[~inside]).all()
+
+
 @given(
     q=st.sampled_from([4, 8, 9, 16, 27]),
     ell=st.integers(min_value=0, max_value=4),

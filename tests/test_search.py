@@ -104,6 +104,50 @@ def test_random_vector_is_the_scalar_combination_of_the_rows(rng, q):
         assert r_arr.getstate() == r_ref.getstate()
 
 
+def narrowed_by_kernel(space, vec, ell):
+    """The narrowing's former formula: with G the space's generator, the
+    messages m with m @ G @ T^T = 0, T = [sigma^l(vec); sigma^(e-l)(vec)],
+    give the space's vectors orthogonal to vec in both slot orders."""
+    spec = space.spec
+    twists = MatGF._of(spec, np.vstack(
+        [spec.frobenius_arr(vec, lv) for lv in (ell, (spec.e - ell) % spec.e)]))
+    msgs = (space.gen @ twists.T).T.kernel_basis()
+    return LinearCode.from_generator(msgs @ space.gen)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_narrowed_space_is_the_kernel_formula_space(rng, q):
+    # full and partial spaces; vectors drawn inside them (self-orthogonal
+    # or not), random vectors and the zero vector; every level
+    f = field(q)
+    kinds = Counter()
+    for trial in range(40):
+        n = rng.randint(2, 9)
+        space = LinearCode.full(f, n) if trial % 4 == 0 else random_code(f, n, rng.randint(1, n - 1), rng)
+        vec = [srch._random_vector_in(space, rng),
+               np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8),
+               np.zeros(n, dtype=np.uint8)][trial % 3]
+        for ell in range(f.e):
+            got = srch._narrowed(space, vec, ell)
+            assert got == narrowed_by_kernel(space, vec, ell), (trial, space, vec, ell)
+            kinds[space.is_full, got.k < space.k] += 1
+    # every kind: full or partial space, narrowed or kept
+    assert len(kinds) == 4, kinds
+
+
+def test_so_attempt_at_length_1024_eliminates_only_a_few_rows(monkeypatch):
+    # narrowing the whole space by one row's twists eliminates the two
+    # twists, not the n - 2 rows of the narrowed space's generator
+    shapes = []
+    rref = MatGF.rref
+    monkeypatch.setattr(MatGF, "rref", lambda self: shapes.append(self.shape) or rref(self))
+    for q in (2, 3):
+        req = SearchRequest(mode="so", ell=0, n=1024, dims=(2,), seed=q, max_candidates=1)
+        hits = search_mp_codes(MatGF(field(q), [[1]]), req)
+        assert [h.mp.constituents[0].k for h in hits] == [2]
+    assert shapes and max(rows for rows, _ in shapes) <= 4, shapes
+
+
 def test_so_search_backward_identity_gram():
     f2 = field(2)
     a = MatGF(f2, [[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]])
