@@ -384,7 +384,3 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -102,8 +102,6 @@ def _poly_trim(a: list[int]) -> list[int]:
 
 
 def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -285,8 +283,6 @@ class FieldSpec:
         )
 
     def _mul_direct(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         prod = _poly_mul(self._digits(a), self._digits(b), self.p)
         prod = _poly_mod(prod, list(self.modulus), self.p)
         return self._encode(prod)
@@ -297,9 +293,6 @@ class FieldSpec:
         """Refuse a Galois level outside 0 <= ell < e."""
         if not 0 <= ell < self.e:
             raise ValueError(f"ell={ell} out of range [0, {self.e})")
-
-    def add(self, a: int, b: int) -> int:
-        return self._ADD.item(_enc(a), _enc(b))
 
     def neg(self, a: int) -> int:
         return self._NEG.item(_enc(a))
@@ -317,7 +310,7 @@ class FieldSpec:
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:
-            a, k = self.inv(a), -k
+            raise ValueError(f"exponent {k} is negative")
         result, base = 1, a
         while k:
             if k & 1:

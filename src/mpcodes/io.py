@@ -4,7 +4,10 @@ Every file starts with a field header line::
 
     field p=<p> e=<e> mod=<c_0>,<c_1>,...,<c_e>
 
-where ``mod=`` may be omitted to select the default modulus table entry.
+where ``mod=`` may be omitted to select the field ``FieldSpec(p, e)``
+gives: the default modulus table entry, or x - g (g the smallest
+primitive root) for a prime field outside the table.  A written header
+omits ``mod=`` exactly when the field is that one.
 Lines starting with ``#`` and blank lines are ignored everywhere.
 
 A matrix body is ``matrix <rows> <cols>`` followed by one row per line
@@ -110,7 +113,8 @@ class _Lines:
 
 def field_header(spec: FieldSpec) -> str:
     base = f"field p={spec.p} e={spec.e}"
-    if DEFAULT_MODULI.get(spec.q) == spec.modulus:
+    # FieldSpec(p, e) names a field when e == 1 or q has a default modulus
+    if (spec.e == 1 or spec.q in DEFAULT_MODULI) and spec is FieldSpec(spec.p, spec.e):
         return base
     return base + " mod=" + ",".join(str(c) for c in spec.modulus)
 

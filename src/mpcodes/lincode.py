@@ -233,12 +233,9 @@ class LinearCode:
         return (self.gen @ self.gen.frobenius_map(ell).T).is_zero()
 
     def is_galois_dual_containing(self, ell: int) -> bool:
-        """True iff the code contains its own l-Galois dual.  The dual has
-        dimension n - k, so never when 2k < n; else, with H spanning the
-        Euclidean dual, iff sigma^(e-l)(H) @ H^T = 0."""
+        """True iff the code contains its own l-Galois dual: with H
+        spanning the Euclidean dual, iff sigma^(e-l)(H) @ H^T = 0."""
         self.spec.check_ell(ell)
-        if 2 * self.k < self.n:
-            return False
         h = self.parity_check()
         return (h.frobenius_map(self.spec.e - ell) @ h.T).is_zero()
 

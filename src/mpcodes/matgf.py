@@ -106,10 +106,7 @@ class MatGF:
         cols = {m.cols for m in mats if m.rows}
         if len(cols) > 1:
             raise DimensionError("column counts differ")
-        ncol = cols.pop() if cols else mats[0].cols
-        blocks = [m.data for m in mats if m.rows] or [
-            np.zeros((0, ncol), dtype=np.uint8)
-        ]
+        blocks = [m.data for m in mats if m.rows] or [mats[0].data]
         return cls._of(mats[0].spec, np.vstack(blocks))
 
     @classmethod

@@ -2,7 +2,7 @@
 
 Each command runs in process through ``mpcodes.cli.main`` with the
 working directory set to a scratch directory that holds a link to
-``fixtures/`` and the malformed inputs of ``MALFORMED``; every path in
+``fixtures/`` and the inputs of ``MALFORMED`` and ``EDGES``; every path in
 an argv is therefore relative, and the recorded output does not depend
 on where the repository lives.  ``tests/test_transcripts.py`` replays
 the recorded file.  After a deliberate output change, regenerate it
@@ -30,6 +30,8 @@ from unittest import mock
 ROOT = Path(__file__).resolve().parent.parent
 TRANSCRIPTS = Path(__file__).resolve().parent / "cli_transcripts.json"
 
+SEARCH_ARGS = ["--mode", "so", "--n", "9", "--dims", "1,2", "--target", "24"]
+
 # Input files of the malformed and the token-spelling commands, written
 # next to the fixture link before the matrix runs.
 MALFORMED = {
@@ -54,11 +56,49 @@ MALFORMED = {
         "constituent 1\ncode 4 2\n+1 a^0 0 a^01\n0 01 a^01 a^2\n"
     ),
 }
+# Valid inputs that reach what no fixture does: a GF(17) field, which
+# has no default-table modulus; GF(8) with a modulus other than the
+# default; a defining matrix with a zero row (the dual's discarded rows,
+# and SO candidates whose expansion is zero); a [14,6] code whose two
+# zero columns end its information sets before its bound meets d.
+EDGES = {
+    "edge/f17.mp": (
+        "field p=17 e=1\ndefmatrix\nmatrix 2 2\n1 1\n1 16\n"
+        "constituent 1\ncode 3 2\n1 0 5\n0 1 3\nconstituent 2\ncode 3 1\n1 1 1\n"
+    ),
+    "edge/f8_mod.mp": (
+        "field p=2 e=3 mod=1,0,1,1\ndefmatrix\nmatrix 2 2\n1 1\n0 a\n"
+        "constituent 1\ncode 3 2\n1 0 a\n0 1 a^3\nconstituent 2\ncode 3 1\n1 1 1\n"
+    ),
+    "edge/zero_row.mp": (
+        "field p=3 e=1\ndefmatrix\nmatrix 2 2\n1 1\n0 0\n"
+        "constituent 1\ncode 3 1\n1 1 1\nconstituent 2\ncode 3 2\n1 0 1\n0 1 2\n"
+    ),
+    "edge/zero_row.mat": "field p=3 e=1\nmatrix 2 2\n1 1\n0 0\n",
+    "edge/zero_cols.code": (
+        "field p=2 e=2\ncode 14 6\n"
+        "1 0 0 0 0 0 1 a^2 1 a 1 a 0 0\n0 1 0 0 0 0 a a a^2 a 1 1 0 0\n"
+        "0 0 1 0 0 0 a 1 a a a^2 1 0 0\n0 0 0 1 0 0 a^2 a a a^2 1 a^2 0 0\n"
+        "0 0 0 0 1 0 1 a 1 1 1 a^2 0 0\n0 0 0 0 0 1 a^2 1 a a^2 1 a 0 0\n"
+    ),
+}
+EDGE_COMMANDS = [
+    *([sub, path, *extra] for path in ("edge/f17.mp", "edge/f8_mod.mp")
+      for sub, *extra in (["mp"], ["dual", "--ell", "0"], ["check", "--mode", "so"])),
+    ["dual", "edge/zero_row.mp"],
+    ["search", "--matrix", "edge/zero_row.mat", "--mode", "so", "--n", "3", "--dims", "0,1",
+     "--search-cap", "5"],
+    ["info", "edge/zero_cols.code", "--enum-cap", "1"],
+    ["info", "bad/zero.code"],
+    # --out into the sandbox, where the earlier --out commands fail
+    ["mp", "fixtures/f2_2x5_so.mp", "--out", "expanded.code"],
+    ["dual", "fixtures/f2_2x5_so.mp", "--out", "dual.code"],
+    ["search", "--matrix", "fixtures/f2_2x5_so_matrix.mat", *SEARCH_ARGS, "--out", "hit"],
+]
 # Lenient spellings of valid tokens (printed in canonical tokens, exit
 # 0) and an exponent outside GF(4)'s range (exit 10).
 SPELLINGS = [["mp", "tokens/spelled.mp"], ["mp", "bad/bad_exponent.mp"]]
 
-SEARCH_ARGS = ["--mode", "so", "--n", "9", "--dims", "1,2", "--target", "24"]
 # A target below the Singleton bound (43 for this [45, 3] expansion) that
 # no sample meets: the search runs all its attempts and exits 2.
 CAPPED_SEARCH = ["search", "--matrix", "fixtures/f2_2x5_so_matrix.mat", "--mode", "so",
@@ -124,9 +164,9 @@ def commands() -> list[list[str]]:
     fixture under info, mp and search; every MP fixture under dual,
     check and verify at each valid ell; the dual-containing searches;
     a search that runs out of attempts; the malformed inputs; the token
-    spellings; each of
-    these plain and with --machine; then the capped distance runs of
-    info, mp and dual."""
+    spellings; the edge inputs and the --out runs; each of these plain
+    and with --machine; then the capped distance runs of info, mp and
+    dual."""
     base = []
     fixtures = sorted((ROOT / "fixtures").iterdir())
     for path in fixtures:
@@ -147,7 +187,7 @@ def commands() -> list[list[str]]:
                 ["verify", rel, *e],
             ]
     base += [*DC_SEARCHES, CAPPED_SEARCH]
-    base += _malformed() + SPELLINGS
+    base += _malformed() + SPELLINGS + EDGE_COMMANDS
     out = [argv + extra for argv in base for extra in ([], ["--machine"])]
     for path in fixtures:
         rel = f"fixtures/{path.name}"
@@ -161,12 +201,12 @@ def commands() -> list[list[str]]:
 
 @contextlib.contextmanager
 def sandbox():
-    """A scratch working directory with ``fixtures`` and ``MALFORMED``,
-    and a fixed terminal width for argparse's usage lines."""
+    """A scratch working directory with ``fixtures``, ``MALFORMED`` and
+    ``EDGES``, and a fixed terminal width for argparse's usage lines."""
     old_cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, COLUMNS="80"):
         os.symlink(ROOT / "fixtures", Path(tmp) / "fixtures")
-        for name, text in MALFORMED.items():
+        for name, text in {**MALFORMED, **EDGES}.items():
             path = Path(tmp) / name
             path.parent.mkdir(exist_ok=True)
             path.write_text(text)

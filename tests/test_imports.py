@@ -11,19 +11,10 @@ Stand-ins for an unused-code lint, on modules parsed with ``ast``:
 * every option of every CLI subcommand except ``--machine`` is read as
   ``args.<dest>`` by the subcommand's ``cmd_*`` function or by a ``cli``
   function that it calls, directly or not;
-* every private function and method of ``src/mpcodes`` (one whose name
-  starts with a single underscore) is read, as a name or an attribute,
-  somewhere in ``src/mpcodes`` outside its own body, except the test
-  references of ``TEST_REFERENCES``;
 * no ``src/mpcodes`` module imports a name that starts with an
   underscore from another module of the package: a private helper has
   one module as its home and is reached only through that module's
   public functions;
-* every public method of a ``src/mpcodes`` class is read as an attribute
-  somewhere in ``src/mpcodes`` or ``bench`` outside its own body, except
-  those of ``UNREAD_METHODS``; a public property counts as read only
-  through an attribute load that is not itself called, so that a
-  same-named method call (``MatGF.is_zero()``) does not read it;
 * every parameter with a default of a ``src/mpcodes`` function, and every
   defaulted init field of a ``src/mpcodes`` dataclass, is passed, by
   position or by name, to a call of that function's (or class's) name
@@ -32,6 +23,9 @@ Stand-ins for an unused-code lint, on modules parsed with ``ast``:
 * importing ``mpcodes.cli`` in a fresh interpreter builds no field and
   loads no module beyond numpy's, the package's and those of a listed
   few standard-library modules.
+
+Whether a function, method or branch has a caller at all is measured,
+not read off names: see ``tests/test_reachability.py``.
 """
 
 import argparse
@@ -128,26 +122,6 @@ def test_every_exported_name_has_a_reader():
     assert not unread, f"exported but never read: {unread}"
 
 
-# Private helpers that nothing in the package reads, kept as the
-# reference its tests compare against: (module, name).
-TEST_REFERENCES = {("gf.py", "_add_direct")}  # tests/test_gf.py
-
-
-def test_every_private_function_has_a_reader():
-    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
-    reads = sum((_reads(tree) for tree in trees.values()), Counter())
-    unread = [
-        f"{path.name}: {fn.name}"
-        for path, tree in trees.items()
-        for fn in ast.walk(tree)
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and fn.name.startswith("_") and not fn.name.startswith("__")
-        and (path.name, fn.name) not in TEST_REFERENCES
-        and not reads[fn.name] - _reads(fn)[fn.name]
-    ]
-    assert not unread, f"private functions never read: {unread}"
-
-
 def test_no_module_imports_a_private_name_of_the_package():
     imported = [
         f"{path.name}:{node.lineno}: {alias.name}"
@@ -159,51 +133,6 @@ def test_no_module_imports_a_private_name_of_the_package():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert not imported, f"private names imported across modules: {imported}"
-
-
-# Public methods that nothing in the package or the benchmark reads,
-# kept for a reader outside them: (class, name).
-UNREAD_METHODS = {("MatGF", "block_diag")}  # wrapped by bench/trace.py
-
-PROPERTIES = ("property", "cached_property")
-
-
-def _attribute_reads(node: ast.AST, uncalled: bool = False) -> Counter:
-    """How often each name is read in the subtree as an attribute; with
-    ``uncalled``, only the reads that are not themselves called."""
-    calls = {id(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)} if uncalled else ()
-    return Counter(n.attr for n in ast.walk(node)
-                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-                   and id(n) not in calls)
-
-
-def _unread_members(properties: bool) -> list[str]:
-    """The public methods (or properties) of ``src/mpcodes`` classes that
-    nothing in ``src/mpcodes`` or ``bench`` reads outside their own body;
-    a property is read only by an attribute load that is not called."""
-    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in READERS}
-    reads = sum((_attribute_reads(tree, properties) for tree in trees.values()), Counter())
-    return [
-        f"{path.name}: {cls.name}.{fn.name}"
-        for path in sorted(SRC.glob("*.py"))
-        for cls in ast.walk(trees[path])
-        if isinstance(cls, ast.ClassDef)
-        for fn in cls.body
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not fn.name.startswith("_") and (cls.name, fn.name) not in UNREAD_METHODS
-        and any(getattr(d, "id", None) in PROPERTIES for d in fn.decorator_list) == properties
-        and not reads[fn.name] - _attribute_reads(fn, properties)[fn.name]
-    ]
-
-
-def test_every_public_method_has_a_reader():
-    unread = _unread_members(properties=False)
-    assert not unread, f"public methods never read as an attribute: {unread}"
-
-
-def test_every_public_property_has_a_reader():
-    unread = _unread_members(properties=True)
-    assert not unread, f"public properties never read as an uncalled attribute: {unread}"
 
 
 def _args_read(funcs: dict[str, ast.FunctionDef], name: str) -> set[str]:

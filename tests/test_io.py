@@ -29,6 +29,28 @@ def test_field_header_roundtrip():
     assert fmt.parse_field_header(line) == custom
 
 
+@pytest.mark.parametrize("p, e, modulus, header", [
+    (17, 1, None, "field p=17 e=1"),  # x - 3, outside the default table
+    (251, 1, None, "field p=251 e=1"),
+    (17, 1, (5, 1), "field p=17 e=1 mod=5,1"),
+    (2, 3, (1, 0, 1, 1), "field p=2 e=3 mod=1,0,1,1"),
+])
+def test_field_header_names_the_modulus_unless_it_is_the_default(p, e, modulus, header):
+    spec = FieldSpec(p, e, modulus)
+    assert fmt.field_header(spec) == header
+    assert fmt.parse_field_header(header) is spec
+
+
+@pytest.mark.parametrize("q", sorted(DEFAULT_MODULI))
+def test_default_field_headers_omit_the_modulus(q):
+    spec = field(q)
+    header = f"field p={spec.p} e={spec.e}"
+    assert fmt.field_header(spec) == header
+    assert fmt.parse_field_header(header) is spec
+    # the default modulus written out names the same field
+    assert fmt.parse_field_header(header + " mod=" + ",".join(map(str, spec.modulus))) is spec
+
+
 def test_field_header_errors():
     with pytest.raises(fmt.ParseError, match="line 1"):
         fmt.parse_field_header("matrix 2 2")
@@ -145,7 +167,7 @@ def test_prime_field_outside_the_default_table_roundtrips(rng):
     spec = field(17)
     c = random_code(spec, 5, 2, rng)
     text = fmt.dump_code(c)
-    assert text.splitlines()[0] == "field p=17 e=1 mod=14,1"
+    assert text.splitlines()[0] == "field p=17 e=1"  # x - 3, the field's default
     assert fmt.load_code(text) == c
 
 

@@ -51,7 +51,7 @@ def _fold_product(f, a, b):
     """A @ B entry by entry with scalar field operations."""
     return [
         [
-            reduce(f.add, (f.mul(int(a.data[i, k]), int(b.data[k, j]))
+            reduce(f._add_direct, (f.mul(int(a.data[i, k]), int(b.data[k, j]))
                            for k in range(a.cols)), 0)
             for j in range(b.cols)
         ]

@@ -17,7 +17,7 @@ from conftest import FIXTURES, code, random_code
 def ref_inner(spec, a, b, ell):
     acc = 0
     for x, y in zip(a, b):
-        acc = spec.add(acc, spec.mul(x, spec.frobenius(y, ell)))
+        acc = spec._add_direct(acc, spec.mul(x, spec.frobenius(y, ell)))
     return acc
 
 
@@ -29,7 +29,7 @@ def ref_codewords(c):
         for lam in range(1, spec.q):
             scaled = tuple(spec.mul(lam, x) for x in row)
             for w in words:
-                new.add(tuple(spec.add(a, b) for a, b in zip(w, scaled)))
+                new.add(tuple(spec._add_direct(a, b) for a, b in zip(w, scaled)))
         words |= new
     return sorted(words)
 
@@ -160,7 +160,7 @@ def test_enumerate_closure_spot_check(rng):
             u = rng.choice(words)
             v = rng.choice(words)
             lam = rng.randrange(q)
-            assert tuple(f.add(a, b) for a, b in zip(u, v)) in pool
+            assert tuple(f._add_direct(a, b) for a, b in zip(u, v)) in pool
             assert tuple(f.mul(lam, a) for a in u) in pool
 
 
