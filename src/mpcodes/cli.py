@@ -181,16 +181,10 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     mp, claims = fmt.load_mp(_read(args.mpfile), strict=False)
-    lines: list[tuple[str, str]] = []  # (check name, agree|disagree|skip ...)
-
-    for i, (declared_k, actual_k) in enumerate(claims.constituent_claims, 1):
-        ok = declared_k == actual_k
-        lines.append(
-            (
-                f"claim constituent {i}",
-                "agree" if ok else f"disagree (declared k={declared_k}, rank={actual_k})",
-            )
-        )
+    wrong = {i: f"disagree (declared k={dk}, rank={ak})" for i, dk, ak in claims.mismatches()}
+    # (check name, agree|disagree|skip ...)
+    lines = [(f"claim constituent {i}", wrong.get(i, "agree"))
+             for i in range(1, len(mp.constituents) + 1)]
 
     code = expand(mp)
     dual = dual_general(mp, args.ell)

@@ -7,15 +7,16 @@ conditions by construction.  Both modes run one sampler, which draws
 codes D_1 .. D_m with D_i inside dual_level(D_j) wherever a condition
 pattern is nonzero at (i, j):
 
-* a condition between two codes restricts the later one to the
-  intersection of the named duals of the earlier ones, and its
-  generator is sampled inside that subspace;
-* a condition on a single code is met by greedy extension: each sampled
-  row is drawn orthogonal to the rows chosen so far, and kept only if
-  its own self-product vanishes; after each kept row the sampling space
-  is narrowed to its intersection with the two Galois duals of that one
-  row, as the Euclidean dual of its dual plus the row's two twists, so
-  each elimination has at most n - k + 2 rows for a space of dimension k.
+* a condition between two codes restricts the later one to the first
+  named dual of the earlier ones (from the per-search cache), narrowed
+  by the rows of sigma^(e-lv)(G_j) for each further dual_lv(D_j);
+* a condition on a single code is met by greedy extension: a sampled
+  row is kept only if its own self-product vanishes, and then narrows
+  the space the next rows are drawn from by its two Frobenius twists.
+
+Narrowing a space of dimension k by r check rows keeps its vectors
+orthogonal to them: the Euclidean dual of its dual plus the checks,
+so no elimination has more than n - k + r rows.
 
 Self-orthogonality search draws the constituents themselves, at level l
 under sigma^l(A) @ A^T.  Dual-containment search works in the dual
@@ -108,17 +109,12 @@ def _random_vector_in(code: LinearCode, rng: random.Random) -> np.ndarray:
     return spec.sum_arr(spec.mul_arr(lam[:, None], code.gen.data), axis=0)
 
 
-def _narrowed(space: LinearCode, vec: np.ndarray, ell: int) -> LinearCode:
-    """The vectors of space orthogonal to vec in both slot orders of the
-    l-Galois form, x @ T^T = 0 for T = [sigma^l(vec); sigma^(e-l)(vec)]:
-    the Euclidean dual of dual(space) + <T>, with dual(space) read off
-    the canonical generator.  Neither elimination has more than n - k + 2
-    rows, k the dimension of space, so near the whole space both are
-    small; the result is canonical, the same code however it is reached."""
-    spec = space.spec
-    twists = np.vstack([spec.frobenius_arr(vec, lv) for lv in (ell, (spec.e - ell) % spec.e)])
-    checks = MatGF.vstack([space.parity_check(), MatGF._of(spec, twists)])
-    return LinearCode.from_generator(checks).euclidean_dual()
+def _narrowed(space: LinearCode, checks: np.ndarray) -> LinearCode:
+    """The vectors of space Euclidean-orthogonal to every row of the
+    uint8 array checks: the Euclidean dual of dual(space) + <checks>,
+    canonical, the same code however it is reached."""
+    stacked = MatGF.vstack([space.parity_check(), MatGF._of(space.spec, checks)])
+    return LinearCode.from_generator(stacked).euclidean_dual()
 
 
 def _sample_inside(
@@ -152,10 +148,11 @@ def _sample_inside(
         if not rows or MatGF._of(spec, np.vstack([*rows, vec])).rank() == len(rows) + 1:
             rows.append(vec)
             if so_ell is not None and len(rows) < dim:
-                # restrict further samples to vectors orthogonal to vec in
-                # both slot orders; dual(R + <vec>) = dual(R) & dual(<vec>),
-                # so space stays ambient & both duals of all the rows
-                space = _narrowed(space, vec, so_ell)
+                # restrict further samples to x with sigma^l(vec) @ x^T =
+                # sigma^(e-l)(vec) @ x^T = 0; dual(R + <vec>) = dual(R) &
+                # dual(<vec>), so space stays ambient & both duals of the rows
+                space = _narrowed(space, np.vstack(
+                    [spec.frobenius_arr(vec, lv) for lv in (so_ell, spec.e - so_ell)]))
     if len(rows) != dim:
         return None
     return LinearCode.from_generator(MatGF._of(spec, np.vstack(rows)))
@@ -168,12 +165,15 @@ def _attempt(
     inside dual_level(D_j) wherever cond[i, j] != 0, or None when a
     sample runs out of draws; ``dual`` is the search's cached
     ``LinearCode.galois_dual``.  Each D_i is drawn inside the named duals
-    of D_1 .. D_(i-1), and self-orthogonal when cond[i, i] != 0."""
+    of D_1 .. D_(i-1), and self-orthogonal when cond[i, i] != 0; a named
+    dual after the first, dual_lv(D_j) = {x : sigma^(e-lv)(G_j) @ x^T =
+    0}, narrows the space by the rows of sigma^(e-lv)(G_j)."""
     spec = cond.spec
     inv_level = (spec.e - level) % spec.e
     chosen: list[LinearCode] = []
     for i in range(1, len(dims) + 1):
         ambient = None
+        checks = []
         for j in range(1, i):
             levels = []
             if cond.data[i - 1, j - 1] != 0:
@@ -183,10 +183,14 @@ def _attempt(
                 # inverse-level dual of D_j (the same when 2 level = 0 mod e)
                 levels.append(inv_level)
             for lv in levels:
-                d = dual(chosen[j - 1], lv)
-                ambient = d if ambient is None else ambient & d
+                if ambient is None:
+                    ambient = dual(chosen[j - 1], lv)
+                else:
+                    checks.append(spec.frobenius_arr(chosen[j - 1].gen.data, spec.e - lv))
         if ambient is None:
             ambient = LinearCode.full(spec, n)
+        elif checks:
+            ambient = _narrowed(ambient, np.vstack(checks))
         so_ell = level if cond.data[i - 1, i - 1] != 0 else None
         c = _sample_inside(ambient, dims[i - 1], rng, so_ell=so_ell)
         if c is None:

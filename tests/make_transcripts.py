@@ -60,7 +60,9 @@ MALFORMED = {
 # has no default-table modulus; GF(8) with a modulus other than the
 # default; a defining matrix with a zero row (the dual's discarded rows,
 # and SO candidates whose expansion is zero); a [14,6] code whose two
-# zero columns end its information sets before its bound meets d.
+# zero columns end its information sets before its bound meets d; two
+# defining matrices whose searches restrict one constituent by two named
+# duals (GF(8) at l = 1, where l and e - l differ; a 3-row A over GF(3)).
 EDGES = {
     "edge/f17.mp": (
         "field p=17 e=1\ndefmatrix\nmatrix 2 2\n1 1\n1 16\n"
@@ -81,6 +83,8 @@ EDGES = {
         "0 0 1 0 0 0 a 1 a a a^2 1 0 0\n0 0 0 1 0 0 a^2 a a a^2 1 a^2 0 0\n"
         "0 0 0 0 1 0 1 a 1 1 1 a^2 0 0\n0 0 0 0 0 1 a^2 1 a a^2 1 a 0 0\n"
     ),
+    "edge/f8_two_duals.mat": "field p=2 e=3\nmatrix 2 2\n1 a\n0 1\n",
+    "edge/f3_3x3.mat": "field p=3 e=1\nmatrix 3 3\n1 1 1\n0 1 2\n0 0 1\n",
 }
 EDGE_COMMANDS = [
     *([sub, path, *extra] for path in ("edge/f17.mp", "edge/f8_mod.mp")
@@ -90,6 +94,10 @@ EDGE_COMMANDS = [
      "--search-cap", "5"],
     ["info", "edge/zero_cols.code", "--enum-cap", "1"],
     ["info", "bad/zero.code"],
+    *(["search", "--matrix", "edge/f8_two_duals.mat", "--mode", mode, "--ell", "1", "--n", "6",
+       "--dims", dims, "--count", "2"] for mode, dims in (("so", "1,2"), ("dc", "4,5"))),
+    ["search", "--matrix", "edge/f3_3x3.mat", "--mode", "so", "--n", "8", "--dims", "1,1,2",
+     "--count", "2"],
     # --out into the sandbox, where the earlier --out commands fail
     ["mp", "fixtures/f2_2x5_so.mp", "--out", "expanded.code"],
     ["dual", "fixtures/f2_2x5_so.mp", "--out", "dual.code"],

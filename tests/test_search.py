@@ -104,21 +104,20 @@ def test_random_vector_is_the_scalar_combination_of_the_rows(rng, q):
         assert r_arr.getstate() == r_ref.getstate()
 
 
-def narrowed_by_kernel(space, vec, ell):
+def narrowed_by_kernel(space, checks):
     """The narrowing's former formula: with G the space's generator, the
-    messages m with m @ G @ T^T = 0, T = [sigma^l(vec); sigma^(e-l)(vec)],
-    give the space's vectors orthogonal to vec in both slot orders."""
-    spec = space.spec
-    twists = MatGF._of(spec, np.vstack(
-        [spec.frobenius_arr(vec, lv) for lv in (ell, (spec.e - ell) % spec.e)]))
-    msgs = (space.gen @ twists.T).T.kernel_basis()
+    messages m with m @ G @ checks^T = 0 give the space's vectors
+    orthogonal to every check row."""
+    msgs = (space.gen @ MatGF._of(space.spec, checks).T).T.kernel_basis()
     return LinearCode.from_generator(msgs @ space.gen)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_narrowed_space_is_the_kernel_formula_space(rng, q):
-    # full and partial spaces; vectors drawn inside them (self-orthogonal
-    # or not), random vectors and the zero vector; every level
+    # full and partial spaces, at every level, narrowed by the two twists
+    # of a vector drawn inside them (self-orthogonal or not), of a random
+    # vector or of the zero vector, and by a twisted generator block
+    # sigma^(e-l)(G) of a random code, which gives space & dual_l(code)
     f = field(q)
     kinds = Counter()
     for trial in range(40):
@@ -127,10 +126,15 @@ def test_narrowed_space_is_the_kernel_formula_space(rng, q):
         vec = [srch._random_vector_in(space, rng),
                np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8),
                np.zeros(n, dtype=np.uint8)][trial % 3]
+        other = random_code(f, n, rng.randint(0, n), rng)
         for ell in range(f.e):
-            got = srch._narrowed(space, vec, ell)
-            assert got == narrowed_by_kernel(space, vec, ell), (trial, space, vec, ell)
-            kinds[space.is_full, got.k < space.k] += 1
+            twists = np.vstack([f.frobenius_arr(vec, lv) for lv in (ell, f.e - ell)])
+            block = f.frobenius_arr(other.gen.data, f.e - ell)
+            for checks in (twists, block):
+                got = srch._narrowed(space, checks)
+                assert got == narrowed_by_kernel(space, checks), (trial, space, checks, ell)
+                kinds[space.is_full, got.k < space.k] += 1
+            assert srch._narrowed(space, block) == space & other.galois_dual(ell), (trial, ell)
     # every kind: full or partial space, narrowed or kept
     assert len(kinds) == 4, kinds
 
@@ -296,6 +300,52 @@ def test_every_completed_draw_is_a_hit_that_passes_the_exact_checker(rng, monkey
             assert check(hit.mp, ell).verdict is Verdict.HOLDS, (q, mode, ell, hit.mp)
         hits_by_case[q, mode, ell, m, rank] += len(hits)
     assert all(hits_by_case.values()), hits_by_case
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16])
+def test_every_drawn_space_is_the_intersection_of_its_named_duals(rng, monkeypatch, q):
+    # each space _attempt draws D_i from is the whole space, or the first
+    # named dual narrowed by the others' checks; it must equal the
+    # intersection, by `&`, of dual_level(D_j) where cond[i, j] != 0 and
+    # dual_(e-level)(D_j) where cond[j, i] != 0.  A 4 x 2 defining matrix
+    # has rank below its 4 rows, which dc refuses, so dc runs 3 x 3 only;
+    # no draw is expanded, as each checked attempt returns None
+    f = field(q)
+    spaces = []
+    named = Counter()
+
+    def recorded_sample(ambient, dim, r, *, so_ell=None, real=srch._sample_inside):
+        spaces.append((ambient, real(ambient, dim, r, so_ell=so_ell)))
+        return spaces[-1][1]
+
+    def checked_attempt(cond, level, n, dims, r, dual, real=srch._attempt):
+        spaces.clear()
+        real(cond, level, n, dims, r, dual)
+        chosen = [c for _, c in spaces]
+        for i, (ambient, _) in enumerate(spaces):
+            duals = {(j, lv) for j in range(i) for lv, on in (
+                (level, cond.data[i, j]), ((f.e - level) % f.e, cond.data[j, i])) if on}
+            want = LinearCode.full(f, n)
+            for j, lv in duals:
+                want = want & chosen[j].galois_dual(lv)
+            assert ambient == want, (q, level, cond, i, duals)
+            named[len(duals)] += 1
+
+    monkeypatch.setattr(srch, "_sample_inside", recorded_sample)
+    monkeypatch.setattr(srch, "_attempt", checked_attempt)
+    monkeypatch.setattr(srch, "_SAMPLE_TRIES", 30)  # an unmet draw fails sooner
+    cases = [("so", 3, 3, (1, 2, 2)), ("so", 4, 2, (1, 1, 2, 2)), ("dc", 3, 3, (4, 4, 5))]
+    for ell in [*range(f.e)] * (8 // f.e):
+        for mode, m, cols, dims in cases:
+            while True:
+                a = random_matrix(f, m, cols, rng)
+                if mode == "so" or a.rank() == m:
+                    break
+            req = SearchRequest(mode=mode, ell=ell, n=6, dims=dims, seed=rng.randrange(1 << 30),
+                                max_candidates=6)
+            assert search_mp_codes(a, req) == []
+    # every field narrows some space by a second named dual
+    assert sum(c for k, c in named.items() if k >= 2) > 10, named
 
 
 def _lightest_row_bound(mp):
