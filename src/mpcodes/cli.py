@@ -12,7 +12,7 @@ Subcommands::
 Exit codes are a stable contract: 0 = success / condition holds,
 1 = condition fails / verification disagreement, 2 = ``search`` found no
 candidate within ``--search-cap``, or made no attempt because no hit
-can exist (``--target`` above the Singleton bound of every possible
+can exist (``--target`` above the Griesmer bound of every possible
 hit, ``--dims`` all 0, or a condition on constituents i and j, i = j
 included, with k_i + k_j > n in so mode or k_i + k_j < n in dc mode),
 10 = usage or parse error, 11 = validation error, 13 = infeasible
@@ -148,7 +148,9 @@ def cmd_dual(args) -> int:
         dual_mp, dual_code = dual_full_rank(mp, args.ell)
         path = "full-rank"
     except RankDeficientError:
-        dual_code = expand(mp).galois_dual(args.ell)
+        # the failed completion is kept, so dual_general goes straight to
+        # its rank-deficient route
+        dual_code = dual_general(mp, args.ell)
         dual_mp = None
         part = row_partition(mp.defmatrix)
         path = "partition{" + "|".join(

@@ -8,6 +8,9 @@ Duals come in Euclidean and l-Galois flavours; the Galois dual is
 computed through the Euclidean dual by one Frobenius map.  The
 Euclidean dual costs one elimination of min(k, n - k) rows: a kernel
 read off an RREF is, with rows and columns reversed, itself an RREF.
+The same step gives the code of any parity-check matrix h,
+{x : h x^T = 0}, from one elimination of h's rows
+(:meth:`LinearCode.from_parity_check`).
 
 Minimum distance is decided by one information-set enumerator
 (Brouwer-Zimmermann): the columns are split greedily into disjoint
@@ -145,6 +148,16 @@ class LinearCode:
         return cls(MatGF._of(gen.spec, red.data[: len(pivots)]))
 
     @classmethod
+    def from_parity_check(cls, h: MatGF) -> "LinearCode":
+        """The code {x : h @ x^T = 0}, canonical, from one elimination of
+        h's rows: the kernel of h with its columns reversed, read off that
+        matrix's RREF, is an RREF once its rows and columns are reversed
+        (see :meth:`MatGF.rref_kernel`), so reversed back it is already
+        the canonical generator."""
+        rev = MatGF._of(h.spec, h.data[:, ::-1]).kernel_basis()
+        return cls(MatGF._of(h.spec, rev.data[::-1, ::-1]))
+
+    @classmethod
     def zero(cls, spec: FieldSpec, n: int) -> "LinearCode":
         return cls(MatGF.zeros(spec, 0, n))
 
@@ -183,20 +196,14 @@ class LinearCode:
     def euclidean_dual(self) -> "LinearCode":
         """The dual under the ordinary inner product; dim n - k.
 
-        One elimination of min(k, n - k) rows.  A kernel read off an RREF
-        is an RREF once its rows and columns are reversed (see
-        :meth:`MatGF.rref_kernel`).  So when 2k <= n, the kernel of the
-        generator with its columns reversed, read off that matrix's
-        k-row RREF and reversed back, is already the dual's canonical
-        generator.  Otherwise the n - k rows of :meth:`parity_check`
-        are canonicalised; that costs less than eliminating the k rows
-        of the reversed generator would.
+        One elimination of min(k, n - k) rows: when 2k <= n, the
+        generator's k rows are the parity checks of the dual, which
+        :meth:`from_parity_check` eliminates once.  Otherwise the n - k
+        rows of :meth:`parity_check` are canonicalised; that costs less
+        than eliminating the k rows of the reversed generator would.
         """
-        spec = self.spec
         if 2 * self.k <= self.n:
-            rev = MatGF._of(spec, self.gen.data[:, ::-1]).kernel_basis()
-            gen = MatGF._of(spec, rev.data[::-1, ::-1])
-            return LinearCode(gen)
+            return LinearCode.from_parity_check(self.gen)
         return LinearCode.from_generator(self.parity_check())
 
     def galois_dual(self, ell: int) -> "LinearCode":

@@ -58,7 +58,8 @@ _GEMM_INNER = 64
 class MatGF:
     """An exact rows x cols matrix over a fixed GF(p^e)."""
 
-    __slots__ = ("spec", "data")
+    # _completion is filled on first use by completion(), never compared
+    __slots__ = ("spec", "data", "_completion")
 
     def __init__(self, spec: FieldSpec, data):
         arr = np.asarray(data)
@@ -342,3 +343,20 @@ class MatGF:
         for r, j in enumerate(extra):
             out[self.rows + r, j - 1] = 1
         return MatGF._of(self.spec, out)
+
+    def completion(self) -> tuple["MatGF", "MatGF"]:
+        """(B, (B^-1)^T) for B = :meth:`complete_to_invertible`, computed
+        once per matrix, as a matrix never changes.  A matrix without full
+        row rank raises ``RankDeficientError`` on every call."""
+        done = getattr(self, "_completion", None)
+        if done is None:
+            try:
+                b = self.complete_to_invertible()
+                done = b, b.inverse().T
+            except RankDeficientError as exc:
+                done = None, exc.args  # not exc, whose frames hold its callers'
+            object.__setattr__(self, "_completion", done)
+        b, inv_t = done
+        if b is None:
+            raise RankDeficientError(*inv_t)
+        return b, inv_t

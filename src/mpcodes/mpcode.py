@@ -7,23 +7,34 @@ This module provides
 
 * ``MPCode``, a frozen dataclass value like the other records here, so
   it compares, hashes, copies and pickles by its fields,
-* ``expand``: the mixed code as a plain :class:`~mpcodes.lincode.LinearCode`,
-  built by stacking the row blocks a_i kron G_i,
+* ``expand``: the mixed code as a plain :class:`~mpcodes.lincode.LinearCode`.
+  One row-block step builds two stacks, before any elimination: the
+  generator stack [a_i kron G_i], sum k_i rows, and, for a full-row-rank
+  A with completion B, the check stack [b'_i kron H_i] of the dual's MP
+  form (Blackmore and Norton, AAECC 12, 2001), nN - sum k_i rows, with
+  b' = (B^-1)^T, H_i the constituents' parity checks (read off with no
+  elimination) and H_i = I_n for the rows the completion adds.  The
+  check stack is eliminated when it has at most half the generator
+  stack's rows, the generator stack otherwise: the min(k, n - k) rule
+  of ``LinearCode.euclidean_dual`` lifted to MP codes,
 * l-Galois duals: the closed form ``dual_full_rank`` for full-row-rank
-  A, and ``dual_general`` for any A, which tries the closed form first
-  (the completion's ``RankDeficientError`` is the full-row-rank test)
-  and reads the dual for a rank-deficient A off the expansion (the
-  intersection of the row partition blocks' duals is the dual of their
-  sum, the code itself),
+  A, whose expansion takes the same rule, and ``dual_general`` for any
+  A, which tries the closed form first (the completion's
+  ``RankDeficientError`` is the full-row-rank test) and reads the dual
+  for a rank-deficient A off the generator stack (the intersection of
+  the row partition blocks' duals is the dual of their sum, the code
+  itself), with one elimination when 2 sum k_i <= nN,
 * one exact self-orthogonality and one exact dual-containment checker
   for every defining matrix, driven by the nonzero pattern of a small
   condition matrix (for a rank-deficient defining matrix that is not
   certified by its first partition block, dual containment is decided
   by one product against a parity-check matrix of the expansion),
 * the dual-containment condition matrix ``zeta_matrix`` and its reading
-  ``dc_conditions``, shared by the checker and the search.  Both duals
-  and zeta complete A with ``MatGF.complete_to_invertible``; no verdict
-  and no dual code depends on that choice.
+  ``dc_conditions``, shared by the checker and the search.  Both duals,
+  zeta and the check stack complete A with ``MatGF.completion``; no
+  verdict and no code depends on that choice.  A matrix keeps its
+  completion, so a search, which builds every candidate on one A,
+  completes it once.
 
 The checkers multiply only where a product can change a verdict.  Four
 exact rules decide the rest from dimensions and symmetry, with the same
@@ -188,19 +199,49 @@ class CheckReport:
 # ----------------------------------------------------------------------
 
 def expand(mp: MPCode) -> LinearCode:
-    """The MP code as a canonical linear code of length n*N.
+    """The MP code as a canonical linear code of length n*N, from the
+    stack with fewer rows (see the module docstring).  A is completed
+    only when its check stack would be taken; a rank-deficient A has
+    none."""
+    dual_matrix = None
+    if _checks_win(mp):
+        try:
+            dual_matrix = mp.defmatrix.completion()[1]
+        except RankDeficientError:
+            pass
+    return _expand(mp, dual_matrix)
 
-    By definition the generator is diag[G_1 .. G_M] (A kron I_n).  Its
-    row block i is a_i kron G_i = [a_i1 G_i | .. | a_iN G_i], so the
-    blocks are built one at a time and stacked; no intermediate is
-    larger than the generator itself.
-    """
+
+def _expand(mp: MPCode, dual_matrix: MatGF | None) -> LinearCode:
+    """:func:`expand`, given the dual matrix (B^-1)^T of a completion B
+    of A, or None for an A with no check stack.  The check stack
+    [b'_i kron H_i] is eliminated by ``LinearCode.from_parity_check``
+    when it has at most half the rows of the generator stack
+    [a_i kron G_i]; otherwise the generator stack is canonicalised.
+    Near a tie the reversed elimination, which lacks the generator
+    stack's identity columns, costs more."""
     a = mp.defmatrix
-    blocks = [
-        a.row_submatrix([i]).kron(c.gen)
-        for i, c in enumerate(mp.constituents, start=1)
-    ]
-    return LinearCode.from_generator(MatGF.vstack(blocks))
+    if dual_matrix is not None and _checks_win(mp):
+        checks = [c.parity_check() for c in mp.constituents]
+        checks += [MatGF.identity(mp.spec, mp.n)] * (a.cols - a.rows)
+        return LinearCode.from_parity_check(_stack(dual_matrix, checks))
+    return LinearCode.from_generator(_stack(a, [c.gen for c in mp.constituents]))
+
+
+def _checks_win(mp: MPCode) -> bool:
+    """Whether A may have full row rank, M <= N, and its check stack, then
+    nN - k rows, has at most half the k = sum k_i rows of the generator
+    stack."""
+    a = mp.defmatrix
+    k = sum(c.k for c in mp.constituents)
+    return a.rows <= a.cols and 2 * (mp.n * a.cols - k) <= k
+
+
+def _stack(mixer: MatGF, blocks: list[MatGF]) -> MatGF:
+    """The row blocks m_i kron X_i of the rows m_i of mixer, stacked, so
+    that no intermediate is larger than the stack."""
+    return MatGF.vstack([mixer.row_submatrix([i]).kron(x)
+                         for i, x in enumerate(blocks, start=1)])
 
 
 def dual_full_rank(mp: MPCode, ell: int = 0) -> tuple[MPCode, LinearCode]:
@@ -208,21 +249,24 @@ def dual_full_rank(mp: MPCode, ell: int = 0) -> tuple[MPCode, LinearCode]:
 
     Returns the dual in MP form (constituent duals, padded with the
     whole-space code, mixed by the inverse-transpose of the Frobenius
-    image of ``complete_to_invertible()`` of A) together with its
+    image ``twisted`` of the completion of A) together with its
     expansion.  Every completion gives the same dual code; only the MP
-    form depends on it.  A rank-deficient A raises RankDeficientError.
+    form depends on it.  The mixer is square, so ``twisted`` is its dual
+    matrix, and the expansion takes :func:`_expand`'s rule with no second
+    completion.  A rank-deficient A raises RankDeficientError.
     """
     spec = mp.spec
     spec.check_ell(ell)
     a = mp.defmatrix
-    twisted = a.complete_to_invertible().frobenius_map((spec.e - ell) % spec.e)
-    mixer = twisted.inverse().T
+    level = (spec.e - ell) % spec.e
+    b, dual_matrix = a.completion()
+    twisted, mixer = b.frobenius_map(level), dual_matrix.frobenius_map(level)
     # equal constituents share one dual
     dual_of = {c: c.galois_dual(ell) for c in dict.fromkeys(mp.constituents)}
     duals = [dual_of[c] for c in mp.constituents]
     duals += [LinearCode.full(spec, mp.n)] * (a.cols - a.rows)
     dual_mp = MPCode(duals, mixer)
-    return dual_mp, expand(dual_mp)
+    return dual_mp, _expand(dual_mp, twisted)
 
 
 def row_partition(a: MatGF) -> RowPartition:
@@ -256,12 +300,18 @@ def dual_general(mp: MPCode, ell: int = 0) -> LinearCode:
     rank-deficient A, C is the sum of the MP codes C_B of the
     row-partition blocks B, and the intersection of their closed-form
     duals is dual_l(sum_B C_B) = dual_l(C); so the dual is read off the
-    expansion directly, with one elimination for C and one for its dual.
+    generator stack directly.  Its Frobenius image sigma^(e-l) is a
+    parity-check matrix of dual_l(C), eliminated once when 2 sum k_i <=
+    nN; otherwise C and then its dual are eliminated.
     """
     try:
         return dual_full_rank(mp, ell)[1]
     except RankDeficientError:
-        return expand(mp).galois_dual(ell)
+        gen = _stack(mp.defmatrix, [c.gen for c in mp.constituents])
+        if 2 * gen.rows <= gen.cols:
+            return LinearCode.from_parity_check(
+                gen.frobenius_map((mp.spec.e - ell) % mp.spec.e))
+        return LinearCode.from_generator(gen).galois_dual(ell)
 
 
 # ----------------------------------------------------------------------
@@ -311,10 +361,11 @@ def _orthogonal(mp: MPCode, gen, dims: list[int], level: int):
 
 def zeta_matrix(a: MatGF, ell: int) -> MatGF:
     """The dual-containment condition matrix of a full-row-rank a: the
-    inverse of sigma^l(B) @ B^T for B = ``a.complete_to_invertible()``
-    (zeta depends on B, the verdict read off it does not)."""
-    b = a.complete_to_invertible()
-    return (b.frobenius_map(ell) @ b.T).inverse()
+    inverse of sigma^l(B) @ B^T for B = ``a.complete_to_invertible()``,
+    which is D @ sigma^l(D)^T for B's dual matrix D = (B^-1)^T (zeta
+    depends on B, the verdict read off it does not)."""
+    dual_matrix = a.completion()[1]
+    return dual_matrix @ dual_matrix.frobenius_map(ell).T
 
 
 def dc_conditions(zeta: MatGF, m: int) -> Iterator[tuple[int, int, int | None]]:

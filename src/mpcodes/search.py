@@ -39,10 +39,12 @@ expanded minimum distance meets the target are reported; one is dropped
 before ``expand`` when a row a_i of A and a row g of C_i's canonical
 generator give 0 < wt(a_i) wt(g) < target, as a_i (x) g is a codeword
 (the upper bound of Blackmore and Norton, AAECC 12, 2001).  A target above
-the Singleton bound of every possible hit, dims that are all 0, or a
+the Griesmer bound of every possible hit, dims that are all 0, or a
 condition between draws whose dimensions sum above the length are
 refused before the first attempt.  Constituent duals are cached for the
-length of one search.  Everything is driven by a seeded generator, so a
+length of one search.  Every candidate is built on the search's one A,
+so ``expand`` completes A at most once per search, and not at all
+after zeta has.  Everything is driven by a seeded generator, so a
 rerun with the same request reproduces the same candidates.
 """
 
@@ -220,6 +222,14 @@ def _dc_forced(zeta: MatGF, m: int, req: SearchRequest) -> None:
             )
 
 
+def _griesmer(k: int, d: int, q: int) -> int:
+    """The Griesmer bound: a linear [n, k, d] code over GF(q) has
+    n >= sum of ceil(d / q^i) over 0 <= i < k.  Every term from
+    i = d.bit_length() on is 1, as q^i >= 2^i > d there."""
+    m = min(k, d.bit_length())
+    return sum(-(-d // q**i) for i in range(m)) + k - m
+
+
 def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     """Seeded search for MP codes passing the requested check.
 
@@ -238,12 +248,14 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
     before ``expand``, as the module docstring says.  A request
     no hit can meet is refused with no attempt, after those checks: a hit
     is a nonzero [nN, K] code, so some dim is positive and, by the
-    Singleton bound, d <= nN - K + 1, with K = sum(dims) when A has full
-    row rank and K >= 1 otherwise; and D_i inside dual(D_j) needs their
-    dimensions to sum to at most n, so where the pattern is nonzero at
-    (i, j), SO needs k_i + k_j <= n and DC k_i + k_j >= n (the checkers'
-    rules 1 and 2).  A length n above ``_MAX_N`` raises ``ValueError``,
-    as the first draw's whole space is an n x n generator.  Constituent
+    Griesmer bound, nN >= sum of ceil(d / q^i) over 0 <= i < K, with
+    K = sum(dims) when A has full row rank and K >= 1 otherwise (the
+    bound grows with K, and implies the Singleton bound d <= nN - K + 1);
+    and D_i inside dual(D_j) needs their dimensions to sum to at most n,
+    so where the pattern is nonzero at (i, j), SO needs k_i + k_j <= n
+    and DC k_i + k_j >= n (the checkers' rules 1 and 2).  A length n
+    above ``_MAX_N`` raises ``ValueError``, as the first draw's whole
+    space is an n x n generator.  Constituent
     duals go through one ``functools.cache`` of ``LinearCode.galois_dual``
     made per call, so repeated searches each compute their own.
     """
@@ -281,8 +293,9 @@ def search_mp_codes(a: MatGF, req: SearchRequest) -> list[SearchHit]:
         dims = tuple(req.n - k for k in req.dims)
     k_min = sum(req.dims) if full_rank else 1
     if not any(req.dims) or (
-            req.target is not None and req.target > req.n * a.cols - k_min + 1) or any(
-            dims[i] + dims[j] > req.n for i, j in np.argwhere(cond.data[:a.rows, :a.rows])):
+            req.target is not None and req.n * a.cols < _griesmer(k_min, req.target, a.spec.q)
+            ) or any(dims[i] + dims[j] > req.n
+                     for i, j in np.argwhere(cond.data[:a.rows, :a.rows])):
         return []
     rng = random.Random(req.seed)
     # looked up now, not at import, so a wrapped galois_dual is cached too

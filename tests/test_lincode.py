@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mpcodes import (
+    DEFAULT_MODULI,
     DistanceBudget,
     LinearCode,
     MatGF,
@@ -79,6 +80,29 @@ def test_duals_match_two_elimination_reference(q):
                 assert c.galois_dual(ell) == _dual_by_two_eliminations(c, ell), (n, c.k, ell)
             # the parity-check rows span the dual without being canonical
             assert LinearCode.from_generator(c.parity_check()) == c.euclidean_dual()
+
+
+@pytest.mark.parametrize("q", sorted(DEFAULT_MODULI))
+def test_from_parity_check_is_the_dual_of_the_span(q, monkeypatch):
+    # {x : h x^T = 0} is the Euclidean dual of h's row space, whatever h
+    # is: random, with repeated or zero rows, all zero, or with no rows;
+    # and it costs one elimination, of h's rows
+    f = field(q)
+    rng = random.Random(q)
+    cases = []
+    for n in (1, 2, 5, 8):
+        cases += [MatGF.zeros(f, 0, n), MatGF.zeros(f, 2, n)]
+        for rows in sorted({1, n // 2, n - 1, n, n + 2} - {0}):
+            h = random_matrix(f, rows, n, rng)
+            cases += [h, MatGF.vstack([h, h, MatGF.zeros(f, 1, n)])]
+    calls = []
+    rref = MatGF.rref
+    monkeypatch.setattr(MatGF, "rref", lambda self: calls.append(self.rows) or rref(self))
+    for h in cases:
+        calls.clear()
+        got = LinearCode.from_parity_check(h)
+        assert calls == [h.rows], (h, calls)
+        assert got == LinearCode.from_generator(h).euclidean_dual(), h
 
 
 def test_euclidean_dual_eliminates_once_on_the_smaller_side(monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -417,6 +418,26 @@ def test_complete_to_invertible():
     assert b.rank() == 4
     with pytest.raises(RankDeficientError):
         MatGF(f2, [[1, 1], [1, 1]]).complete_to_invertible()
+
+
+def test_completion_is_computed_once_per_matrix(monkeypatch):
+    # (B, (B^-1)^T), or the RankDeficientError, from one completion of
+    # each matrix object; an equal matrix or a copy completes again
+    calls = []
+    complete = MatGF.complete_to_invertible
+    monkeypatch.setattr(MatGF, "complete_to_invertible",
+                        lambda self: calls.append(self) or complete(self))
+    f5 = field(5)
+    a = MatGF(f5, [[4, 1, 1, 3], [3, 3, 1, 2], [1, 4, 3, 4]])
+    b, inv_t = a.completion()
+    assert b == complete(a) and (b @ inv_t.T) == MatGF.identity(f5, 4)
+    assert a.completion() == (b, inv_t) and calls == [a]
+    assert pickle.loads(pickle.dumps(a)).completion() == (b, inv_t) and len(calls) == 2
+    deficient = MatGF(f5, [[1, 2], [2, 4]])
+    for _ in range(2):
+        with pytest.raises(RankDeficientError, match="rank 1 < 2"):
+            deficient.completion()
+    assert calls[2:] == [deficient]
 
 
 def test_complete_to_invertible_randomized(rng):

@@ -4,6 +4,7 @@ import pickle
 import random
 import re
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
@@ -97,12 +98,33 @@ def _expand_by_definition(mp):
     )
 
 
-def test_expand_matches_definition(rng):
+def _full_rank_matrix(f, m, n_cols, rng):
+    while (a := random_matrix(f, m, n_cols, rng)).rank() < m:
+        pass
+    return a
+
+
+def _check_side_cases(f, rng):
+    """Full-row-rank MP codes whose check stack has at most half the
+    generator stack's rows: k_i = n - 1; M < N, so the completion adds
+    whole-space rows; and a zero and a whole-space constituent."""
+    n = rng.randint(3, 5)
+    return [
+        MPCode([_code_of_dim(f, n, n - 1, rng) for _ in range(2)],
+               _full_rank_matrix(f, 2, 2, rng)),
+        MPCode([LinearCode.full(f, n)] * 2, _full_rank_matrix(f, 2, 3, rng)),
+        MPCode([LinearCode.full(f, n), LinearCode.zero(f, n), LinearCode.full(f, n)],
+               _full_rank_matrix(f, 3, 3, rng)),
+    ]
+
+
+def test_expand_matches_definition(rng, monkeypatch):
     cases = []
     for q in (2, 3, 4, 9):
         f = field(q)
         for _ in range(8):
             cases.append(_random_mp(rng, q_choices=(q,)))
+        cases += _check_side_cases(f, rng)
         n = rng.randint(1, 4)
         # more rows than columns: A is rank-deficient
         a = random_matrix(f, 4, 2, rng)
@@ -113,15 +135,27 @@ def test_expand_matches_definition(rng):
         cons = [random_code(f, n, n, rng), random_code(f, n, 1, rng),
                 LinearCode.zero(f, n)]
         cases.append(MPCode(cons, MatGF(f, rows)))
-    kinds = {"wide": 0, "rankdef": 0, "zero_row": 0, "zero_code": 0}
+        # square and rank-deficient: the check stack wins by its row count,
+        # but A has no completion, so the generator stack is taken
+        cases.append(MPCode([LinearCode.full(f, n)] * 2, MatGF(f, [[1, 1], [1, 1]])))
+    kinds = {"wide": 0, "rankdef": 0, "zero_row": 0, "zero_code": 0, "check_side": 0,
+             "completion_rows": 0}
+    checks = []
+    from_parity_check = LinearCode.from_parity_check
+    monkeypatch.setattr(LinearCode, "from_parity_check",
+                        lambda h: checks.append(h.rows) or from_parity_check(h))
     for mp in cases:
         a = mp.defmatrix
         kinds["wide"] += a.rows > a.cols
         kinds["rankdef"] += a.rank() < a.rows
         kinds["zero_row"] += any(not row.any() for row in a.data)
         kinds["zero_code"] += any(c.k == 0 for c in mp.constituents)
+        checks.clear()
         assert expand(mp) == _expand_by_definition(mp)
+        kinds["check_side"] += bool(checks)
+        kinds["completion_rows"] += bool(checks) and a.rows < a.cols
     assert all(kinds.values()), kinds
+    assert kinds["check_side"] >= 12, kinds
 
 
 @pytest.mark.parametrize("q", [2, 9])
@@ -301,6 +335,74 @@ def _code_of_dim(f, n, k, rng):
     while (c := random_code(f, n, k, rng)).k != k:
         pass
     return c
+
+
+def test_duals_match_the_definition_at_every_level(rng):
+    # the closed form's MP form and expansion, and dual_general, on both
+    # sides of each stack, against the dual of the expansion by definition
+    cases = []
+    for q in (2, 3, 4, 5, 8, 9):
+        f = field(q)
+        cases += [_random_mp(rng, q_choices=(q,)) for _ in range(6)]
+        cases += _check_side_cases(f, rng)
+        # small constituents: the closed form's dual takes its check stack,
+        # and a rank-deficient A's dual comes from one elimination
+        n = rng.randint(4, 6)
+        cases.append(MPCode([_code_of_dim(f, n, 1, rng) for _ in range(2)],
+                            _full_rank_matrix(f, 2, 2, rng)))
+        cases.append(MPCode([_code_of_dim(f, n, 1, rng) for _ in range(3)],
+                            MatGF.vstack([_full_rank_matrix(f, 2, 2, rng)] * 2)
+                            .row_submatrix([1, 2, 3])))
+    kinds = Counter()
+    for mp in cases:
+        big = _expand_by_definition(mp)
+        for ell in range(mp.spec.e):
+            want = big.galois_dual(ell)
+            assert dual_general(mp, ell) == want, (mp, ell)
+            try:
+                dual_mp, dual = dual_full_rank(mp, ell)
+            except RankDeficientError:
+                kinds["rank-deficient", 2 * sum(c.k for c in mp.constituents) <= big.n] += 1
+                continue
+            assert dual == want and expand(dual_mp) == want, (mp, ell)
+            kinds["full rank", 3 * big.k <= big.n] += 1
+    assert len(kinds) == 4, kinds
+
+
+def test_each_stack_is_eliminated_from_its_smaller_side(monkeypatch):
+    # rows eliminated at the expansion's width nN = 128: the stack with
+    # fewer rows, once, and only when it has at most half the other's
+    wide = []
+    rref = MatGF.rref
+
+    def counted(self):
+        if self.cols == 128:
+            wide.append(self.rows)
+        return rref(self)
+
+    n = 64
+    for q in (2, 9):
+        f = field(q)
+        rng = random.Random(q)
+        a = MatGF(f, [[1, 1], [0, 1]])
+        dense = MPCode([_code_of_dim(f, n, n - 1, rng) for _ in range(2)], a)
+        sparse = MPCode([_code_of_dim(f, n, 16, rng) for _ in range(2)], a)
+        # rank 1: the generator stack has 32 rows, and 2 * 32 <= nN
+        rank1 = MPCode(sparse.constituents, MatGF(f, [[1, 1], [1, 1]]))
+        monkeypatch.setattr(MatGF, "rref", counted)
+        wide.clear()
+        big = expand(dense)
+        assert sum(wide) <= 2, wide  # the generator stack has 126 rows
+        wide.clear()
+        dual = dual_full_rank(sparse, 0)[1]
+        assert sum(wide) <= 32, wide  # the dual's generator stack has 96
+        wide.clear()
+        rank1_dual = dual_general(rank1, 0)
+        assert len(wide) == 1, wide  # not the code, then its dual
+        monkeypatch.setattr(MatGF, "rref", rref)
+        assert big == _expand_by_definition(dense)
+        assert dual == _expand_by_definition(sparse).euclidean_dual()
+        assert rank1_dual == _expand_by_definition(rank1).euclidean_dual()
 
 
 def _refuse(name):
