@@ -514,15 +514,15 @@ def test_zero_dimension_search_is_refused_before_any_attempt(monkeypatch):
     # full row rank: the [45, 3] expansion's Griesmer bound 25 itself is
     # attempted (25 + 13 + 7 = 45), 26 is not (26 + 13 + 7 = 46)
     ([[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]], 9, (1, 2), 25, 3),
+    # rank-deficient: only K >= 1 is known, so d <= nN = 6, though
+    # sum(dims) = 6 would allow only d <= 1 at full rank
+    ([[1, 1], [1, 1]], 3, (3, 3), 6, 3),
+    ([[1, 1], [1, 1]], 3, (3, 3), 7, 0),
     ([[1, 1, 1, 0, 1], [1, 1, 0, 1, 1]], 9, (1, 2), 26, 0),
     # an [8, 4] binary code: Singleton allows d = 5, Griesmer needs
     # 5 + 3 + 2 + 1 = 11 > 8 positions; d = 4 needs 4 + 2 + 1 + 1 = 8
     ([[1, 1], [0, 1]], 4, (2, 2), 5, 0),
     ([[1, 1], [0, 1]], 4, (2, 2), 4, 3),
-    # rank-deficient: only K >= 1 is known, so d <= nN = 6, though
-    # sum(dims) = 6 would allow only d <= 1 at full rank
-    ([[1, 1], [1, 1]], 3, (3, 3), 6, 3),
-    ([[1, 1], [1, 1]], 3, (3, 3), 7, 0),
 ])
 def test_target_bound_decides_whether_to_attempt(monkeypatch, rows, n, dims, target, attempts):
     calls = []
